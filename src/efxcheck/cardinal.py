@@ -45,6 +45,10 @@ _LEVEL_BASE_HIGH = Fraction(8_909_830_057, 10_000_000_000)
 _HALF = Fraction(1, 2)
 assert _LEVEL_BASE_LOW**6 < _HALF < _LEVEL_BASE_HIGH**6
 
+# Largest digit count of a parsed factor's numerator or denominator:
+# Python's default limit for converting an int to a decimal string.
+MAX_FACTOR_DIGITS = 4300
+
 
 @total_ordering
 @dataclass(frozen=True)
@@ -113,12 +117,17 @@ class ApproxFactor:
 
     @classmethod
     def parse(cls, text: str) -> "ApproxFactor":
-        """Parse "p/q", a decimal like "0.9", or "lambda^t" with rational t."""
+        """Parse "p/q", a decimal like "0.9", or "lambda^t" with rational t.
+
+        Numerators and denominators are limited to MAX_FACTOR_DIGITS
+        decimal digits, so every factor prints.  A decimal exponent beyond
+        that limit is refused before its power of ten is computed.
+        """
         text = text.strip()
         try:
             if text.startswith("lambda^"):
-                return cls.from_level_exponent(Fraction(text[len("lambda^"):]))
-            return cls.from_rational(Fraction(text))
+                return cls.from_level_exponent(_bounded_fraction(text[len("lambda^"):]))
+            return cls.from_rational(_bounded_fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad factor {text!r}: {exc}") from None
 
@@ -126,6 +135,21 @@ class ApproxFactor:
         if self.rational is not None:
             return str(self.rational)
         return f"lambda^{self.level_exponent}"
+
+
+def _bounded_fraction(text: str) -> Fraction:
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            oversized = abs(int(exponent)) > MAX_FACTOR_DIGITS
+        except ValueError:
+            oversized = False  # malformed; Fraction names the problem
+        if oversized:
+            raise ValueError(f"decimal exponent exceeds {MAX_FACTOR_DIGITS} in magnitude")
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_FACTOR_DIGITS:
+        raise ValueError(f"more than {MAX_FACTOR_DIGITS} digits in numerator or denominator")
+    return value
 
 
 def compare_scaled(a: LevelValue, alpha: ApproxFactor, b: LevelValue) -> bool:

@@ -18,8 +18,9 @@ Commands:
 
 Exit codes: 0 success or expected verdict, 1 verification discrepancy,
 2 usage or parse error.  Reports serialize with elapsed_ms fixed to 0 so
-output is byte-identical for any worker count; measured wall time goes
-to stderr.
+output is byte-identical run to run; measured wall time goes to stderr.
+``--workers K`` is accepted for compatibility and has no effect: every
+scan runs in this process.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--witnesses", type=int, default=10, metavar="N",
                         help="maximum witnesses kept per report (default 10)")
     common.add_argument("--workers", type=int, default=1, metavar="K",
-                        help="worker processes for allocation scans (default 1)")
+                        help="accepted for compatibility and ignored; scans run in one process")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,8 +9,9 @@ pairwise-disjoint bundles covering all eight goods; the 3^8 = 6561
 complete allocations are enumerated in base-3 counter order so every
 scan is reproducible run to run.
 
-All values here are immutable and safe to share between workers; a
-counter range [lo, hi) identifies a slice of the allocation universe.
+All values here are immutable.  Scans decode the universe once and run
+in one process; the command line's --workers option is accepted and has
+no effect.
 """
 
 from __future__ import annotations

@@ -496,6 +496,8 @@ def load_template_file(path: str) -> tuple[InstanceTemplate, OrdinalProfile]:
             text = handle.read()
     except OSError as exc:
         raise TemplateError(str(exc), path) from None
+    except UnicodeDecodeError as exc:
+        raise TemplateError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", path) from None
     return load_template(text)
 
 

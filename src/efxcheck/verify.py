@@ -2,9 +2,11 @@
 
 Every checker scans a finite universe completely (the 6561 allocations,
 the 256 bundles, or pairs thereof) and returns a VerdictReport whose
-witnesses a caller can re-evaluate standalone.  Allocation scans can be
-partitioned over worker processes by counter range; partial results are
-merged in range order, so reports are identical for any worker count.
+witnesses a caller can re-evaluate standalone.  Allocation scans share
+one decode of the universe and test each allocation through per-agent
+tables of reduction maxima, in one process.  Every scan still accepts a
+workers argument, which has no effect: a 6561-allocation universe gains
+nothing from a process pool.
 
 Ordinal verdicts compare integer ranks.  Cardinal verdicts compare exact
 values: coverage values are integers, and level values are compared
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -43,8 +45,6 @@ from .core import (
     Bundle,
     allocation_from_counter,
     members,
-    rotate_allocation,
-    size_pattern,
 )
 from .ordinal import OrdinalProfile, builtin_profile
 
@@ -101,7 +101,6 @@ def builtin(kind: str) -> Profile:
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
 def profile_value_keys(profile: Profile) -> tuple[tuple[int, ...], ...]:
     """Per-agent 256-entry tables of exact order keys for the profile's kind.
 
@@ -247,82 +246,95 @@ def _pattern_key(pattern: tuple[int, int, int]) -> str:
     return f"({pattern[0]},{pattern[1]},{pattern[2]})"
 
 
+def _pattern_breakdown(prefix: str, counts: dict[tuple[int, int, int], int]) -> dict[str, int]:
+    return {f"{prefix}{_pattern_key(pattern)}": n for pattern, n in counts.items()}
+
+
 # ---------------------------------------------------------------------------
 # Allocation-universe scanning
+#
+# Agent i is content toward another bundle B, up to any one good, exactly
+# when key_i[X_i] >= W_i[B], where W_i[B] is the largest key of a one-good
+# reduction of B.  Every scan below tests allocations through these
+# 256-entry tables, over one shared decode of the universe.
+
+# The other agents of agent 0, 1 and 2, in ascending order.
+_OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total))
-    base, extra = divmod(total, workers)
-    bounds = []
-    lo = 0
-    for index in range(workers):
-        hi = lo + base + (1 if index < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def _map_ranges(range_fn: Callable, payload, workers: int) -> list:
-    """Apply a range function over the allocation universe.
-
-    With one worker the call happens inline; otherwise counter ranges go
-    to a process pool and results come back in range order, which keeps
-    every downstream merge deterministic.
-    """
-    if workers <= 1:
-        return [range_fn(payload, 0, N_ALLOCATIONS)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(range_fn, payload, lo, hi)
-            for lo, hi in _chunk_bounds(N_ALLOCATIONS, workers)
+@lru_cache(maxsize=1)
+def _universe() -> tuple[Allocation, ...]:
+    """All 6561 allocations in counter order, decoded once, digit by digit
+    (good 7 is the most significant base-3 digit).  Built on the first
+    scan, never at import."""
+    allocations = [(0, 0, 0)]
+    for g in reversed(GOODS):
+        bit = 1 << g
+        allocations = [
+            extended
+            for x0, x1, x2 in allocations
+            for extended in ((x0 | bit, x1, x2), (x0, x1 | bit, x2), (x0, x1, x2 | bit))
         ]
-        return [future.result() for future in futures]
+    return tuple(allocations)
 
 
-def _agent_feasible(keys_i: tuple[int, ...], allocation: Allocation, agent: int) -> bool:
-    own = keys_i[allocation[agent]]
-    for j in range(N_AGENTS):
-        if j == agent:
-            continue
-        bundle = allocation[j]
-        m = bundle
-        while m:
-            low = m & -m
-            if keys_i[bundle ^ low] > own:
-                return False
-            m ^= low
-    return True
+@lru_cache(maxsize=1)
+def _reductions() -> tuple[tuple[Bundle, ...], ...]:
+    """The one-good reductions of every bundle, goods in ascending order."""
+    return tuple(tuple(bundle ^ (1 << g) for g in members(bundle)) for bundle in ALL_BUNDLES)
 
 
-def _keys_efx(keys: tuple[tuple[int, ...], ...], allocation: Allocation) -> bool:
-    return (
-        _agent_feasible(keys[0], allocation, 0)
-        and _agent_feasible(keys[1], allocation, 1)
-        and _agent_feasible(keys[2], allocation, 2)
-    )
+@lru_cache(maxsize=4)
+def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """W_i[B] = max over goods g in B of keys[i][B - g], per agent.
+
+    The empty bundle has no reduction; its entry is the table's minimum,
+    which never blocks.  The cache is small and bounded: a template run
+    never repeats a profile.
+    """
+    maxima = []
+    for table in keys:
+        floor = min(table)
+        maxima.append(tuple(max(map(table.__getitem__, reduced), default=floor) for reduced in _reductions()))
+    return tuple(maxima)
+
+
+def _efx_status(
+    keys: tuple[tuple[int, ...], ...], maxima: tuple[tuple[int, ...], ...]
+) -> Callable[[int, int, int], int]:
+    """status(x0, x1, x2) is 0 when agent 0 envies another bundle up to
+    one good, 1 when only agent 1 or 2 does, and 2 when nobody does.
+
+    keys give each agent's value of their own bundle; maxima are the
+    reduction maxima of the value keys.  The scaled scan passes keys
+    raised by its slack.
+    """
+    (k0, k1, k2), (w0, w1, w2) = keys, maxima
+
+    def status(x0: int, x1: int, x2: int) -> int:
+        own = k0[x0]
+        if own < w0[x1] or own < w0[x2]:
+            return 0
+        own = k1[x1]
+        if own < w1[x0] or own < w1[x2]:
+            return 1
+        own = k2[x2]
+        return 1 if own < w2[x0] or own < w2[x1] else 2
+
+    return status
+
+
+def _profile_status(profile: Profile) -> Callable[[int, int, int], int]:
+    keys = profile_value_keys(profile)
+    return _efx_status(keys, _reduction_maxima(keys))
+
+
+def _allocation_witnesses(counters: Iterable[int], **fields) -> tuple[Witness, ...]:
+    universe = _universe()
+    return tuple(Witness(allocation=_allocation_goods(universe[c]), **fields) for c in counters)
 
 
 # --- no-EFX ----------------------------------------------------------------
-
-
-def _no_efx_range(payload, lo: int, hi: int):
-    profile, limit = payload
-    keys = profile_value_keys(profile)
-    efx_count = 0
-    witness_counters: list[int] = []
-    feasible0: dict[str, int] = {}
-    for counter in range(lo, hi):
-        allocation = allocation_from_counter(counter)
-        if not _agent_feasible(keys[0], allocation, 0):
-            continue
-        key = _pattern_key(size_pattern(allocation))
-        feasible0[key] = feasible0.get(key, 0) + 1
-        if _agent_feasible(keys[1], allocation, 1) and _agent_feasible(keys[2], allocation, 2):
-            efx_count += 1
-            if len(witness_counters) < limit:
-                witness_counters.append(counter)
-    return efx_count, witness_counters, feasible0
 
 
 def verify_no_efx(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
@@ -330,30 +342,27 @@ def verify_no_efx(profile: Profile, workers: int = 1, witness_limit: int = 10) -
 
     A witness is an EFX allocation (a counterexample to the claim).  The
     breakdown counts allocations feasible for agent 0 by size pattern and
-    records the total EFX count.
+    records the total EFX count.  workers is accepted and ignored.
     """
     started = time.perf_counter()
-    partials = _map_ranges(_no_efx_range, (profile, witness_limit), workers)
-    efx_count = sum(p[0] for p in partials)
-    counters: list[int] = []
-    for p in partials:
-        counters.extend(p[1])
-    breakdown: dict[str, int] = {"efx_allocations": efx_count}
-    for p in partials:
-        for key, count in p[2].items():
-            feasible_key = f"feasible0{key}"
-            breakdown[feasible_key] = breakdown.get(feasible_key, 0) + count
-    witnesses = tuple(
-        Witness(allocation=_allocation_goods(allocation_from_counter(c)))
-        for c in counters[:witness_limit]
-    )
+    status = _profile_status(profile)
+    efx: list[int] = []
+    feasible0: dict[tuple[int, int, int], int] = {}
+    for counter, (x0, x1, x2) in enumerate(_universe()):
+        verdict = status(x0, x1, x2)
+        if not verdict:
+            continue
+        sizes = (x0.bit_count(), x1.bit_count(), x2.bit_count())
+        feasible0[sizes] = feasible0.get(sizes, 0) + 1
+        if verdict == 2:
+            efx.append(counter)
     return _report(
         claim=f"no_efx_{profile.kind}",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
-        passed=efx_count == 0,
-        witnesses=witnesses,
-        breakdown=breakdown,
+        passed=not efx,
+        witnesses=_allocation_witnesses(efx[:witness_limit]),
+        breakdown={"efx_allocations": len(efx), **_pattern_breakdown("feasible0", feasible0)},
         started=started,
     )
 
@@ -361,51 +370,17 @@ def verify_no_efx(profile: Profile, workers: int = 1, witness_limit: int = 10) -
 # --- no scaled-EFX ----------------------------------------------------------
 
 
-def _gap_verdicts(alpha: ApproxFactor, top_rank: int) -> dict[int, bool]:
-    """verdicts[d] answers q**d >= alpha for every reachable exponent gap d."""
-    span = top_rank
-    return {
-        d: compare_scaled(LevelValue.power(span + d), alpha, LevelValue.power(span))
-        for d in range(-span, span + 1)
-    }
+def _scale_slack(alpha: ApproxFactor, top_rank: int) -> int:
+    """Largest exponent gap d <= top_rank with q**d >= alpha.
 
-
-def _alpha_efx_range(payload, lo: int, hi: int):
-    profile, alpha, limit = payload
-    tables = profile.subadditive.exponent_tables
-    verdicts = _gap_verdicts(alpha, profile.ordinal.top_rank)
-    holds_count = 0
-    witness_counters: list[int] = []
-    pattern_counts: dict[str, int] = {}
-    for counter in range(lo, hi):
-        allocation = allocation_from_counter(counter)
-        holds = True
-        for i in range(N_AGENTS):
-            table = tables[i]
-            own = table[allocation[i]]
-            for j in range(N_AGENTS):
-                if j == i:
-                    continue
-                bundle = allocation[j]
-                m = bundle
-                while m:
-                    low = m & -m
-                    other = table[bundle ^ low]
-                    if other is not None and (own is None or not verdicts[own - other]):
-                        holds = False
-                        break
-                    m ^= low
-                if not holds:
-                    break
-            if not holds:
-                break
-        if holds:
-            holds_count += 1
-            key = _pattern_key(size_pattern(allocation))
-            pattern_counts[key] = pattern_counts.get(key, 0) + 1
-            if len(witness_counters) < limit:
-                witness_counters.append(counter)
-    return holds_count, witness_counters, pattern_counts
+    d = 0 always qualifies because alpha <= 1, and the verdict is monotone
+    in d, so an agent meets the scaled condition exactly when every gap
+    it faces is at most the slack.  No reachable gap exceeds top_rank.
+    """
+    slack = 0
+    while slack < top_rank and compare_scaled(LevelValue.power(slack + 1), alpha, LevelValue.power(0)):
+        slack += 1
+    return slack
 
 
 def verify_no_alpha_efx(
@@ -416,32 +391,36 @@ def verify_no_alpha_efx(
 
     An agent holding the empty bundle fails against every nonempty
     deletion; deleting the only good of a singleton leaves the empty
-    bundle, which never violates.
+    bundle, which never violates.  Keys are negated exponents, so an
+    agent with a nonempty bundle meets the condition exactly when
+    key(own) + slack >= W(other) for both other bundles; an agent with the
+    empty bundle only when neither other bundle has a nonempty reduction,
+    that is W(other) is the empty bundle's key.  workers is accepted and
+    ignored.
     """
     if profile.kind != "subadditive":
         raise ValueError(f"scaled verification needs a subadditive profile, got {profile.kind}")
     started = time.perf_counter()
-    partials = _map_ranges(_alpha_efx_range, (profile, alpha, witness_limit), workers)
-    holds_count = sum(p[0] for p in partials)
-    counters: list[int] = []
-    for p in partials:
-        counters.extend(p[1])
-    breakdown: dict[str, int] = {"alpha_efx_allocations": holds_count}
-    for p in partials:
-        for key, count in p[2].items():
-            scoped = f"alpha_efx{key}"
-            breakdown[scoped] = breakdown.get(scoped, 0) + count
-    witnesses = tuple(
-        Witness(allocation=_allocation_goods(allocation_from_counter(c)))
-        for c in counters[:witness_limit]
+    keys = profile_value_keys(profile)
+    slack = _scale_slack(alpha, profile.ordinal.top_rank)
+    raised = tuple(
+        tuple(key + slack if bundle else key for bundle, key in enumerate(table)) for table in keys
     )
+    status = _efx_status(raised, _reduction_maxima(keys))
+    holds: list[int] = []
+    patterns: dict[tuple[int, int, int], int] = {}
+    for counter, (x0, x1, x2) in enumerate(_universe()):
+        if status(x0, x1, x2) == 2:
+            holds.append(counter)
+            sizes = (x0.bit_count(), x1.bit_count(), x2.bit_count())
+            patterns[sizes] = patterns.get(sizes, 0) + 1
     return _report(
         claim=f"no_alpha_efx({alpha})",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
-        passed=holds_count == 0,
-        witnesses=witnesses,
-        breakdown=breakdown,
+        passed=not holds,
+        witnesses=_allocation_witnesses(holds[:witness_limit]),
+        breakdown={"alpha_efx_allocations": len(holds), **_pattern_breakdown("alpha_efx", patterns)},
         started=started,
     )
 
@@ -484,73 +463,39 @@ class DeficitProfile:
         return level_power_decimal(Fraction(self.d_star), digits)
 
 
-def _deficit_range(payload, lo: int, hi: int):
-    profile, limit = payload
-    ranks = profile.ordinal.rank_tables
-    best: int | None = None
-    best_counters: list[int] = []
-    best_count = 0
-    best_nonempty: int | None = None
-    deficits: list[int] = []
-    for counter in range(lo, hi):
-        allocation = allocation_from_counter(counter)
-        worst = 0
-        for i in range(N_AGENTS):
-            table = ranks[i]
-            own = table[allocation[i]]
-            for j in range(N_AGENTS):
-                if j == i:
-                    continue
-                bundle = allocation[j]
-                m = bundle
-                while m:
-                    low = m & -m
-                    gap = table[bundle ^ low] - own
-                    if gap > worst:
-                        worst = gap
-                    m ^= low
-        deficits.append(worst)
-        if best is None or worst < best:
-            best = worst
-            best_counters = [counter]
-            best_count = 1
-        elif worst == best:
-            best_count += 1
-            if len(best_counters) < limit:
-                best_counters.append(counter)
-        if 0 not in allocation and (best_nonempty is None or worst < best_nonempty):
-            best_nonempty = worst
-    return best, best_counters, best_count, best_nonempty, deficits
-
-
 def compute_deficit_profile(
     profile: Profile, workers: int = 1, argmin_limit: int = 10
 ) -> DeficitProfile:
     """Exact deficit of every allocation, with the global minimum and its
-    attaining allocations in counter order."""
+    attaining allocations in counter order.  workers is accepted and
+    ignored."""
     started = time.perf_counter()
-    partials = _map_ranges(_deficit_range, (profile, argmin_limit), workers)
-    d_star = min(p[0] for p in partials)
-    counters: list[int] = []
-    count = 0
-    for p in partials:
-        if p[0] == d_star:
-            counters.extend(p[1])
-            count += p[2]
-    deficits: list[int] = []
-    for p in partials:
-        deficits.extend(p[4])
+    ranks = profile.ordinal.rank_tables
+    (r0, r1, r2), (w0, w1, w2) = ranks, _reduction_maxima(ranks)
+    universe = _universe()
+    deficits = tuple(
+        max(
+            0,
+            max(w0[x1], w0[x2]) - r0[x0],
+            max(w1[x0], w1[x2]) - r1[x1],
+            max(w2[x0], w2[x1]) - r2[x2],
+        )
+        for x0, x1, x2 in universe
+    )
+    d_star = min(deficits)
+    argmin = [counter for counter, deficit in enumerate(deficits) if deficit == d_star]
     histogram: dict[int, int] = {}
-    for value in deficits:
-        histogram[value] = histogram.get(value, 0) + 1
-    min_nonempty = min(p[3] for p in partials if p[3] is not None)
+    for deficit in deficits:
+        histogram[deficit] = histogram.get(deficit, 0) + 1
     return DeficitProfile(
         d_star=d_star,
-        argmin_counters=tuple(counters[:argmin_limit]),
-        argmin_count=count,
-        min_deficit_all_nonempty=min_nonempty,
+        argmin_counters=tuple(argmin[:argmin_limit]),
+        argmin_count=len(argmin),
+        min_deficit_all_nonempty=min(
+            deficit for allocation, deficit in zip(universe, deficits) if 0 not in allocation
+        ),
         histogram=tuple(sorted(histogram.items())),
-        deficits=tuple(deficits),
+        deficits=deficits,
         elapsed_ms=int((time.perf_counter() - started) * 1000),
     )
 
@@ -788,88 +733,44 @@ def check_normalized_ints(value_table: tuple[int, ...], claim: str) -> VerdictRe
 # Lemma-level allocation checks
 
 
-def _first_pair_range(payload, lo: int, hi: int):
-    profile, limit = payload
-    keys = profile_value_keys(profile)
+def verify_lemma_first_pair(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
+    """When the first bundle is a pair and no other bundle is smaller than
+    a pair, agent-0 feasibility confines the pair's type support to
+    Ax, Ay, BC, By, Cy.  workers is accepted and ignored."""
+    started = time.perf_counter()
+    status = _profile_status(profile)
     labels = profile.ordinal.support_labels
     allowed = set(ALLOWED_FIRST_PAIR_LABELS)
     checked = 0
     label_counts: dict[str, int] = {}
-    violation_count = 0
     violations: list[int] = []
-    for counter in range(lo, hi):
-        allocation = allocation_from_counter(counter)
-        sizes = size_pattern(allocation)
-        if sizes[0] != 2 or sizes[1] < 2 or sizes[2] < 2:
+    for counter, (x0, x1, x2) in enumerate(_universe()):
+        if x0.bit_count() != 2 or x1.bit_count() < 2 or x2.bit_count() < 2:
             continue
         checked += 1
-        if not _agent_feasible(keys[0], allocation, 0):
+        if not status(x0, x1, x2):
             continue
-        label = labels[allocation[0]]
+        label = labels[x0]
         label_counts[label] = label_counts.get(label, 0) + 1
         if label not in allowed:
-            violation_count += 1
-            if len(violations) < limit:
-                violations.append(counter)
-    return checked, label_counts, violations, violation_count
-
-
-def verify_lemma_first_pair(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
-    """When the first bundle is a pair and no other bundle is smaller than
-    a pair, agent-0 feasibility confines the pair's type support to
-    Ax, Ay, BC, By, Cy."""
-    started = time.perf_counter()
-    partials = _map_ranges(_first_pair_range, (profile, witness_limit), workers)
-    checked = sum(p[0] for p in partials)
-    label_counts: dict[str, int] = {}
-    for p in partials:
-        for label, count in p[1].items():
-            label_counts[label] = label_counts.get(label, 0) + count
-    violations: list[int] = []
-    for p in partials:
-        violations.extend(p[2])
-    violation_count = sum(p[3] for p in partials)
-    witnesses = tuple(
-        Witness(allocation=_allocation_goods(allocation_from_counter(c)))
-        for c in violations[:witness_limit]
-    )
-    breakdown = {f"feasible_first_pair[{label}]": n for label, n in label_counts.items()}
+            violations.append(counter)
     return _report(
         claim="first_pair_restriction",
         universe=checked,
         checked=checked,
-        passed=violation_count == 0,
-        witnesses=witnesses,
-        breakdown=breakdown,
+        passed=not violations,
+        witnesses=_allocation_witnesses(violations[:witness_limit]),
+        breakdown={f"feasible_first_pair[{label}]": n for label, n in label_counts.items()},
         started=started,
     )
 
 
-def _size_props_range(payload, lo: int, hi: int):
-    profile, limit = payload
-    keys = profile_value_keys(profile)
-    stats = {
-        "small_first": [0, 0, []],
-        "(2,2,4)": [0, 0, []],
-        "(2,3,3)": [0, 0, []],
-    }
-    for counter in range(lo, hi):
-        allocation = allocation_from_counter(counter)
-        sizes = size_pattern(allocation)
-        if sizes[0] <= 1:
-            bucket = stats["small_first"]
-        elif sizes == (2, 2, 4):
-            bucket = stats["(2,2,4)"]
-        elif sizes == (2, 3, 3):
-            bucket = stats["(2,3,3)"]
-        else:
-            continue
-        bucket[0] += 1
-        if _keys_efx(keys, allocation):
-            bucket[1] += 1
-            if len(bucket[2]) < limit:
-                bucket[2].append(counter)
-    return stats
+def _size_class(sizes: tuple[int, int, int]) -> str | None:
+    if sizes[0] <= 1:
+        return "small_first"
+    if sizes in ((2, 2, 4), (2, 3, 3)):
+        return _pattern_key(sizes)
+    return None
 
 
 def _size_multiset_covered(sizes: tuple[int, int, int]) -> bool:
@@ -884,16 +785,19 @@ def verify_size_pattern_props(profile: Profile, workers: int = 1, witness_limit:
     The class sizes are cross-checked against multinomial counts, and the
     rotation argument's completeness (every size multiset of 8 into 3
     parts is reachable from one of the three classes by rotation) is
-    verified by enumerating all ordered size triples.
+    verified by enumerating all ordered size triples.  workers is accepted
+    and ignored.
     """
     started = time.perf_counter()
-    partials = _map_ranges(_size_props_range, (profile, witness_limit), workers)
-    merged = {name: [0, 0, []] for name in ("small_first", "(2,2,4)", "(2,3,3)")}
-    for p in partials:
-        for name, (universe, efx, counters) in p.items():
-            merged[name][0] += universe
-            merged[name][1] += efx
-            merged[name][2].extend(counters)
+    status = _profile_status(profile)
+    classes = {name: [0, []] for name in ("small_first", "(2,2,4)", "(2,3,3)")}
+    for counter, (x0, x1, x2) in enumerate(_universe()):
+        name = _size_class((x0.bit_count(), x1.bit_count(), x2.bit_count()))
+        if name is None:
+            continue
+        classes[name][0] += 1
+        if status(x0, x1, x2) == 2:
+            classes[name][1].append(counter)
 
     factorial = math.factorial
     expected_universe = {
@@ -908,134 +812,123 @@ def verify_size_pattern_props(profile: Profile, workers: int = 1, witness_limit:
     )
 
     breakdown: dict[str, int] = {"size_triples_covered": int(covered)}
-    witnesses: list[Witness] = []
+    witness_counters: list[int] = []
     passed = covered
-    for name, (universe, efx, counters) in merged.items():
+    for name, (universe, efx) in classes.items():
         breakdown[f"universe[{name}]"] = universe
-        breakdown[f"efx[{name}]"] = efx
-        if universe != expected_universe[name] or efx != 0:
+        breakdown[f"efx[{name}]"] = len(efx)
+        if universe != expected_universe[name] or efx:
             passed = False
-        for counter in counters[: max(0, witness_limit - len(witnesses))]:
-            witnesses.append(Witness(allocation=_allocation_goods(allocation_from_counter(counter))))
-    total_universe = sum(merged[name][0] for name in merged)
+        witness_counters += efx[: max(0, witness_limit - len(witness_counters))]
+    total_universe = sum(universe for universe, _ in classes.values())
     return _report(
         claim="size_pattern_propositions",
         universe=total_universe,
         checked=total_universe,
         passed=passed,
-        witnesses=witnesses,
+        witnesses=_allocation_witnesses(witness_counters),
         breakdown=breakdown,
         started=started,
     )
 
 
-def _cyclic_range(payload, lo: int, hi: int):
-    profile, limit = payload
-    keys = profile_value_keys(profile)
-    perm = profile.ordinal.permutation
-    efx_count = 0
-    mismatch_count = 0
-    mismatches: list[int] = []
-    for counter in range(lo, hi):
-        allocation = allocation_from_counter(counter)
-        before = _keys_efx(keys, allocation)
-        after = _keys_efx(keys, rotate_allocation(allocation, perm))
-        if before:
-            efx_count += 1
-        if before != after:
-            mismatch_count += 1
-            if len(mismatches) < limit:
-                mismatches.append(counter)
-    return efx_count, mismatches, mismatch_count
-
-
 def verify_cyclic_symmetry(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
     """EFX status is invariant under one cyclic relabeling step, for all
-    6561 allocations, under the profile's own comparisons."""
+    6561 allocations, under the profile's own comparisons.  The image of
+    (X0, X1, X2) is (perm(X1), perm(X2), perm(X0)).  workers is accepted
+    and ignored."""
     started = time.perf_counter()
-    partials = _map_ranges(_cyclic_range, (profile, witness_limit), workers)
-    efx_count = sum(p[0] for p in partials)
-    mismatch_count = sum(p[2] for p in partials)
+    status = _profile_status(profile)
+    image = profile.ordinal.bundle_images[1]
+    efx_count = 0
     mismatches: list[int] = []
-    for p in partials:
-        mismatches.extend(p[1])
-    witnesses = tuple(
-        Witness(
-            allocation=_allocation_goods(allocation_from_counter(c)),
-            lhs="EFX",
-            rhs="not EFX after rotation",
-        )
-        for c in mismatches[:witness_limit]
-    )
+    for counter, (x0, x1, x2) in enumerate(_universe()):
+        before = status(x0, x1, x2) == 2
+        efx_count += before
+        if before != (status(image[x1], image[x2], image[x0]) == 2):
+            mismatches.append(counter)
     return _report(
         claim=f"cyclic_symmetry({profile.kind})",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
-        passed=mismatch_count == 0,
-        witnesses=witnesses,
+        passed=not mismatches,
+        witnesses=_allocation_witnesses(
+            mismatches[:witness_limit], lhs="EFX", rhs="not EFX after rotation"
+        ),
         breakdown={"efx_allocations": efx_count},
         started=started,
     )
 
 
-def _transfer_range(payload, lo: int, hi: int):
-    ordinal_profile, cardinal_profile, limit = payload
-    ranks = ordinal_profile.ordinal.rank_tables
-    keys = profile_value_keys(cardinal_profile)
-    triples_checked = 0
-    violation_count = 0
-    violations: list[tuple[int, int, int, int]] = []
-    for counter in range(lo, hi):
-        allocation = allocation_from_counter(counter)
-        for i in range(N_AGENTS):
-            rank_table = ranks[i]
-            key_table = keys[i]
-            own_rank = rank_table[allocation[i]]
-            own_key = key_table[allocation[i]]
-            for j in range(N_AGENTS):
-                if j == i:
-                    continue
-                bundle = allocation[j]
-                m = bundle
-                while m:
-                    low = m & -m
-                    reduced = bundle ^ low
-                    if rank_table[reduced] > own_rank:
-                        triples_checked += 1
-                        if key_table[reduced] <= own_key:
-                            violation_count += 1
-                            if len(violations) < limit:
-                                violations.append((counter, i, j, low.bit_length() - 1))
-                    m ^= low
-    return triples_checked, violations, violation_count
+def _reduction_ladders(
+    ranks: tuple[int, ...], keys: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per bundle: the ranks of its one-good reductions in ascending order,
+    and for each position p the least key among reductions p onward (one
+    extra entry past the end, which no key reaches)."""
+    ladders = []
+    ceiling = max(keys) + 1
+    for reduced in _reductions():
+        steps = sorted((ranks[r], keys[r]) for r in reduced)
+        least = [ceiling]
+        for _, key in reversed(steps):
+            least.append(min(key, least[-1]))
+        ladders.append((tuple(rank for rank, _ in steps), tuple(reversed(least))))
+    return tuple(ladders)
 
 
 def verify_transfer(
     ordinal_profile: Profile, cardinal_profile: Profile, workers: int = 1, witness_limit: int = 10
 ) -> VerdictReport:
     """Every ordinal strong-envy triple stays a strict value violation
-    under the cardinal realization, over all allocations and triples."""
+    under the cardinal realization, over all allocations and triples.
+
+    For each owner and other bundle, the triples are the reductions of the
+    other bundle ranked above the owner's bundle: a bisection of the
+    bundle's sorted reduction ranks counts them, and goods are enumerated
+    only when the least value key among them does not exceed the owner's.
+    workers is accepted and ignored.
+    """
     if cardinal_profile.ordinal != ordinal_profile.ordinal:
         raise ValueError("cardinal profile must realize the given ordinal profile")
     started = time.perf_counter()
-    partials = _map_ranges(_transfer_range, (ordinal_profile, cardinal_profile, witness_limit), workers)
-    triples = sum(p[0] for p in partials)
-    violation_count = sum(p[2] for p in partials)
+    ranks = ordinal_profile.ordinal.rank_tables
+    keys = profile_value_keys(cardinal_profile)
+    agents = tuple(
+        (i, ranks[i], keys[i], _reduction_ladders(ranks[i], keys[i]), others)
+        for i, others in enumerate(_OTHER_AGENTS)
+    )
+    universe = _universe()
+    triples = 0
     violations: list[tuple[int, int, int, int]] = []
-    for p in partials:
-        violations.extend(p[1])
+    violation_count = 0
+    for counter, allocation in enumerate(universe):
+        for i, rank_table, key_table, ladder, others in agents:
+            own_rank = rank_table[allocation[i]]
+            own_key = key_table[allocation[i]]
+            for j in others:
+                bundle = allocation[j]
+                reduction_ranks, least_keys = ladder[bundle]
+                above = bisect_right(reduction_ranks, own_rank)
+                triples += len(reduction_ranks) - above
+                if least_keys[above] > own_key:
+                    continue
+                for g in members(bundle):
+                    reduced = bundle ^ (1 << g)
+                    if rank_table[reduced] > own_rank and key_table[reduced] <= own_key:
+                        violation_count += 1
+                        if len(violations) < witness_limit:
+                            violations.append((counter, i, j, g))
     witnesses = tuple(
         Witness(
-            allocation=_allocation_goods(allocation_from_counter(counter)),
+            allocation=_allocation_goods(universe[counter]),
             agent_i=i,
             agent_j=j,
             good_g=g,
-            lhs=display_value(cardinal_profile, i, allocation_from_counter(counter)[i]),
-            rhs=display_value(
-                cardinal_profile, i, allocation_from_counter(counter)[j] ^ (1 << g)
-            ),
+            lhs=display_value(cardinal_profile, i, universe[counter][i]),
+            rhs=display_value(cardinal_profile, i, universe[counter][j] ^ (1 << g)),
         )
-        for counter, i, j, g in violations[:witness_limit]
+        for counter, i, j, g in violations
     )
     return _report(
         claim=f"strict_order_transfer({cardinal_profile.kind})",

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from helpers import identical_agents_doc, run_cli
 
@@ -211,3 +215,50 @@ def test_public_import_surface():
 
     for name in ("verify_no_efx", "LevelValue", "rank0", "load_template", "builtin"):
         assert hasattr(efxcheck, name)
+
+
+def test_non_utf8_template_exits_two_naming_the_path(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"types": "café"}'.encode("latin-1"))
+    code, out, err = run_cli(["template", str(path), "verify"])
+    assert code == 2
+    assert out == ""
+    assert "template error" in err
+    assert str(path) in err
+    assert "UTF-8" in err
+
+
+def test_oversized_alpha_is_rejected_before_scanning():
+    for factor in ("1e-9999", "1e-99999999", "lambda^1e-9999", "lambda^1e9999"):
+        code, out, err = run_cli(["verify", "subadditive", "--alpha", factor])
+        assert code == 2, factor
+        assert out == ""
+        assert "bad factor" in err
+
+
+def test_alpha_with_thousands_of_digits_still_verifies():
+    # Far below the level base scaled-EFX allocations exist; lambda^t with
+    # t < 1 lies above it, where none do.
+    for factor, verdict in (("1e-4000", "fail"), ("lambda^4000", "fail"), ("lambda^1e-4000", "pass")):
+        code, out, _ = run_cli(["verify", "subadditive", "--alpha", factor, "--format", "csv"])
+        assert code == 0, factor
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[2][0].startswith("no_alpha_efx(")
+        assert rows[2][3] == verdict, factor
+    assert str(ApproxFactor.parse("1e-4000")) == "1/1" + "0" * 4000
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, efxcheck.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_workers_help_says_the_option_is_ignored():
+    _, help_text, _ = run_cli(["verify", "--help"])
+    assert "--workers" in help_text and "ignored" in help_text
