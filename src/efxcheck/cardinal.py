@@ -336,9 +336,7 @@ def build_subadditive(profile: OrdinalProfile) -> SubadditiveProfile:
 
 def subadditive_value(agent: int, bundle: Bundle, profile: OrdinalProfile) -> LevelValue:
     """Level value of a bundle: zero when empty, else the power top_rank - rank."""
-    if bundle == 0:
-        return LevelValue.zero()
-    return LevelValue.power(profile.top_rank - profile.rank_tables[agent][bundle])
+    return build_subadditive(profile).value(agent, bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ such a template (paper_instance.json) and round-trips through the loader.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -336,6 +337,13 @@ def parse_template(text: str) -> InstanceTemplate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TemplateError(exc.msg, f"line {exc.lineno}, column {exc.colno}") from None
+    except ValueError:
+        # The only other ValueError json raises: an integer literal longer
+        # than Python's int-to-str digit limit.
+        limit = sys.get_int_max_str_digits()
+        raise TemplateError(f"integer literal longer than {limit} digits", "$") from None
+    except RecursionError:
+        raise TemplateError("arrays or objects nested too deeply", "$") from None
     _require(isinstance(doc, dict), "document must be a JSON object", "$")
 
     for field in ("types", "special_goods", "pair_ranks", "exceptional", "top_rank", "permutation"):

@@ -1,12 +1,17 @@
 """Exhaustive claim checkers producing re-verifiable verdict reports.
 
-Every checker scans a finite universe completely (the 6561 allocations,
-the 256 bundles, or pairs thereof) and returns a VerdictReport whose
-witnesses a caller can re-evaluate standalone.  Allocation scans share
-one decode of the universe and test each allocation through per-agent
-tables of reduction maxima, in one process.  Every scan still accepts a
-workers argument, which has no effect: a 6561-allocation universe gains
-nothing from a process pool.
+Every checker decides a claim over a whole finite universe (the 6561
+allocations, the 256 bundles, or pairs thereof) and returns a
+VerdictReport whose witnesses a caller can re-evaluate standalone.
+Allocation scans share one decode of the universe and test each
+allocation through per-agent tables of reduction maxima, in one process.
+Every scan still accepts a workers argument, which has no effect: a
+6561-allocation universe gains nothing from a process pool.
+
+The bundle-pair property checks skip a row of pairs only when an exact
+bound rules out every violation in it, and stop once the verdict is
+settled and the witness list is full.  Their checked field counts the
+whole universe the verdict covers, not the pairs actually visited.
 
 Ordinal verdicts compare integer ranks.  Cardinal verdicts compare exact
 values: coverage values are integers, and level values are compared
@@ -20,8 +25,9 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import lru_cache, partial
+from itertools import accumulate, chain, combinations, islice
+from typing import Callable, Iterable, Iterator
 
 from .cardinal import (
     ApproxFactor,
@@ -503,36 +509,49 @@ def compute_deficit_profile(
 # ---------------------------------------------------------------------------
 # Bundle-universe property checks
 
+# The universes the property checks cover: (bundle, good) pairs, ordered
+# bundle pairs, and (good, S within T avoiding the good) triples.
+N_MONOTONE_PAIRS = len(ALL_BUNDLES) * N_GOODS
+N_BUNDLE_PAIRS = len(ALL_BUNDLES) ** 2
+N_NESTED_PAIRS = N_GOODS * 3 ** (N_GOODS - 1)
+
+# Each check below yields its violations lazily, in scan order, and
+# _first_violations stops consuming them once the verdict is settled and
+# the witness list is full: reports carry no violation count.
+
+
+def _first_violations(violations: Iterator[Witness], witness_limit: int) -> tuple[bool, tuple[Witness, ...]]:
+    """(no violation at all, the first witness_limit violations)."""
+    first = next(violations, None)
+    if first is None:
+        return True, ()
+    return False, tuple(islice(chain((first,), violations), max(witness_limit, 0)))
+
 
 def check_monotone(
     key_table: tuple[int, ...],
     claim: str,
-    display_table: tuple | None = None,
+    display: Callable[[Bundle], int | str] | None = None,
     witness_limit: int = 10,
 ) -> VerdictReport:
-    """Adding any good never lowers the value (checked on order keys)."""
+    """Adding any good never lowers the value (checked on order keys).
+
+    display gives a bundle's value as a witness shows it; by default the
+    key itself.  checked counts every (bundle, good) pair.
+    """
     started = time.perf_counter()
-    display = display_table if display_table is not None else key_table
-    witnesses: list[Witness] = []
-    violations = 0
-    checked = 0
-    for bundle in ALL_BUNDLES:
-        base = key_table[bundle]
-        for g in GOODS:
-            checked += 1
-            extended = bundle | (1 << g)
-            if key_table[extended] < base:
-                violations += 1
-                if len(witnesses) < witness_limit:
-                    witnesses.append(
-                        Witness(
-                            bundle_s=members(bundle),
-                            good_g=g,
-                            lhs=display[extended],
-                            rhs=display[bundle],
-                        )
-                    )
-    return _report(claim, checked, checked, violations == 0, witnesses, {}, started)
+    show = display or key_table.__getitem__
+
+    def violations() -> Iterator[Witness]:
+        for bundle in ALL_BUNDLES:
+            base = key_table[bundle]
+            for g in GOODS:
+                extended = bundle | (1 << g)
+                if key_table[extended] < base:
+                    yield Witness(bundle_s=members(bundle), good_g=g, lhs=show(extended), rhs=show(bundle))
+
+    passed, witnesses = _first_violations(violations(), witness_limit)
+    return _report(claim, N_MONOTONE_PAIRS, N_MONOTONE_PAIRS, passed, witnesses, {}, started)
 
 
 def _level_str(exponent: int | None) -> str:
@@ -549,34 +568,74 @@ def _pair_sum_sign(e_first: int | None, e_second: int | None, e_union: int | Non
     return level_sum_compare(values, target)
 
 
+def _superset_maxima(table: Iterable[int]) -> list[int]:
+    """U[S] = the largest entry of table over the supersets of S."""
+    greatest = list(table)
+    for g in GOODS:
+        bit = 1 << g
+        for bundle in ALL_BUNDLES:
+            if not bundle & bit and greatest[bundle | bit] > greatest[bundle]:
+                greatest[bundle] = greatest[bundle | bit]
+    return greatest
+
+
 def check_subadditive(
     exponent_table: tuple[int | None, ...],
     claim: str,
     witness_limit: int = 10,
 ) -> VerdictReport:
     """value(S) + value(T) >= value(S union T) over all 65536 bundle pairs,
-    decided by exact algebraic sums of level values."""
+    decided by exact algebraic sums of level values.
+
+    A pair with an empty side never violates, since values are never
+    negative.  Row S is scanned only when value(S) + m < U(S), where m is
+    the least value of a nonempty bundle and U(S) the greatest value of a
+    superset of S: otherwise every T gives value(S) + value(T) >=
+    value(S) + m >= U(S) >= value(S union T).  That bound is one exact
+    sum per row.  checked counts all 65536 pairs.
+    """
     started = time.perf_counter()
-    witnesses: list[Witness] = []
-    violations = 0
-    checked = 0
-    for first in ALL_BUNDLES:
-        e_first = exponent_table[first]
-        for second in ALL_BUNDLES:
-            checked += 1
-            sign = _pair_sum_sign(e_first, exponent_table[second], exponent_table[first | second])
-            if sign < 0:
-                violations += 1
-                if len(witnesses) < witness_limit:
-                    witnesses.append(
-                        Witness(
-                            bundle_s=members(first),
-                            bundle_t=members(second),
-                            lhs=f"{_level_str(e_first)} + {_level_str(exponent_table[second])}",
-                            rhs=_level_str(exponent_table[first | second]),
-                        )
+    # Order keys of the values: exponents negated, zero strictly below.
+    bottom = -1 - max((e for e in exponent_table if e is not None), default=0)
+    keys = [bottom if e is None else -e for e in exponent_table]
+
+    def exponent(key: int) -> int | None:
+        return None if key == bottom else -key
+
+    least = exponent(min(keys[1:]))
+    greatest = _superset_maxima(keys)
+
+    def violations() -> Iterator[Witness]:
+        for first in ALL_BUNDLES[1:]:
+            e_first = exponent_table[first]
+            if _pair_sum_sign(e_first, least, exponent(greatest[first])) >= 0:
+                continue
+            for second in ALL_BUNDLES[1:]:
+                e_second, e_union = exponent_table[second], exponent_table[first | second]
+                if _pair_sum_sign(e_first, e_second, e_union) < 0:
+                    yield Witness(
+                        bundle_s=members(first),
+                        bundle_t=members(second),
+                        lhs=f"{_level_str(e_first)} + {_level_str(e_second)}",
+                        rhs=_level_str(e_union),
                     )
-    return _report(claim, checked, checked, violations == 0, witnesses, {}, started)
+
+    passed, witnesses = _first_violations(violations(), witness_limit)
+    return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {}, started)
+
+
+def _locally_submodular(value_table: tuple[int, ...]) -> bool:
+    """f(S+g) - f(S) >= f(S+g+h) - f(S+h) for every S and goods g < h
+    outside S.  Chaining the goods of T - S one at a time turns this into
+    diminishing returns for every nested S within T, so the two agree on
+    any set function."""
+    for bundle in ALL_BUNDLES:
+        base = value_table[bundle]
+        outside = [bundle | (1 << g) for g in GOODS if not bundle >> g & 1]
+        for with_g, with_h in combinations(outside, 2):
+            if value_table[with_g] + value_table[with_h] < value_table[with_g | with_h] + base:
+                return False
+    return True
 
 
 def check_submodular(
@@ -585,73 +644,81 @@ def check_submodular(
     witness_limit: int = 10,
 ) -> VerdictReport:
     """Diminishing returns: for every good g and nested S within T avoiding
-    g, the marginal of g on S is at least its marginal on T.  Nested pairs
-    are enumerated by submask iteration (8 * 3^7 ordered pairs)."""
+    g, the marginal of g on S is at least its marginal on T.
+
+    The local test of _locally_submodular (1792 sums) decides a passing
+    table.  A failing one is enumerated by submask iteration over the
+    nested pairs, for its witnesses in scan order.  checked counts all
+    8 * 3^7 ordered nested pairs.
+    """
     started = time.perf_counter()
-    witnesses: list[Witness] = []
-    violations = 0
-    checked = 0
-    for g in GOODS:
-        bit = 1 << g
-        rest = FULL_BUNDLE & ~bit
-        t = rest
-        while True:
-            marginal_t = value_table[t | bit] - value_table[t]
-            s = t
+
+    def violations() -> Iterator[Witness]:
+        for g in GOODS:
+            bit = 1 << g
+            rest = FULL_BUNDLE & ~bit
+            t = rest
             while True:
-                checked += 1
-                if value_table[s | bit] - value_table[s] < marginal_t:
-                    violations += 1
-                    if len(witnesses) < witness_limit:
-                        witnesses.append(
-                            Witness(
-                                bundle_s=members(s),
-                                bundle_t=members(t),
-                                good_g=g,
-                                lhs=value_table[s | bit] - value_table[s],
-                                rhs=marginal_t,
-                            )
+                marginal_t = value_table[t | bit] - value_table[t]
+                s = t
+                while True:
+                    marginal_s = value_table[s | bit] - value_table[s]
+                    if marginal_s < marginal_t:
+                        yield Witness(
+                            bundle_s=members(s), bundle_t=members(t), good_g=g, lhs=marginal_s, rhs=marginal_t
                         )
-                if s == 0:
+                    if s == 0:
+                        break
+                    s = (s - 1) & t
+                if t == 0:
                     break
-                s = (s - 1) & t
-            if t == 0:
-                break
-            t = (t - 1) & rest
-    return _report(claim, checked, checked, violations == 0, witnesses, {}, started)
+                t = (t - 1) & rest
+
+    if _locally_submodular(value_table):
+        passed, witnesses = True, ()
+    else:
+        passed, witnesses = _first_violations(violations(), witness_limit)
+    return _report(claim, N_NESTED_PAIRS, N_NESTED_PAIRS, passed, witnesses, {}, started)
 
 
 def check_strict_consistency(
     rank_table: tuple[int, ...],
     key_table: tuple[int, ...],
     claim: str,
-    display_table: tuple | None = None,
+    display: Callable[[Bundle], int | str] | None = None,
     witness_limit: int = 10,
 ) -> VerdictReport:
     """A strictly higher rank forces a strictly higher value, over all
-    65536 ordered bundle pairs."""
+    65536 ordered bundle pairs.
+
+    Row S holds a violation exactly when key(S) is at most the largest
+    key of a strictly lower rank, a running maximum over the distinct
+    ranks; only such rows are scanned.  display is as for check_monotone.
+    checked counts all 65536 pairs.
+    """
     started = time.perf_counter()
-    display = display_table if display_table is not None else key_table
-    witnesses: list[Witness] = []
-    violations = 0
-    checked = 0
-    for first in ALL_BUNDLES:
-        rank_first = rank_table[first]
-        key_first = key_table[first]
-        for second in ALL_BUNDLES:
-            checked += 1
-            if rank_first > rank_table[second] and key_first <= key_table[second]:
-                violations += 1
-                if len(witnesses) < witness_limit:
-                    witnesses.append(
-                        Witness(
-                            bundle_s=members(first),
-                            bundle_t=members(second),
-                            lhs=display[first],
-                            rhs=display[second],
-                        )
+    show = display or key_table.__getitem__
+    top_key: dict[int, int] = {}
+    for rank, key in zip(rank_table, key_table):
+        top_key[rank] = max(key, top_key.get(rank, key))
+    ranks = sorted(top_key)
+    # below[r]: the largest key of a rank under r; the lowest rank has none.
+    below = dict(zip(ranks[1:], accumulate(map(top_key.__getitem__, ranks), max)))
+
+    def violations() -> Iterator[Witness]:
+        for first in ALL_BUNDLES:
+            rank_first, key_first = rank_table[first], key_table[first]
+            bound = below.get(rank_first)
+            if bound is None or key_first > bound:
+                continue
+            for second in ALL_BUNDLES:
+                if rank_first > rank_table[second] and key_first <= key_table[second]:
+                    yield Witness(
+                        bundle_s=members(first), bundle_t=members(second), lhs=show(first), rhs=show(second)
                     )
-    return _report(claim, checked, checked, violations == 0, witnesses, {}, started)
+
+    passed, witnesses = _first_violations(violations(), witness_limit)
+    return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {}, started)
 
 
 def check_support_collapse(
@@ -974,12 +1041,12 @@ def property_reports(profile: Profile, witness_limit: int = 10) -> list[VerdictR
         assert sub is not None
         keys = profile_value_keys(profile)
         for agent in range(N_AGENTS):
-            display = tuple(str(sub.value(agent, bundle)) for bundle in ALL_BUNDLES)
+            display = partial(display_value, profile, agent)
             reports.append(
                 check_monotone(
                     keys[agent],
                     f"monotone(level_value[{agent}])",
-                    display_table=display,
+                    display=display,
                     witness_limit=witness_limit,
                 )
             )
@@ -995,7 +1062,7 @@ def property_reports(profile: Profile, witness_limit: int = 10) -> list[VerdictR
                     ordinal.rank_tables[agent],
                     keys[agent],
                     f"strict_consistency(rank[{agent}],level_value[{agent}])",
-                    display_table=display,
+                    display=display,
                     witness_limit=witness_limit,
                 )
             )

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 from efxcheck.cli import main
+from efxcheck.ordinal import builtin_template, serialize_template
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -20,8 +22,6 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 def identical_agents_doc() -> str:
     """Template with every pair rank 1 and no exceptional triples: three
     indifferent agents that only distinguish empty from nonempty."""
-    from efxcheck.ordinal import builtin_template, serialize_template
-
     doc = json.loads(serialize_template(builtin_template()))
     for row in doc["pair_ranks"].values():
         for key in row:
@@ -32,9 +32,34 @@ def identical_agents_doc() -> str:
 
 def mutated_pair_doc(first: str, second: str, rank: int) -> str:
     """Built-in template with one pair-rank cell overridden."""
-    from efxcheck.ordinal import builtin_template, serialize_template
-
     doc = json.loads(serialize_template(builtin_template()))
     row = doc["pair_ranks"].setdefault(first, {})
     row[second] = rank
+    return json.dumps(doc)
+
+
+PERMUTATIONS = (
+    list(range(8)),
+    [1, 2, 0, 4, 5, 3, 6, 7],
+    [2, 0, 1, 5, 3, 4, 6, 7],
+)
+
+
+def random_template_doc(seed: int) -> str:
+    """The built-in type partition with a random pair table, random
+    exceptional triples, a random top rank and a relabeling of order
+    dividing 3."""
+    rng = random.Random(seed)
+    doc = json.loads(serialize_template(builtin_template()))
+    top_rank = rng.randint(2, 12)
+    doc["top_rank"] = top_rank
+    for row in doc["pair_ranks"].values():
+        for key in row:
+            row[key] = rng.randint(1, top_rank)
+    types = ["A", "B", "C", "x", "y"]
+    triples = {
+        tuple(sorted(rng.sample(types, 3))) for _ in range(rng.randint(0, 3))
+    }
+    doc["exceptional"] = [list(triple) for triple in sorted(triples)]
+    doc["permutation"] = rng.choice(PERMUTATIONS)
     return json.dumps(doc)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import identical_agents_doc, run_cli
 
 from efxcheck.cli import expected_no_alpha_efx
@@ -183,6 +185,24 @@ def test_template_missing_cell_reports_location(tmp_path):
     code, _, err = run_cli(["template", str(path), "verify"])
     assert code == 2
     assert "pair_ranks" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"top_rank": ' + "7" * 5000 + "}", "integer literal longer than"),
+        ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    ],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_unparseable_template_exits_two_at_document_root(tmp_path, text, message):
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["template", str(path), "verify"])
+    assert code == 2
+    assert out == ""
+    assert "template error at $" in err
+    assert message in err
 
 
 def test_missing_template_file_exits_two(tmp_path):

@@ -13,16 +13,14 @@ coverage realizations.
 from __future__ import annotations
 
 import dataclasses
-import json
-import random
 
 import pytest
 
-from helpers import identical_agents_doc
+from helpers import identical_agents_doc, random_template_doc
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_coverage, build_subadditive, compare_scaled
 from efxcheck.core import N_AGENTS, N_ALLOCATIONS, allocation_from_counter, members, rotate_allocation
-from efxcheck.ordinal import builtin_profile, builtin_template, is_efx, load_template, serialize_template
+from efxcheck.ordinal import builtin_profile, is_efx, load_template
 from efxcheck.verify import (
     Profile,
     builtin,
@@ -34,32 +32,7 @@ from efxcheck.verify import (
 )
 
 FACTORS = ("1", "0.95", "9/10", "lambda^1", "0.8", "lambda^2", "1/2", "lambda^7/2", "1/10", "1e-30")
-PERMUTATIONS = (
-    list(range(8)),
-    [1, 2, 0, 4, 5, 3, 6, 7],
-    [2, 0, 1, 5, 3, 4, 6, 7],
-)
 TEMPLATE_SEEDS = (3, 11, 29, 47)
-
-
-def random_template_doc(seed: int) -> str:
-    """The built-in type partition with a random pair table, random
-    exceptional triples, a random top rank and a relabeling of order
-    dividing 3."""
-    rng = random.Random(seed)
-    doc = json.loads(serialize_template(builtin_template()))
-    top_rank = rng.randint(2, 12)
-    doc["top_rank"] = top_rank
-    for row in doc["pair_ranks"].values():
-        for key in row:
-            row[key] = rng.randint(1, top_rank)
-    types = ["A", "B", "C", "x", "y"]
-    triples = {
-        tuple(sorted(rng.sample(types, 3))) for _ in range(rng.randint(0, 3))
-    }
-    doc["exceptional"] = [list(triple) for triple in sorted(triples)]
-    doc["permutation"] = rng.choice(PERMUTATIONS)
-    return json.dumps(doc)
 
 
 def subjects() -> list[tuple[str, Profile]]:
