@@ -17,8 +17,10 @@ Commands:
   suite completed.
 
 Exit codes: 0 success or expected verdict, 1 verification discrepancy,
-2 usage or parse error.  Reports serialize with elapsed_ms fixed to 0 so
-output is byte-identical run to run; measured wall time goes to stderr.
+2 usage or parse error, 141 (128 + SIGPIPE) when the reader closes stdout
+before the report is written.  Reports serialize with elapsed_ms fixed
+to 0 so output is byte-identical run to run; measured wall time goes to
+stderr.
 ``--workers K`` is accepted for compatibility and has no effect: every
 scan runs in this process.
 """
@@ -29,6 +31,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -43,12 +46,12 @@ from .verify import (
     GOLDEN_D_STAR_ARGMIN_COUNT,
     GOLDEN_D_STAR_ARGMIN_COUNTER,
     GOLDEN_MIN_DEFICIT_ALL_NONEMPTY,
+    Profile,
     VerdictReport,
     Witness,
     builtin,
     compute_deficit_profile,
     lemma_reports,
-    ordinal_wrapper,
     property_reports,
     verify_no_alpha_efx,
     verify_no_efx,
@@ -60,6 +63,7 @@ PROFILE_CHOICES = ("ordinal", "subadditive", "coverage")
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by the signal
 
 
 @dataclass
@@ -69,7 +73,6 @@ class RunConfig:
     alpha: ApproxFactor | None = None
     fmt: str = "markdown"
     witness_limit: int = 10
-    workers: int = 1
     template_path: str | None = None
     template_action: str | None = None
 
@@ -128,7 +131,6 @@ def parse_config(argv: list[str] | None) -> RunConfig:
         command=args.command,
         fmt=args.fmt,
         witness_limit=max(0, args.witnesses),
-        workers=max(1, args.workers),
     )
     if config.command in ("verify", "properties"):
         config.profile = args.profile
@@ -250,10 +252,10 @@ def cmd_verify(config: RunConfig) -> int:
     if config.alpha is not None and config.profile != "subadditive":
         return _usage_error("--alpha applies only to the subadditive profile")
     profile = builtin(config.profile)
-    reports = [verify_no_efx(profile, config.workers, config.witness_limit)]
+    reports = [verify_no_efx(profile, config.witness_limit)]
     status = EXIT_OK if reports[0].passed else EXIT_DISCREPANCY
     if config.alpha is not None:
-        alpha_report = verify_no_alpha_efx(profile, config.alpha, config.workers, config.witness_limit)
+        alpha_report = verify_no_alpha_efx(profile, config.alpha, config.witness_limit)
         reports.append(alpha_report)
         if alpha_report.passed != expected_no_alpha_efx(config.alpha):
             status = EXIT_DISCREPANCY
@@ -268,13 +270,13 @@ def cmd_properties(config: RunConfig) -> int:
 
 
 def cmd_lemmas(config: RunConfig) -> int:
-    reports = lemma_reports(config.workers, config.witness_limit)
+    reports = lemma_reports(config.witness_limit)
     emit_reports(reports, config.fmt)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_DISCREPANCY
 
 
 def cmd_alpha_star(config: RunConfig) -> int:
-    deficit = compute_deficit_profile(builtin("ordinal"), config.workers, config.witness_limit or 1)
+    deficit = compute_deficit_profile(builtin("ordinal"), config.witness_limit or 1)
     stable = (
         deficit.d_star == GOLDEN_D_STAR
         and deficit.argmin_count == GOLDEN_D_STAR_ARGMIN_COUNT
@@ -328,12 +330,12 @@ def cmd_tables(config: RunConfig) -> int:
 
 
 def cmd_template(config: RunConfig) -> int:
-    _, profile = load_template_file(config.template_path)
-    wrapped = ordinal_wrapper(profile)
+    _, ordinal = load_template_file(config.template_path)
+    profile = Profile(kind="ordinal", ordinal=ordinal)
     if config.template_action == "verify":
-        reports = [verify_no_efx(wrapped, config.workers, config.witness_limit)]
+        reports = [verify_no_efx(profile, config.witness_limit)]
     else:
-        reports = property_reports(wrapped, config.witness_limit)
+        reports = property_reports(profile, config.witness_limit)
     emit_reports(reports, config.fmt)
     return EXIT_OK
 
@@ -365,7 +367,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the flush at
+        # interpreter exit has nowhere to fail, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_CLOSED_STDOUT
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -9,13 +9,12 @@ pairwise-disjoint bundles covering all eight goods; the 3^8 = 6561
 complete allocations are enumerated in base-3 counter order so every
 scan is reproducible run to run.
 
-All values here are immutable.  Scans decode the universe once and run
-in one process; the command line's --workers option is accepted and has
-no effect.
+All values here are immutable.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 Bundle = int
@@ -62,6 +61,12 @@ def members(bundle: Bundle) -> tuple[int, ...]:
 
 def bundle_size(bundle: Bundle) -> int:
     return bundle.bit_count()
+
+
+@lru_cache(maxsize=1)
+def one_good_reductions() -> tuple[tuple[Bundle, ...], ...]:
+    """The one-good reductions of every bundle, goods in ascending order."""
+    return tuple(tuple(bundle ^ (1 << g) for g in members(bundle)) for bundle in ALL_BUNDLES)
 
 
 def support_of(bundle: Bundle) -> frozenset[str]:

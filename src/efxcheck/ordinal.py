@@ -2,22 +2,28 @@
 
 A rank function maps bundles to small non-negative integers and induces a
 weak preference order (higher rank preferred, equal rank indifferent).
-The built-in instance fixes agent 0's ranks by a typed recipe:
+A template fixes agent 0's ranks by a typed recipe:
 
 * the empty bundle has rank 0, every singleton rank 1;
-* a pair's rank depends only on the types of its two goods (a fixed
-  symmetric table with entries 1..6);
-* a triple is "exceptional", and gets the top rank 7, when it holds one
-  good from A or x, one B-good, and one C-good; any other triple inherits
-  the largest rank of an internal pair;
-* a bundle of four or more goods inherits the largest rank of an internal
-  triple.
+* a pair's rank depends only on the types of its two goods (a symmetric
+  table with entries 1..top_rank);
+* a triple whose type multiset is listed as exceptional gets top_rank;
+* every other bundle of three or more goods takes the largest rank of its
+  one-good reductions.
 
-Agents 1 and 2 rank a bundle by applying the cyclic relabeling once or
-twice and asking agent 0.  User templates follow the same recipe with
-their own type partition, pair table, exceptional type triples, top rank,
-and relabeling permutation; the built-in instance is itself shipped as
-such a template (paper_instance.json) and round-trips through the loader.
+The last rule equals the literal recipe, under which a non-exceptional
+triple inherits the largest rank of an internal pair and a bundle of four
+or more goods the largest rank of an internal triple.  A triple's one-good
+reductions are its pairs.  Every internal triple of a larger bundle B lies
+in some reduction B - g, whose rank is, by induction on the size, the
+largest rank of a triple inside it.  The built-in instance lists A B C
+and B C x as exceptional, so its exceptional triples hold one good from A
+or x, one B-good and one C-good.
+
+Agents 1 and 2 rank a bundle by applying the relabeling once or twice and
+asking agent 0.  The built-in instance is read from its shipped template
+document, paper_instance.json, through the same loader and validation as
+user templates.
 """
 
 from __future__ import annotations
@@ -34,47 +40,12 @@ from .core import (
     GOODS,
     N_AGENTS,
     N_GOODS,
-    RELABELING,
     Allocation,
     Bundle,
-    apply_permutation,
-    bundle_of,
-    bundle_size,
     is_permutation,
     members,
+    one_good_reductions,
     permutation_power,
-)
-
-TOP_RANK = 7
-
-# Pair ranks by unordered type pair.  Same-type entries cover pairs of two
-# distinct goods of that type; (x, x) and (y, y) stay undefined because
-# only one good of each special type exists.
-PAIR_RANKS: dict[tuple[str, str], int] = {
-    ("A", "A"): 1,
-    ("A", "B"): 2,
-    ("A", "C"): 2,
-    ("A", "x"): 4,
-    ("A", "y"): 6,
-    ("B", "B"): 1,
-    ("B", "C"): 5,
-    ("B", "x"): 1,
-    ("B", "y"): 3,
-    ("C", "C"): 1,
-    ("C", "x"): 1,
-    ("C", "y"): 3,
-    ("x", "y"): 1,
-}
-
-# Good groups for the exceptional-triple rule: one good from A or x, one
-# from B, one from C.
-_AX_GROUP: Bundle = bundle_of((0, 3, 6))
-_B_GROUP: Bundle = bundle_of((1, 4))
-_C_GROUP: Bundle = bundle_of((2, 5))
-
-EXCEPTIONAL_TYPE_TRIPLES: tuple[tuple[str, str, str], ...] = (
-    ("A", "B", "C"),
-    ("B", "C", "x"),
 )
 
 
@@ -93,21 +64,15 @@ class TemplateError(ValueError):
 
 def base_pair_rank(type_a: str, type_b: str) -> int:
     """Rank of a two-good bundle from the types of its goods (agent 0)."""
-    key = (type_a, type_b) if type_a <= type_b else (type_b, type_a)
     try:
-        return PAIR_RANKS[key]
+        return builtin_template().pair_rank_map()[_sorted_pair(type_a, type_b)]
     except KeyError:
         raise UndefinedPairRank(f"no pair of distinct goods has types ({type_a}, {type_b})") from None
 
 
 def is_exceptional(bundle: Bundle) -> bool:
     """True for the twelve top-rank triples of the built-in instance."""
-    return (
-        bundle_size(bundle) == 3
-        and (bundle & _AX_GROUP).bit_count() == 1
-        and (bundle & _B_GROUP).bit_count() == 1
-        and (bundle & _C_GROUP).bit_count() == 1
-    )
+    return bundle in _exceptional_bundles(builtin_template())
 
 
 @dataclass(frozen=True)
@@ -170,99 +135,71 @@ def _sorted_pair(type_a: str, type_b: str) -> tuple[str, str]:
     return (type_a, type_b) if type_a <= type_b else (type_b, type_a)
 
 
-def _build_rank_table(template: InstanceTemplate) -> tuple[int, ...]:
-    """Agent 0's table via the literal recipe, with the size>=4 shortcut
-    (has exceptional triple, else best pair) asserted against the literal
-    best-internal-triple definition."""
+def _exceptional_bundles(template: InstanceTemplate) -> frozenset[Bundle]:
+    """The triples whose type multiset the template lists as exceptional."""
     type_of_good = template.type_of_good()
-    pair_map = template.pair_rank_map()
-    exceptional_multisets = {tuple(sorted(entry)) for entry in template.exceptional}
-
-    exceptional_masks = set()
-    for triple in combinations(GOODS, 3):
-        if tuple(sorted(type_of_good[g] for g in triple)) in exceptional_multisets:
-            exceptional_masks.add(bundle_of(triple))
-
-    table = [0] * len(ALL_BUNDLES)
-    for bundle in ALL_BUNDLES:
-        size = bundle_size(bundle)
-        if size == 0:
-            continue
-        goods = members(bundle)
-        if size == 1:
-            table[bundle] = 1
-        elif size == 2:
-            table[bundle] = pair_map[_sorted_pair(type_of_good[goods[0]], type_of_good[goods[1]])]
-        elif size == 3:
-            if bundle in exceptional_masks:
-                table[bundle] = template.top_rank
-            else:
-                table[bundle] = max(
-                    table[bundle ^ (1 << g)] for g in goods
-                )
-        else:
-            table[bundle] = max(
-                table[bundle_of(triple)] for triple in combinations(goods, 3)
-            )
-
-    for bundle in ALL_BUNDLES:
-        if bundle_size(bundle) < 4:
-            continue
-        if any(mask & bundle == mask for mask in exceptional_masks):
-            shortcut = template.top_rank
-        else:
-            shortcut = max(
-                table[bundle_of(pair)] for pair in combinations(members(bundle), 2)
-            )
-        if table[bundle] != shortcut:
-            raise AssertionError(
-                f"triple-max reduction disagrees on bundle {members(bundle)}: "
-                f"{table[bundle]} vs {shortcut}"
-            )
-    return tuple(table)
+    listed = set(template.exceptional)
+    return frozenset(
+        bundle
+        for bundle in ALL_BUNDLES
+        if bundle.bit_count() == 3 and tuple(sorted(type_of_good[g] for g in members(bundle))) in listed
+    )
 
 
 def build_profile(template: InstanceTemplate) -> OrdinalProfile:
-    """Materialize the three agents' rank tables from a template."""
-    base_table = _build_rank_table(template)
-    images = []
-    for agent in range(N_AGENTS):
-        perm = permutation_power(template.permutation, agent)
-        images.append(tuple(apply_permutation(perm, bundle) for bundle in ALL_BUNDLES))
-    rank_tables = tuple(
-        tuple(base_table[images[agent][bundle]] for bundle in ALL_BUNDLES)
-        for agent in range(N_AGENTS)
-    )
+    """Materialize the three agents' rank tables from a template.
+
+    One pass over the bundles in increasing order: a bundle's entries
+    follow from those of the bundle without its lowest good, and from its
+    one-good reductions, all of which are smaller integers.
+    """
     type_of_good = template.type_of_good()
-    order = template.type_names()
-    labels = []
-    for bundle in ALL_BUNDLES:
-        present = {type_of_good[g] for g in members(bundle)}
-        labels.append("".join(t for t in order if t in present) or "∅")
+    names = template.type_names()
+    type_bit = {name: 1 << index for index, name in enumerate(names)}
+    pair_map = template.pair_rank_map()
+    exceptional = _exceptional_bundles(template)
+    top_rank = template.top_rank
+    perms = [permutation_power(template.permutation, agent) for agent in range(N_AGENTS)]
+    reductions = one_good_reductions()
+
+    base = [0] * len(ALL_BUNDLES)
+    images = [[0] * len(ALL_BUNDLES) for _ in perms]
+    type_masks = [0] * len(ALL_BUNDLES)
+    for bundle in ALL_BUNDLES[1:]:
+        low = bundle & -bundle
+        rest = bundle ^ low
+        good = low.bit_length() - 1
+        for image, perm in zip(images, perms):
+            image[bundle] = image[rest] | 1 << perm[good]
+        type_masks[bundle] = type_masks[rest] | type_bit[type_of_good[good]]
+        size = bundle.bit_count()
+        if size == 1:
+            base[bundle] = 1
+        elif size == 2:
+            other = rest.bit_length() - 1
+            base[bundle] = pair_map[_sorted_pair(type_of_good[good], type_of_good[other])]
+        elif bundle in exceptional:
+            base[bundle] = top_rank
+        else:
+            base[bundle] = max(map(base.__getitem__, reductions[bundle]))
+
+    labels_by_mask = {
+        mask: "".join(name for name in names if mask & type_bit[name]) or "∅"
+        for mask in set(type_masks)
+    }
     return OrdinalProfile(
         template=template,
-        rank_tables=rank_tables,
-        bundle_images=tuple(images),
-        support_labels=tuple(labels),
-        top_rank=template.top_rank,
+        rank_tables=tuple(tuple(map(base.__getitem__, image)) for image in images),
+        bundle_images=tuple(tuple(image) for image in images),
+        support_labels=tuple(labels_by_mask[mask] for mask in type_masks),
+        top_rank=top_rank,
     )
 
 
+@lru_cache(maxsize=1)
 def builtin_template() -> InstanceTemplate:
-    return InstanceTemplate(
-        type_goods=(
-            ("A", (0, 3)),
-            ("B", (1, 4)),
-            ("C", (2, 5)),
-            ("x", (6,)),
-            ("y", (7,)),
-        ),
-        special_types=("x", "y"),
-        pair_ranks=tuple(sorted(PAIR_RANKS.items())),
-        exceptional=EXCEPTIONAL_TYPE_TRIPLES,
-        top_rank=TOP_RANK,
-        permutation=RELABELING,
-    )
+    """The built-in instance, read from its shipped template document."""
+    return parse_template(bundled_instance_text())
 
 
 @lru_cache(maxsize=1)
@@ -321,6 +258,9 @@ def strong_envy_witness(
 # Template documents
 
 
+TEMPLATE_FIELDS = ("types", "special_goods", "pair_ranks", "exceptional", "top_rank", "permutation")
+
+
 def _require(condition: bool, message: str, location: str) -> None:
     if not condition:
         raise TemplateError(message, location)
@@ -346,8 +286,10 @@ def parse_template(text: str) -> InstanceTemplate:
         raise TemplateError("arrays or objects nested too deeply", "$") from None
     _require(isinstance(doc, dict), "document must be a JSON object", "$")
 
-    for field in ("types", "special_goods", "pair_ranks", "exceptional", "top_rank", "permutation"):
+    for field in TEMPLATE_FIELDS:
         _require(field in doc, f"missing field '{field}'", "$")
+    for field in doc:
+        _require(field in TEMPLATE_FIELDS, f"unknown field '{field}'", f"$.{field}")
 
     entries = doc["types"]
     _require(isinstance(entries, list) and entries, "must be a non-empty list", "types")

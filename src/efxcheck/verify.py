@@ -4,9 +4,8 @@ Every checker decides a claim over a whole finite universe (the 6561
 allocations, the 256 bundles, or pairs thereof) and returns a
 VerdictReport whose witnesses a caller can re-evaluate standalone.
 Allocation scans share one decode of the universe and test each
-allocation through per-agent tables of reduction maxima, in one process.
-Every scan still accepts a workers argument, which has no effect: a
-6561-allocation universe gains nothing from a process pool.
+allocation through per-agent tables of reduction maxima, in one process:
+a 6561-allocation universe gains nothing from a process pool.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
@@ -51,6 +50,7 @@ from .core import (
     Bundle,
     allocation_from_counter,
     members,
+    one_good_reductions,
 )
 from .ordinal import OrdinalProfile, builtin_profile
 
@@ -88,10 +88,6 @@ class Profile:
             raise ValueError("subadditive profile payload missing")
         if self.kind == "coverage" and self.coverage is None:
             raise ValueError("coverage profile payload missing")
-
-
-def ordinal_wrapper(profile: OrdinalProfile) -> Profile:
-    return Profile(kind="ordinal", ordinal=profile)
 
 
 @lru_cache(maxsize=None)
@@ -284,12 +280,6 @@ def _universe() -> tuple[Allocation, ...]:
     return tuple(allocations)
 
 
-@lru_cache(maxsize=1)
-def _reductions() -> tuple[tuple[Bundle, ...], ...]:
-    """The one-good reductions of every bundle, goods in ascending order."""
-    return tuple(tuple(bundle ^ (1 << g) for g in members(bundle)) for bundle in ALL_BUNDLES)
-
-
 @lru_cache(maxsize=4)
 def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """W_i[B] = max over goods g in B of keys[i][B - g], per agent.
@@ -301,7 +291,9 @@ def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     maxima = []
     for table in keys:
         floor = min(table)
-        maxima.append(tuple(max(map(table.__getitem__, reduced), default=floor) for reduced in _reductions()))
+        maxima.append(
+            tuple(max(map(table.__getitem__, reduced), default=floor) for reduced in one_good_reductions())
+        )
     return tuple(maxima)
 
 
@@ -343,12 +335,12 @@ def _allocation_witnesses(counters: Iterable[int], **fields) -> tuple[Witness, .
 # --- no-EFX ----------------------------------------------------------------
 
 
-def verify_no_efx(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
+def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     """Scan all 6561 allocations; pass means none is EFX.
 
     A witness is an EFX allocation (a counterexample to the claim).  The
     breakdown counts allocations feasible for agent 0 by size pattern and
-    records the total EFX count.  workers is accepted and ignored.
+    records the total EFX count.
     """
     started = time.perf_counter()
     status = _profile_status(profile)
@@ -390,7 +382,7 @@ def _scale_slack(alpha: ApproxFactor, top_rank: int) -> int:
 
 
 def verify_no_alpha_efx(
-    profile: Profile, alpha: ApproxFactor, workers: int = 1, witness_limit: int = 10
+    profile: Profile, alpha: ApproxFactor, witness_limit: int = 10
 ) -> VerdictReport:
     """Pass when no allocation satisfies the alpha-scaled condition
     value(own) >= alpha * value(other minus any one good), decided exactly.
@@ -401,8 +393,7 @@ def verify_no_alpha_efx(
     agent with a nonempty bundle meets the condition exactly when
     key(own) + slack >= W(other) for both other bundles; an agent with the
     empty bundle only when neither other bundle has a nonempty reduction,
-    that is W(other) is the empty bundle's key.  workers is accepted and
-    ignored.
+    that is W(other) is the empty bundle's key.
     """
     if profile.kind != "subadditive":
         raise ValueError(f"scaled verification needs a subadditive profile, got {profile.kind}")
@@ -469,12 +460,9 @@ class DeficitProfile:
         return level_power_decimal(Fraction(self.d_star), digits)
 
 
-def compute_deficit_profile(
-    profile: Profile, workers: int = 1, argmin_limit: int = 10
-) -> DeficitProfile:
+def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> DeficitProfile:
     """Exact deficit of every allocation, with the global minimum and its
-    attaining allocations in counter order.  workers is accepted and
-    ignored."""
+    attaining allocations in counter order."""
     started = time.perf_counter()
     ranks = profile.ordinal.rank_tables
     (r0, r1, r2), (w0, w1, w2) = ranks, _reduction_maxima(ranks)
@@ -800,10 +788,10 @@ def check_normalized_ints(value_table: tuple[int, ...], claim: str) -> VerdictRe
 # Lemma-level allocation checks
 
 
-def verify_lemma_first_pair(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
+def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     """When the first bundle is a pair and no other bundle is smaller than
     a pair, agent-0 feasibility confines the pair's type support to
-    Ax, Ay, BC, By, Cy.  workers is accepted and ignored."""
+    Ax, Ay, BC, By, Cy."""
     started = time.perf_counter()
     status = _profile_status(profile)
     labels = profile.ordinal.support_labels
@@ -844,7 +832,7 @@ def _size_multiset_covered(sizes: tuple[int, int, int]) -> bool:
     return min(sizes) <= 1 or tuple(sorted(sizes)) in ((2, 2, 4), (2, 3, 3))
 
 
-def verify_size_pattern_props(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
+def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     """Three class checks in one pass: no EFX allocation has a bundle of
     size at most one in first position, none has ordered sizes (2,2,4),
     and none has (2,3,3).
@@ -852,8 +840,7 @@ def verify_size_pattern_props(profile: Profile, workers: int = 1, witness_limit:
     The class sizes are cross-checked against multinomial counts, and the
     rotation argument's completeness (every size multiset of 8 into 3
     parts is reachable from one of the three classes by rotation) is
-    verified by enumerating all ordered size triples.  workers is accepted
-    and ignored.
+    verified by enumerating all ordered size triples.
     """
     started = time.perf_counter()
     status = _profile_status(profile)
@@ -899,11 +886,10 @@ def verify_size_pattern_props(profile: Profile, workers: int = 1, witness_limit:
     )
 
 
-def verify_cyclic_symmetry(profile: Profile, workers: int = 1, witness_limit: int = 10) -> VerdictReport:
+def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     """EFX status is invariant under one cyclic relabeling step, for all
     6561 allocations, under the profile's own comparisons.  The image of
-    (X0, X1, X2) is (perm(X1), perm(X2), perm(X0)).  workers is accepted
-    and ignored."""
+    (X0, X1, X2) is (perm(X1), perm(X2), perm(X0))."""
     started = time.perf_counter()
     status = _profile_status(profile)
     image = profile.ordinal.bundle_images[1]
@@ -935,7 +921,7 @@ def _reduction_ladders(
     extra entry past the end, which no key reaches)."""
     ladders = []
     ceiling = max(keys) + 1
-    for reduced in _reductions():
+    for reduced in one_good_reductions():
         steps = sorted((ranks[r], keys[r]) for r in reduced)
         least = [ceiling]
         for _, key in reversed(steps):
@@ -945,7 +931,7 @@ def _reduction_ladders(
 
 
 def verify_transfer(
-    ordinal_profile: Profile, cardinal_profile: Profile, workers: int = 1, witness_limit: int = 10
+    ordinal_profile: Profile, cardinal_profile: Profile, witness_limit: int = 10
 ) -> VerdictReport:
     """Every ordinal strong-envy triple stays a strict value violation
     under the cardinal realization, over all allocations and triples.
@@ -954,7 +940,6 @@ def verify_transfer(
     other bundle ranked above the owner's bundle: a bisection of the
     bundle's sorted reduction ranks counts them, and goods are enumerated
     only when the least value key among them does not exceed the owner's.
-    workers is accepted and ignored.
     """
     if cardinal_profile.ordinal != ordinal_profile.ordinal:
         raise ValueError("cardinal profile must realize the given ordinal profile")
@@ -1105,16 +1090,16 @@ def property_reports(profile: Profile, witness_limit: int = 10) -> list[VerdictR
     return reports
 
 
-def lemma_reports(workers: int = 1, witness_limit: int = 10) -> list[VerdictReport]:
+def lemma_reports(witness_limit: int = 10) -> list[VerdictReport]:
     """Every lemma and proposition verifier over the built-in profiles."""
     ordinal = builtin("ordinal")
     reports = [
-        verify_cyclic_symmetry(ordinal, workers, witness_limit),
-        verify_cyclic_symmetry(builtin("subadditive"), workers, witness_limit),
-        verify_cyclic_symmetry(builtin("coverage"), workers, witness_limit),
-        verify_lemma_first_pair(ordinal, workers, witness_limit),
-        verify_size_pattern_props(ordinal, workers, witness_limit),
-        verify_transfer(ordinal, builtin("subadditive"), workers, witness_limit),
-        verify_transfer(ordinal, builtin("coverage"), workers, witness_limit),
+        verify_cyclic_symmetry(ordinal, witness_limit),
+        verify_cyclic_symmetry(builtin("subadditive"), witness_limit),
+        verify_cyclic_symmetry(builtin("coverage"), witness_limit),
+        verify_lemma_first_pair(ordinal, witness_limit),
+        verify_size_pattern_props(ordinal, witness_limit),
+        verify_transfer(ordinal, builtin("subadditive"), witness_limit),
+        verify_transfer(ordinal, builtin("coverage"), witness_limit),
     ]
     return reports

@@ -74,6 +74,61 @@ def naive_rank_for_agent(agent: int, goods: frozenset[int]) -> int:
     return naive_rank(image)
 
 
+def literal_profile(doc: dict) -> tuple[list[dict], list[dict], dict]:
+    """The rank recipe of a template document, read literally.
+
+    Agent 0: the empty bundle 0, a singleton 1, a pair the table entry of
+    its two types, a triple top_rank when its type multiset is listed as
+    exceptional and otherwise the best internal pair, and a larger bundle
+    the best internal triple.  Agent i ranks a bundle by relabeling it i
+    times through the permutation.  Returns per-agent ranks and images,
+    and the support label of every bundle, all keyed by frozenset.
+    """
+    goods = tuple(range(8))
+    type_of = {g: entry["name"] for entry in doc["types"] for g in entry["goods"]}
+    type_of.update({g: name for name, g in doc["special_goods"].items()})
+    order = [entry["name"] for entry in doc["types"]] + list(doc["special_goods"])
+    pair_rank = {}
+    for first, row in doc["pair_ranks"].items():
+        for second, rank in row.items():
+            pair_rank[frozenset((first, second))] = rank
+    exceptional = {tuple(sorted(triple)) for triple in doc["exceptional"]}
+
+    base: dict[frozenset, int] = {}
+    for size in range(len(goods) + 1):
+        for members in combinations(goods, size):
+            if size == 0:
+                rank = 0
+            elif size == 1:
+                rank = 1
+            elif size == 2:
+                rank = pair_rank[frozenset(type_of[g] for g in members)]
+            elif size == 3 and tuple(sorted(type_of[g] for g in members)) in exceptional:
+                rank = doc["top_rank"]
+            elif size == 3:
+                rank = max(base[frozenset(pair)] for pair in combinations(members, 2))
+            else:
+                rank = max(base[frozenset(triple)] for triple in combinations(members, 3))
+            base[frozenset(members)] = rank
+
+    perm = doc["permutation"]
+    ranks, images = [], []
+    for agent in range(3):
+        image_of = {}
+        for bundle in base:
+            image = bundle
+            for _ in range(agent):
+                image = frozenset(perm[g] for g in image)
+            image_of[bundle] = image
+        images.append(image_of)
+        ranks.append({bundle: base[image] for bundle, image in image_of.items()})
+    labels = {}
+    for bundle in base:
+        present = {type_of[g] for g in bundle}
+        labels[bundle] = "".join(name for name in order if name in present) or "∅"
+    return ranks, images, labels
+
+
 def naive_coverage(goods: frozenset[int]) -> int:
     return sum(weight for weight, covered in COVERAGE_TERMS if goods & covered)
 

@@ -18,6 +18,12 @@ from efxcheck.ordinal import bundled_instance_text
 from efxcheck.verify import VerdictReport
 
 
+def _source_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports efxcheck from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_verify_ordinal_exits_zero_and_reports_count():
     code, out, _ = run_cli(["verify", "ordinal"])
     assert code == 0
@@ -205,6 +211,33 @@ def test_unparseable_template_exits_two_at_document_root(tmp_path, text, message
     assert message in err
 
 
+def test_unknown_template_field_exits_two(tmp_path):
+    doc = json.loads(bundled_instance_text())
+    doc["extra"] = {"note": "not part of the recipe"}
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["template", str(path), "verify"])
+    assert code == 2
+    assert out == ""
+    assert "template error at $.extra: unknown field 'extra'" in err
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # About 2 MB of JSON witnesses: more than a pipe holds, so efxcheck is
+    # still writing when the reader goes away.
+    path = tmp_path / "identical.json"
+    path.write_text(identical_agents_doc(), encoding="utf-8")
+    argv = [sys.executable, "-m", "efxcheck.cli", "template", str(path), "verify", "--format", "json", "--witnesses", "6561"]
+    with subprocess.Popen(argv, env=_source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b"[")
+    assert code == 141
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
 def test_missing_template_file_exits_two(tmp_path):
     code, _, err = run_cli(["template", str(tmp_path / "absent.json"), "verify"])
     assert code == 2
@@ -230,11 +263,26 @@ def test_missing_command_exits_two():
     assert code == 2
 
 
+# The public names of efxcheck/__init__; none may disappear.
+PUBLIC_NAMES = (
+    "AlgebraicValue", "Allocation", "ApproxFactor", "Bundle", "CoverageAtom", "CoverageProfile",
+    "DeficitProfile", "InstanceTemplate", "LevelValue", "OrdinalProfile", "Profile",
+    "SubadditiveProfile", "TemplateError", "VerdictReport", "Witness", "allocation_from_counter",
+    "apply_permutation", "base_pair_rank", "builtin", "builtin_profile", "bundle_of", "cardinal",
+    "compare_scaled", "compute_deficit_profile", "core", "coverage_value", "efx_feasible",
+    "enumerate_allocations", "is_efx", "is_exceptional", "level_sum_compare", "load_template",
+    "load_template_file", "members", "ordinal", "rank0", "rank_for_agent", "rotate_allocation",
+    "strong_envy_witness", "subadditive_value", "support_of", "support_value_table", "type_of",
+    "verify", "verify_cyclic_symmetry", "verify_lemma_first_pair", "verify_no_alpha_efx",
+    "verify_no_efx", "verify_size_pattern_props", "verify_transfer",
+)
+
+
 def test_public_import_surface():
     import efxcheck
 
-    for name in ("verify_no_efx", "LevelValue", "rank0", "load_template", "builtin"):
-        assert hasattr(efxcheck, name)
+    missing = [name for name in PUBLIC_NAMES if name not in efxcheck.__all__ or not hasattr(efxcheck, name)]
+    assert missing == []
 
 
 def test_non_utf8_template_exits_two_naming_the_path(tmp_path):
@@ -269,13 +317,11 @@ def test_alpha_with_thousands_of_digits_still_verifies():
 
 
 def test_cli_import_loads_no_process_pool():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import sys, efxcheck.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 

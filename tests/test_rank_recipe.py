@@ -1,0 +1,154 @@
+"""Differential checks: build_profile against the literal rank recipe.
+
+build_profile ranks a bundle of three or more goods by the largest rank of
+its one-good reductions, and builds relabeled images and support labels in
+the same pass.  The reference in oracles.literal_profile reads the template
+document literally, on frozensets: best internal pair for a triple, best
+internal triple for a larger bundle, relabeling good by good.  Subjects:
+the shipped instance, identical agents, 300 seeded random templates, and
+Hypothesis-generated templates with random type partitions (types of one
+to eight goods, special one-good types, names in any order), random top
+ranks, exceptional triples with repeated types, and relabelings of order
+dividing 3.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import combinations, combinations_with_replacement
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import identical_agents_doc, random_template_doc
+from oracles import literal_profile
+
+from efxcheck.core import ALL_BUNDLES, GOODS
+from efxcheck.ordinal import build_profile, bundled_instance_text, parse_template
+from efxcheck.verify import Profile, verify_no_efx
+
+HYPOTHESIS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+NAMES = ("A", "B", "C", "x", "y", "Z", "m", "q")
+
+SEEDS = range(300)
+
+
+def _goods(bundle: int) -> frozenset[int]:
+    return frozenset(g for g in GOODS if bundle >> g & 1)
+
+
+def _mask(goods: frozenset[int]) -> int:
+    return sum(1 << g for g in goods)
+
+
+def _assert_matches_literal_recipe(doc: dict) -> None:
+    profile = build_profile(parse_template(json.dumps(doc)))
+    ranks, images, labels = literal_profile(doc)
+    for agent in range(3):
+        assert profile.rank_tables[agent] == tuple(ranks[agent][_goods(b)] for b in ALL_BUNDLES), agent
+        assert profile.bundle_images[agent] == tuple(_mask(images[agent][_goods(b)]) for b in ALL_BUNDLES), agent
+    assert profile.support_labels == tuple(labels[_goods(b)] for b in ALL_BUNDLES)
+
+
+@st.composite
+def template_docs(draw) -> dict:
+    labels = draw(st.lists(st.integers(0, 4), min_size=8, max_size=8))
+    groups: dict[int, list[int]] = {}
+    for good, label in enumerate(labels):
+        groups.setdefault(label, []).append(good)
+    names = draw(st.permutations(NAMES))[: len(groups)]
+    types, specials = [], {}
+    # Eight goods in at most five groups: some group has two goods, so the
+    # types list is never empty.
+    for name, goods in zip(names, groups.values()):
+        if len(goods) == 1 and draw(st.booleans()):
+            specials[name] = goods[0]
+        else:
+            types.append({"name": name, "goods": goods})
+    size = {name: len(goods) for name, goods in zip(names, groups.values())}
+    declared = [entry["name"] for entry in types] + list(specials)
+
+    top_rank = draw(st.integers(1, 12))
+    pairs = list(combinations(declared, 2)) + [(name, name) for name in declared if size[name] >= 2]
+    pair_ranks: dict[str, dict[str, int]] = {}
+    for first, second in pairs:
+        if draw(st.booleans()):
+            first, second = second, first
+        pair_ranks.setdefault(first, {})[second] = draw(st.integers(1, top_rank))
+
+    realizable = [
+        triple
+        for triple in combinations_with_replacement(declared, 3)
+        if all(triple.count(name) <= size[name] for name in triple)
+    ]
+    chosen = draw(st.lists(st.sampled_from(realizable), max_size=4, unique=True))
+    exceptional = [list(draw(st.permutations(triple))) for triple in chosen]
+
+    order = draw(st.permutations(GOODS))
+    permutation = list(GOODS)
+    for cycle in range(draw(st.integers(0, 2))):
+        a, b, c = order[3 * cycle : 3 * cycle + 3]
+        permutation[a], permutation[b], permutation[c] = b, c, a
+
+    return {
+        "types": types,
+        "special_goods": specials,
+        "pair_ranks": pair_ranks,
+        "exceptional": exceptional,
+        "top_rank": top_rank,
+        "permutation": permutation,
+    }
+
+
+# A type of three goods and a type of four, exceptional triples with a
+# repeated type, and a relabeling that moves goods between types.
+WIDE_DOC = {
+    "types": [{"name": "B", "goods": [0, 1, 2, 3]}, {"name": "A", "goods": [4, 5, 6]}],
+    "special_goods": {"z": 7},
+    "pair_ranks": {"A": {"A": 2, "B": 3, "z": 1}, "B": {"B": 1, "z": 4}},
+    "exceptional": [["A", "B", "A"], ["B", "B", "z"], ["A", "A", "A"]],
+    "top_rank": 5,
+    "permutation": [4, 1, 0, 3, 2, 5, 6, 7],
+}
+
+
+def test_shipped_and_identical_templates_match_literal_recipe():
+    _assert_matches_literal_recipe(json.loads(bundled_instance_text()))
+    _assert_matches_literal_recipe(json.loads(identical_agents_doc()))
+
+
+def test_seeded_templates_match_literal_recipe():
+    for seed in SEEDS:
+        _assert_matches_literal_recipe(json.loads(random_template_doc(seed)))
+
+
+@HYPOTHESIS
+@given(template_docs())
+@example(WIDE_DOC)
+def test_generated_templates_match_literal_recipe(doc):
+    _assert_matches_literal_recipe(doc)
+
+
+def _efx_count_with_identical_agents(doc: dict) -> int:
+    doc = dict(doc, permutation=list(GOODS))
+    profile = build_profile(parse_template(json.dumps(doc)))
+    report = verify_no_efx(Profile(kind="ordinal", ordinal=profile), witness_limit=0)
+    return dict(report.breakdown)["efx_allocations"]
+
+
+# With the identity relabeling all three agents share one monotone
+# valuation, and an EFX allocation then exists (Plaut and Roughgarden,
+# "Almost Envy-Freeness with General Valuations", SODA 2018).
+
+
+def test_identical_agents_have_an_efx_allocation_on_seeded_templates():
+    for seed in SEEDS:
+        assert _efx_count_with_identical_agents(json.loads(random_template_doc(seed))) >= 1, seed
+
+
+@HYPOTHESIS
+@given(template_docs())
+@example(WIDE_DOC)
+def test_identical_agents_have_an_efx_allocation_on_generated_templates(doc):
+    assert _efx_count_with_identical_agents(doc) >= 1

@@ -391,19 +391,6 @@ def test_report_json_roundtrip():
     assert parsed == normalized
 
 
-def test_parallel_matches_sequential():
-    sequential = verify_no_efx(builtin("ordinal"), workers=1)
-    parallel = verify_no_efx(builtin("ordinal"), workers=3)
-    assert sequential.to_dict(deterministic=True) == parallel.to_dict(deterministic=True)
-
-    seq_deficit = compute_deficit_profile(builtin("ordinal"), workers=1)
-    par_deficit = compute_deficit_profile(builtin("ordinal"), workers=3)
-    assert (seq_deficit.d_star, seq_deficit.argmin_counters, seq_deficit.argmin_count,
-            seq_deficit.histogram) == (
-        par_deficit.d_star, par_deficit.argmin_counters, par_deficit.argmin_count,
-        par_deficit.histogram)
-
-
 def test_witness_limit_respected():
     report = verify_no_efx(_identical_profile(), witness_limit=0)
     assert not report.passed
