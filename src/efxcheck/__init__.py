@@ -31,9 +31,6 @@ from .core import (
     bundle_of,
     enumerate_allocations,
     members,
-    rotate_allocation,
-    support_of,
-    type_of,
 )
 from .ordinal import (
     InstanceTemplate,
@@ -41,14 +38,14 @@ from .ordinal import (
     TemplateError,
     base_pair_rank,
     builtin_profile,
-    efx_feasible,
-    is_efx,
     is_exceptional,
     load_template,
     load_template_file,
     rank0,
     rank_for_agent,
-    strong_envy_witness,
+    rotate_allocation,
+    support_of,
+    type_of,
 )
 from .verify import (
     DeficitProfile,
@@ -57,6 +54,9 @@ from .verify import (
     Witness,
     builtin,
     compute_deficit_profile,
+    efx_feasible,
+    is_efx,
+    strong_envy_witness,
     verify_cyclic_symmetry,
     verify_lemma_first_pair,
     verify_no_alpha_efx,

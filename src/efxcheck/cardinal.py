@@ -16,7 +16,7 @@ Two valuation families share the built-in ordinal instance:
   powers of the cyclic relabeling, so evaluation never permutes the
   queried bundle.
 
-Floating point appears only in display helpers, never in any verdict.
+Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ class LevelValue:
 
     def __str__(self) -> str:
         return "0" if self.exponent is None else f"lambda^{self.exponent}"
-
-    def decimal_str(self, digits: int = 10) -> str:
-        if self.exponent is None:
-            return "0." + "0" * digits
-        return level_power_decimal(Fraction(self.exponent), digits)
 
 
 @dataclass(frozen=True)
@@ -213,9 +208,6 @@ class AlgebraicValue:
     def __sub__(self, other: "AlgebraicValue") -> "AlgebraicValue":
         return AlgebraicValue(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "AlgebraicValue":
-        return AlgebraicValue(tuple(-a for a in self.coeffs))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -255,11 +247,6 @@ class AlgebraicValue:
             else:
                 low = mid
         raise RuntimeError("interval refinement failed to resolve a nonzero sign")
-
-    def to_float(self) -> float:
-        """Display-only approximation; never used in verdicts."""
-        base = 2 ** (-1 / 6)
-        return float(sum(float(c) * base**i for i, c in enumerate(self.coeffs)))
 
 
 def _endpoint_powers(point: Fraction) -> tuple[Fraction, ...]:

@@ -34,7 +34,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .cardinal import ApproxFactor, LevelValue, compare_scaled
 from .core import N_ALLOCATIONS, members
@@ -46,6 +45,7 @@ from .verify import (
     GOLDEN_D_STAR_ARGMIN_COUNT,
     GOLDEN_D_STAR_ARGMIN_COUNTER,
     GOLDEN_MIN_DEFICIT_ALL_NONEMPTY,
+    PROFILE_KINDS,
     Profile,
     VerdictReport,
     Witness,
@@ -58,23 +58,11 @@ from .verify import (
 )
 
 FORMATS = ("markdown", "json", "csv")
-PROFILE_CHOICES = ("ordinal", "subadditive", "coverage")
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by the signal
-
-
-@dataclass
-class RunConfig:
-    command: str
-    profile: str | None = None
-    alpha: ApproxFactor | None = None
-    fmt: str = "markdown"
-    witness_limit: int = 10
-    template_path: str | None = None
-    template_action: str | None = None
 
 
 def expected_no_alpha_efx(alpha: ApproxFactor) -> bool:
@@ -108,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common], help="exhaustive (scaled-)EFX non-existence scan")
-    p_verify.add_argument("profile", choices=PROFILE_CHOICES)
+    p_verify.add_argument("profile", choices=PROFILE_KINDS)
     p_verify.add_argument("--alpha", metavar="FACTOR",
                           help='scale factor: a rational like "9/10" or "0.9", or "lambda^t"')
 
     p_props = sub.add_parser("properties", parents=[common], help="valuation-class property suite")
-    p_props.add_argument("profile", choices=PROFILE_CHOICES)
+    p_props.add_argument("profile", choices=PROFILE_KINDS)
 
     sub.add_parser("lemmas", parents=[common], help="all lemma and proposition verifiers")
     sub.add_parser("alpha-star", parents=[common], help="minimum rank deficit and exact scale threshold")
@@ -125,24 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: list[str] | None) -> RunConfig:
+def parse_config(argv: list[str] | None) -> argparse.Namespace:
+    """Parsed arguments, with --witnesses clamped at 0 and --alpha parsed
+    into an ApproxFactor."""
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        fmt=args.fmt,
-        witness_limit=max(0, args.witnesses),
-    )
-    if config.command in ("verify", "properties"):
-        config.profile = args.profile
-    if config.command == "verify" and args.alpha is not None:
+    args.witnesses = max(0, args.witnesses)
+    if args.command == "verify" and args.alpha is not None:
         try:
-            config.alpha = ApproxFactor.parse(args.alpha)
+            args.alpha = ApproxFactor.parse(args.alpha)
         except ValueError as exc:
             raise SystemExit(_usage_error(str(exc)))
-    if config.command == "template":
-        config.template_path = args.path
-        config.template_action = args.action
-    return config
+    return args
 
 
 def _usage_error(message: str) -> int:
@@ -248,35 +229,35 @@ def emit_tables(artifacts: list[TableArtifact], fmt: str) -> None:
 # Command handlers
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if config.alpha is not None and config.profile != "subadditive":
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.alpha is not None and args.profile != "subadditive":
         return _usage_error("--alpha applies only to the subadditive profile")
-    profile = builtin(config.profile)
-    reports = [verify_no_efx(profile, config.witness_limit)]
+    profile = builtin(args.profile)
+    reports = [verify_no_efx(profile, args.witnesses)]
     status = EXIT_OK if reports[0].passed else EXIT_DISCREPANCY
-    if config.alpha is not None:
-        alpha_report = verify_no_alpha_efx(profile, config.alpha, config.witness_limit)
+    if args.alpha is not None:
+        alpha_report = verify_no_alpha_efx(profile, args.alpha, args.witnesses)
         reports.append(alpha_report)
-        if alpha_report.passed != expected_no_alpha_efx(config.alpha):
+        if alpha_report.passed != expected_no_alpha_efx(args.alpha):
             status = EXIT_DISCREPANCY
-    emit_reports(reports, config.fmt)
+    emit_reports(reports, args.fmt)
     return status
 
 
-def cmd_properties(config: RunConfig) -> int:
-    reports = property_reports(builtin(config.profile), config.witness_limit)
-    emit_reports(reports, config.fmt)
+def cmd_properties(args: argparse.Namespace) -> int:
+    reports = property_reports(builtin(args.profile), args.witnesses)
+    emit_reports(reports, args.fmt)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_DISCREPANCY
 
 
-def cmd_lemmas(config: RunConfig) -> int:
-    reports = lemma_reports(config.witness_limit)
-    emit_reports(reports, config.fmt)
+def cmd_lemmas(args: argparse.Namespace) -> int:
+    reports = lemma_reports(args.witnesses)
+    emit_reports(reports, args.fmt)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_DISCREPANCY
 
 
-def cmd_alpha_star(config: RunConfig) -> int:
-    deficit = compute_deficit_profile(builtin("ordinal"), config.witness_limit or 1)
+def cmd_alpha_star(args: argparse.Namespace) -> int:
+    deficit = compute_deficit_profile(builtin("ordinal"), args.witnesses or 1)
     stable = (
         deficit.d_star == GOLDEN_D_STAR
         and deficit.argmin_count == GOLDEN_D_STAR_ARGMIN_COUNT
@@ -310,7 +291,7 @@ def cmd_alpha_star(config: RunConfig) -> int:
         ),
         elapsed_ms=deficit.elapsed_ms,
     )
-    if config.fmt == "markdown":
+    if args.fmt == "markdown":
         exact = deficit.alpha_star_exact()
         decimal = deficit.alpha_star_decimal()
         print(f"alpha* = {exact} = {decimal} (10 digits, truncated toward zero)")
@@ -319,24 +300,24 @@ def cmd_alpha_star(config: RunConfig) -> int:
             bundles = " | ".join("{" + ",".join(map(str, members(b))) + "}" for b in argmin[0])
             print(f"first argmin allocation: {bundles}")
         print()
-    emit_reports([report], config.fmt)
+    emit_reports([report], args.fmt)
     return EXIT_OK if report.passed else EXIT_DISCREPANCY
 
 
-def cmd_tables(config: RunConfig) -> int:
+def cmd_tables(args: argparse.Namespace) -> int:
     artifacts = generate_all()
-    emit_tables(artifacts, config.fmt)
+    emit_tables(artifacts, args.fmt)
     return EXIT_OK if all(a.matches for a in artifacts) else EXIT_DISCREPANCY
 
 
-def cmd_template(config: RunConfig) -> int:
-    _, ordinal = load_template_file(config.template_path)
+def cmd_template(args: argparse.Namespace) -> int:
+    _, ordinal = load_template_file(args.path)
     profile = Profile(kind="ordinal", ordinal=ordinal)
-    if config.template_action == "verify":
-        reports = [verify_no_efx(profile, config.witness_limit)]
+    if args.action == "verify":
+        reports = [verify_no_efx(profile, args.witnesses)]
     else:
-        reports = property_reports(profile, config.witness_limit)
-    emit_reports(reports, config.fmt)
+        reports = property_reports(profile, args.witnesses)
+    emit_reports(reports, args.fmt)
     return EXIT_OK
 
 
@@ -353,11 +334,11 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
-        config = parse_config(argv)
+        args = parse_config(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        status = _HANDLERS[config.command](config)
+        status = _HANDLERS[args.command](args)
     except TemplateError as exc:
         location = exc.location or "document"
         print(f"efxcheck: template error at {location}: {exc.message}", file=sys.stderr)

@@ -1,13 +1,12 @@
-"""Fixed universe of goods, typed bundles, allocations, and enumerators.
+"""Fixed universe of goods, bundles, allocations, and enumerators.
 
-Eight goods are indexed 0..7.  The first six form three two-good types
-(A = {0, 3}, B = {1, 4}, C = {2, 5}); goods 6 and 7 are the one-good
-types x and y.  A bundle is a bitmask over good indices, so membership,
-union, and difference are single integer operations and the whole bundle
-space is the range 0..255.  An allocation is an ordered triple of
-pairwise-disjoint bundles covering all eight goods; the 3^8 = 6561
-complete allocations are enumerated in base-3 counter order so every
-scan is reproducible run to run.
+Eight goods are indexed 0..7.  A bundle is a bitmask over good indices,
+so membership, union, and difference are single integer operations and
+the whole bundle space is the range 0..255.  An allocation is an ordered
+triple of pairwise-disjoint bundles covering all eight goods; the
+3^8 = 6561 complete allocations are enumerated in base-3 counter order so
+every scan is reproducible run to run.  Which goods share a type, and
+which permutation relabels them, is a template's to say (efxcheck.ordinal).
 
 All values here are immutable.
 """
@@ -23,25 +22,11 @@ Allocation = tuple[int, int, int]
 N_AGENTS = 3
 N_GOODS = 8
 GOODS: tuple[int, ...] = tuple(range(N_GOODS))
-AGENTS: tuple[int, ...] = tuple(range(N_AGENTS))
 
-EMPTY_BUNDLE: Bundle = 0
 FULL_BUNDLE: Bundle = (1 << N_GOODS) - 1
 ALL_BUNDLES: tuple[Bundle, ...] = tuple(range(1 << N_GOODS))
 N_ALLOCATIONS: int = N_AGENTS**N_GOODS
-
-TYPE_NAMES: tuple[str, ...] = ("A", "B", "C", "x", "y")
-TYPE_OF_GOOD: tuple[str, ...] = ("A", "B", "C", "A", "B", "C", "x", "y")
-
-# Cyclic relabeling (0 1 2)(3 4 5), fixing goods 6 and 7.  Agents 1 and 2
-# evaluate bundles through its first and second powers.
-RELABELING: tuple[int, ...] = (1, 2, 0, 4, 5, 3, 6, 7)
 IDENTITY_PERMUTATION: tuple[int, ...] = tuple(range(N_GOODS))
-
-
-def type_of(good: int) -> str:
-    """Item type of a good under the built-in partition."""
-    return TYPE_OF_GOOD[good]
 
 
 def bundle_of(goods: Iterable[int]) -> Bundle:
@@ -59,26 +44,10 @@ def members(bundle: Bundle) -> tuple[int, ...]:
     return tuple(g for g in GOODS if bundle >> g & 1)
 
 
-def bundle_size(bundle: Bundle) -> int:
-    return bundle.bit_count()
-
-
 @lru_cache(maxsize=1)
 def one_good_reductions() -> tuple[tuple[Bundle, ...], ...]:
     """The one-good reductions of every bundle, goods in ascending order."""
     return tuple(tuple(bundle ^ (1 << g) for g in members(bundle)) for bundle in ALL_BUNDLES)
-
-
-def support_of(bundle: Bundle) -> frozenset[str]:
-    """Set of item types with at least one representative in the bundle."""
-    return frozenset(TYPE_OF_GOOD[g] for g in GOODS if bundle >> g & 1)
-
-
-def support_label(support: Iterable[str]) -> str:
-    """Canonical string form of a type support, e.g. "ABx"; "∅" when empty."""
-    present = set(support)
-    label = "".join(t for t in TYPE_NAMES if t in present)
-    return label or "∅"
 
 
 def apply_permutation(perm: tuple[int, ...], bundle: Bundle) -> Bundle:
@@ -121,25 +90,6 @@ def is_allocation(parts: tuple[int, ...]) -> bool:
         return False
     x0, x1, x2 = parts
     return (x0 | x1 | x2) == FULL_BUNDLE and (x0 & x1) == 0 and (x0 & x2) == 0 and (x1 & x2) == 0
-
-
-def rotate_allocation(allocation: Allocation, perm: tuple[int, ...] = RELABELING) -> Allocation:
-    """One cyclic step: each bundle moves to the previous agent and is relabeled.
-
-    The image of (X0, X1, X2) is (perm(X1), perm(X2), perm(X0)); bundle
-    sizes rotate with the bundles, and three applications give back the
-    original allocation whenever perm cubes to the identity.
-    """
-    x0, x1, x2 = allocation
-    return (
-        apply_permutation(perm, x1),
-        apply_permutation(perm, x2),
-        apply_permutation(perm, x0),
-    )
-
-
-def size_pattern(allocation: Allocation) -> tuple[int, int, int]:
-    return tuple(part.bit_count() for part in allocation)  # type: ignore[return-value]
 
 
 def allocation_from_counter(counter: int) -> Allocation:

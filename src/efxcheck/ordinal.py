@@ -23,7 +23,12 @@ or x, one B-good and one C-good.
 Agents 1 and 2 rank a bundle by applying the relabeling once or twice and
 asking agent 0.  The built-in instance is read from its shipped template
 document, paper_instance.json, through the same loader and validation as
-user templates.
+user templates; type_of, support_of and rotate_allocation are reads of
+that template, which is the only place the built-in partition and
+relabeling are written down.
+
+This module builds and loads profiles and nothing else: every test of an
+allocation lives in efxcheck.verify.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from .core import (
     GOODS,
     N_AGENTS,
     N_GOODS,
-    Allocation,
     Bundle,
+    apply_permutation,
     is_permutation,
     members,
     one_good_reductions,
@@ -127,12 +132,20 @@ class OrdinalProfile:
     def permutation(self) -> tuple[int, ...]:
         return self.template.permutation
 
-    def rank(self, agent: int, bundle: Bundle) -> int:
-        return self.rank_tables[agent][bundle]
-
 
 def _sorted_pair(type_a: str, type_b: str) -> tuple[str, str]:
     return (type_a, type_b) if type_a <= type_b else (type_b, type_a)
+
+
+def _type_set_labels(names: tuple[str, ...]) -> list[str]:
+    """The support label of every set of types, indexed by the mask of
+    their declaration positions: their names in declaration order, joined
+    with no separator, or "∅" for no type."""
+    labels = [""]
+    for name in names:
+        labels += [label + name for label in labels]
+    labels[0] = "∅"
+    return labels
 
 
 def _exceptional_bundles(template: InstanceTemplate) -> frozenset[Bundle]:
@@ -183,15 +196,12 @@ def build_profile(template: InstanceTemplate) -> OrdinalProfile:
         else:
             base[bundle] = max(map(base.__getitem__, reductions[bundle]))
 
-    labels_by_mask = {
-        mask: "".join(name for name in names if mask & type_bit[name]) or "∅"
-        for mask in set(type_masks)
-    }
+    labels = _type_set_labels(names)
     return OrdinalProfile(
         template=template,
         rank_tables=tuple(tuple(map(base.__getitem__, image)) for image in images),
         bundle_images=tuple(tuple(image) for image in images),
-        support_labels=tuple(labels_by_mask[mask] for mask in type_masks),
+        support_labels=tuple(map(labels.__getitem__, type_masks)),
         top_rank=top_rank,
     )
 
@@ -217,41 +227,24 @@ def rank_for_agent(agent: int, bundle: Bundle) -> int:
     return builtin_profile().rank_tables[agent][bundle]
 
 
-def efx_feasible(agent: int, allocation: Allocation, profile: OrdinalProfile) -> bool:
-    """Single-agent condition: the agent's bundle ranks at least as high as
-    every other bundle with any one good removed."""
-    ranks = profile.rank_tables[agent]
-    own = ranks[allocation[agent]]
-    for bundle in allocation:
-        m = bundle
-        while m:
-            low = m & -m
-            if ranks[bundle ^ low] > own:
-                return False
-            m ^= low
-    return True
+def type_of(good: int) -> str:
+    """Item type of a good in the built-in instance."""
+    return builtin_template().type_of_good()[good]
 
 
-def is_efx(allocation: Allocation, profile: OrdinalProfile) -> bool:
-    return all(efx_feasible(agent, allocation, profile) for agent in range(N_AGENTS))
+def support_of(bundle: Bundle) -> frozenset[str]:
+    """Types of the built-in instance with at least one good in the bundle."""
+    return frozenset(map(builtin_template().type_of_good().__getitem__, members(bundle)))
 
 
-def strong_envy_witness(
-    allocation: Allocation, profile: OrdinalProfile
-) -> tuple[int, int, int] | None:
-    """Lexicographically first (i, j, g) with agent i preferring bundle j
-    minus good g over their own bundle; None when the allocation is EFX."""
-    for i in range(N_AGENTS):
-        ranks = profile.rank_tables[i]
-        own = ranks[allocation[i]]
-        for j in range(N_AGENTS):
-            if j == i:
-                continue
-            bundle = allocation[j]
-            for g in members(bundle):
-                if ranks[bundle ^ (1 << g)] > own:
-                    return (i, j, g)
-    return None
+def rotate_allocation(
+    allocation: tuple[Bundle, Bundle, Bundle], perm: tuple[int, ...] | None = None
+) -> tuple[Bundle, Bundle, Bundle]:
+    """One cyclic step: (X0, X1, X2) becomes (perm(X1), perm(X2), perm(X0)),
+    perm being the built-in relabeling unless given."""
+    perm = perm or builtin_template().permutation
+    x0, x1, x2 = allocation
+    return apply_permutation(perm, x1), apply_permutation(perm, x2), apply_permutation(perm, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +323,23 @@ def parse_template(text: str) -> InstanceTemplate:
             claimed[g] = name
     _require(len(claimed) == N_GOODS, f"types must cover all {N_GOODS} goods exactly once", "types")
 
+    # Support labels join type names with no separator, so distinct sets
+    # of types could spell one label; at most 2^8 sets to compare.
+    names = tuple(name for name, _ in type_goods)
+    spelled: dict[str, int] = {}
+    for mask, label in enumerate(_type_set_labels(names)):
+        if label in spelled:
+            first, second = (
+                "{" + ", ".join(name for index, name in enumerate(names) if m >> index & 1) + "}"
+                for m in (spelled[label], mask)
+            )
+            raise TemplateError(f"type sets {first} and {second} both give the support label '{label}'", "types")
+        spelled[label] = mask
+
     top_rank = doc["top_rank"]
     _require(_is_int(top_rank) and top_rank >= 1, "must be an integer >= 1", "top_rank")
 
     goods_per_type = {name: len(goods) for name, goods in type_goods}
-    names = [name for name, _ in type_goods]
     realizable = {
         _sorted_pair(a, b)
         for a, b in combinations(names, 2)

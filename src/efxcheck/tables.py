@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cardinal import support_value_table
-from .core import GOODS, TYPE_NAMES, bundle_of, members
-from .ordinal import OrdinalProfile, builtin_profile
+from .core import GOODS, bundle_of, members
+from .ordinal import InstanceTemplate, OrdinalProfile, builtin_profile
 
 # Pair-rank matrices for the three agents, row/column order A, B, C, x, y.
 # Cells are keyed by canonical (sorted) type pair; (x, x) and (y, y) have
@@ -87,9 +87,9 @@ def _triple_word(bundle: int) -> str:
     return "".join(str(g) for g in members(bundle))
 
 
-def _type_multiset_label(goods: tuple[int, ...], type_of_good: tuple[str, ...]) -> str:
-    names = sorted((type_of_good[g] for g in goods), key=TYPE_NAMES.index)
-    return "".join(names)
+def _type_multiset_label(goods: tuple[int, ...], template: InstanceTemplate) -> str:
+    type_of_good = template.type_of_good()
+    return "".join(sorted((type_of_good[g] for g in goods), key=template.type_names().index))
 
 
 def computed_pair_ranks(profile: OrdinalProfile, agent: int) -> tuple[dict[tuple[str, str], int], list[str]]:
@@ -109,11 +109,11 @@ def computed_pair_ranks(profile: OrdinalProfile, agent: int) -> tuple[dict[tuple
     return {key: values.pop() for key, values in cells.items() if len(values) == 1}, diff
 
 
-def _matrix_rows(cells: dict[tuple[str, str], int]) -> tuple[tuple, ...]:
-    rows = [("", *TYPE_NAMES)]
-    for first in TYPE_NAMES:
+def _matrix_rows(cells: dict[tuple[str, str], int], names: tuple[str, ...]) -> tuple[tuple, ...]:
+    rows = [("", *names)]
+    for first in names:
         row = [first]
-        for second in TYPE_NAMES:
+        for second in names:
             key = tuple(sorted((first, second)))
             row.append(cells.get(key, "--"))
         rows.append(tuple(row))
@@ -129,7 +129,7 @@ def _pair_table_artifact(table_id: str, title: str, agent: int) -> TableArtifact
         want = expected.get(key)
         if have != want:
             diff.append(f"cell {key}: computed {have}, expected {want}")
-    return TableArtifact(table_id, title, _matrix_rows(computed), tuple(diff))
+    return TableArtifact(table_id, title, _matrix_rows(computed, profile.template.type_names()), tuple(diff))
 
 
 def table1_artifact() -> TableArtifact:
@@ -138,11 +138,10 @@ def table1_artifact() -> TableArtifact:
 
 def computed_top_triples(profile: OrdinalProfile, agent: int) -> dict[str, tuple[str, ...]]:
     """Triples holding the top rank for an agent, grouped by type label."""
-    type_of_good = profile.template.type_of_good()
     grouped: dict[str, list[str]] = {}
     for triple in combinations(GOODS, 3):
         if profile.rank_tables[agent][bundle_of(triple)] == profile.top_rank:
-            grouped.setdefault(_type_multiset_label(triple, type_of_good), []).append(
+            grouped.setdefault(_type_multiset_label(triple, profile.template), []).append(
                 _triple_word(bundle_of(triple))
             )
     return {label: tuple(sorted(words)) for label, words in sorted(grouped.items())}

@@ -5,7 +5,9 @@ allocations, the 256 bundles, or pairs thereof) and returns a
 VerdictReport whose witnesses a caller can re-evaluate standalone.
 Allocation scans share one decode of the universe and test each
 allocation through per-agent tables of reduction maxima, in one process:
-a 6561-allocation universe gains nothing from a process pool.
+a 6561-allocation universe gains nothing from a process pool.  This
+module owns every EFX read: the scans, and efx_feasible, is_efx and
+strong_envy_witness for one allocation, all go through those tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
@@ -327,6 +329,40 @@ def _profile_status(profile: Profile) -> Callable[[int, int, int], int]:
     return _efx_status(keys, _reduction_maxima(keys))
 
 
+# --- single allocations ------------------------------------------------------
+
+
+def efx_feasible(agent: int, allocation: Allocation, profile: OrdinalProfile) -> bool:
+    """Single-agent condition: the agent's bundle ranks at least as high as
+    every other bundle with any one good removed."""
+    ranks = profile.rank_tables
+    own = ranks[agent][allocation[agent]]
+    maxima = _reduction_maxima(ranks)[agent]
+    return all(own >= maxima[allocation[j]] for j in _OTHER_AGENTS[agent])
+
+
+def is_efx(allocation: Allocation, profile: OrdinalProfile) -> bool:
+    ranks = profile.rank_tables
+    return _efx_status(ranks, _reduction_maxima(ranks))(*allocation) == 2
+
+
+def strong_envy_witness(
+    allocation: Allocation, profile: OrdinalProfile
+) -> tuple[int, int, int] | None:
+    """Lexicographically first (i, j, g) with agent i preferring bundle j
+    minus good g over their own bundle; None when the allocation is EFX.
+    The first (i, j) whose reduction maximum beats agent i's own rank
+    holds the witness; its good is then found one at a time."""
+    ranks = profile.rank_tables
+    for i, (table, maxima) in enumerate(zip(ranks, _reduction_maxima(ranks))):
+        own = table[allocation[i]]
+        for j in _OTHER_AGENTS[i]:
+            bundle = allocation[j]
+            if maxima[bundle] > own:
+                return i, j, next(g for g in members(bundle) if table[bundle ^ (1 << g)] > own)
+    return None
+
+
 def _allocation_witnesses(counters: Iterable[int], **fields) -> tuple[Witness, ...]:
     universe = _universe()
     return tuple(Witness(allocation=_allocation_goods(universe[c]), **fields) for c in counters)
@@ -445,9 +481,6 @@ class DeficitProfile:
     deficits: tuple[int, ...]
     elapsed_ms: int = 0
 
-    def deficit_of_counter(self, counter: int) -> int:
-        return self.deficits[counter]
-
     def argmin_allocations(self) -> tuple[Allocation, ...]:
         return tuple(allocation_from_counter(c) for c in self.argmin_counters)
 
@@ -542,10 +575,6 @@ def check_monotone(
     return _report(claim, N_MONOTONE_PAIRS, N_MONOTONE_PAIRS, passed, witnesses, {}, started)
 
 
-def _level_str(exponent: int | None) -> str:
-    return "0" if exponent is None else f"lambda^{exponent}"
-
-
 @lru_cache(maxsize=None)
 def _pair_sum_sign(e_first: int | None, e_second: int | None, e_union: int | None) -> int:
     values = [
@@ -604,8 +633,8 @@ def check_subadditive(
                     yield Witness(
                         bundle_s=members(first),
                         bundle_t=members(second),
-                        lhs=f"{_level_str(e_first)} + {_level_str(e_second)}",
-                        rhs=_level_str(e_union),
+                        lhs=f"{LevelValue(e_first)} + {LevelValue(e_second)}",
+                        rhs=str(LevelValue(e_union)),
                     )
 
     passed, witnesses = _first_violations(violations(), witness_limit)
@@ -751,11 +780,11 @@ def check_normalized_levels(
     started = time.perf_counter()
     witnesses: list[Witness] = []
     if exponent_table[0] is not None:
-        witnesses.append(Witness(bundle_s=(), lhs=_level_str(exponent_table[0]), rhs="0"))
+        witnesses.append(Witness(bundle_s=(), lhs=str(LevelValue(exponent_table[0])), rhs="0"))
     for bundle in ALL_BUNDLES[1:]:
         e = exponent_table[bundle]
         if e is None or e < 0:
-            witnesses.append(Witness(bundle_s=members(bundle), lhs=_level_str(e), rhs="(0, 1]"))
+            witnesses.append(Witness(bundle_s=members(bundle), lhs=str(LevelValue(e)), rhs="(0, 1]"))
             break
     exponents = [e for e in exponent_table[1:] if e is not None]
     breakdown = {

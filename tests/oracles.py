@@ -28,6 +28,9 @@ PAIR_TABLE = {
 
 SIGMA = {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3, 6: 6, 7: 7}
 
+# SIGMA as a permutation tuple: good g goes to RELABELING[g].
+RELABELING = tuple(SIGMA[g] for g in range(8))
+
 COVERAGE_TERMS = [
     (1, {1, 4}),
     (1, {2, 5}),
@@ -127,6 +130,25 @@ def literal_profile(doc: dict) -> tuple[list[dict], list[dict], dict]:
         present = {type_of[g] for g in bundle}
         labels[bundle] = "".join(name for name in order if name in present) or "∅"
     return ranks, images, labels
+
+
+def naive_efx_feasible(agent: int, allocation, rank_tables) -> bool:
+    """The EFX condition for one agent, read literally: for every other
+    agent's bundle and every good in it, the bundle without that good
+    ranks no higher than the agent's own.  Bundles are bitmasks because
+    the rank tables are indexed by them."""
+    own = rank_tables[agent][allocation[agent]]
+    for other, bundle in enumerate(allocation):
+        if other == agent:
+            continue
+        for good in [g for g in range(8) if bundle >> g & 1]:
+            if rank_tables[agent][bundle - (1 << good)] > own:
+                return False
+    return True
+
+
+def naive_is_efx(allocation, rank_tables) -> bool:
+    return all(naive_efx_feasible(agent, allocation, rank_tables) for agent in range(3))
 
 
 def naive_coverage(goods: frozenset[int]) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from helpers import run_cli
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, compare_scaled
-from efxcheck.core import ALL_BUNDLES, N_AGENTS, bundle_of, bundle_size, members
+from efxcheck.core import ALL_BUNDLES, N_AGENTS, bundle_of, members
 from efxcheck.verify import (
     GOLDEN_D_STAR,
     GOLDEN_D_STAR_ARGMIN_COUNT,
@@ -138,11 +138,11 @@ def test_criterion_7_property_suites_and_adversarial_doubles():
             elif claim.startswith("support_collapse("):
                 ok = ok and report["breakdown"]["support_classes"] == 32
     doubles = [
-        check_monotone(tuple(bundle_size(b) % 3 for b in ALL_BUNDLES), "doctored"),
+        check_monotone(tuple(b.bit_count() % 3 for b in ALL_BUNDLES), "doctored"),
         check_subadditive(
-            tuple(None if b == 0 else 2 * (8 - bundle_size(b)) for b in ALL_BUNDLES), "doctored"
+            tuple(None if b == 0 else 2 * (8 - b.bit_count()) for b in ALL_BUNDLES), "doctored"
         ),
-        check_submodular(tuple(bundle_size(b) ** 2 for b in ALL_BUNDLES), "doctored"),
+        check_submodular(tuple(b.bit_count() ** 2 for b in ALL_BUNDLES), "doctored"),
         check_strict_consistency(
             builtin("ordinal").ordinal.rank_tables[0],
             tuple(1 for _ in ALL_BUNDLES),

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from oracles import LEVEL_BASE, float_level_sum, naive_coverage, naive_coverage_for_agent
+from oracles import LEVEL_BASE, RELABELING, float_level_sum, naive_coverage, naive_coverage_for_agent
 
 from efxcheck.cardinal import (
     ApproxFactor,
@@ -26,7 +26,6 @@ from efxcheck.core import (
     ALL_BUNDLES,
     FULL_BUNDLE,
     N_AGENTS,
-    RELABELING,
     apply_permutation,
     bundle_of,
     members,

@@ -5,28 +5,28 @@ from itertools import combinations
 
 import pytest
 
+from oracles import RELABELING, SIGMA, TYPE_BY_GOOD
+
 from efxcheck.core import (
     ALL_BUNDLES,
     FULL_BUNDLE,
     GOODS,
     N_ALLOCATIONS,
-    RELABELING,
     allocation_from_counter,
     apply_permutation,
     bundle_of,
-    bundle_size,
     counter_of_allocation,
     enumerate_allocations,
     invert_permutation,
     is_allocation,
     members,
     permutation_power,
-    rotate_allocation,
-    size_pattern,
-    support_label,
-    support_of,
-    type_of,
 )
+from efxcheck.ordinal import rotate_allocation, support_of, type_of
+
+
+def _sizes(allocation):
+    return tuple(bundle.bit_count() for bundle in allocation)
 
 
 def test_type_partition():
@@ -45,15 +45,24 @@ def test_support_of_examples():
     assert support_of(bundle_of((0, 2, 6))) == {"A", "C", "x"}
 
 
+def test_builtin_template_reads_match_oracle_data():
+    import efxcheck
+
+    assert tuple(efxcheck.type_of(g) for g in GOODS) == tuple(TYPE_BY_GOOD[g] for g in GOODS)
+    for bundle in ALL_BUNDLES:
+        assert efxcheck.support_of(bundle) == {TYPE_BY_GOOD[g] for g in members(bundle)}
+
+    def relabel(bundle):
+        return bundle_of(SIGMA[g] for g in members(bundle))
+
+    for x0, x1, x2 in enumerate_allocations():
+        assert efxcheck.rotate_allocation((x0, x1, x2)) == (relabel(x1), relabel(x2), relabel(x0))
+
+
 def test_support_union_homomorphism():
     for s in ALL_BUNDLES:
         for t in (0, 1, 0b10101010, FULL_BUNDLE, s >> 1):
             assert support_of(s | t) == support_of(s) | support_of(t)
-
-
-def test_support_label_canonical_order():
-    assert support_label({"x", "A", "C"}) == "ACx"
-    assert support_label(set()) == "∅"
 
 
 def test_relabeling_examples():
@@ -63,7 +72,7 @@ def test_relabeling_examples():
     assert cube == tuple(GOODS)
     for bundle in ALL_BUNDLES:
         once = apply_permutation(RELABELING, bundle)
-        assert bundle_size(once) == bundle_size(bundle)
+        assert once.bit_count() == bundle.bit_count()
         thrice = apply_permutation(RELABELING, apply_permutation(RELABELING, once))
         assert thrice == bundle
 
@@ -76,8 +85,8 @@ def test_permutation_invertible():
 
 def test_rotate_allocation_sizes_and_identity():
     allocation = (bundle_of((0, 1)), bundle_of((2, 3)), bundle_of((4, 5, 6, 7)))
-    assert size_pattern(allocation) == (2, 2, 4)
-    assert size_pattern(rotate_allocation(allocation)) == (2, 4, 2)
+    assert _sizes(allocation) == (2, 2, 4)
+    assert _sizes(rotate_allocation(allocation)) == (2, 4, 2)
     rotated = rotate_allocation(rotate_allocation(rotate_allocation(allocation)))
     assert rotated == allocation
 
@@ -100,7 +109,7 @@ def test_enumeration_count_and_validity():
     seen = set()
     for allocation in enumerate_allocations():
         assert is_allocation(allocation)
-        assert sum(size_pattern(allocation)) == 8
+        assert sum(_sizes(allocation)) == 8
         seen.add(allocation)
         count += 1
     assert count == N_ALLOCATIONS == 6561
@@ -112,7 +121,7 @@ def test_enumeration_counter_zero_gives_everything_to_agent_zero():
 
 
 def test_enumeration_pattern_count_matches_multinomial():
-    observed = sum(1 for a in enumerate_allocations() if size_pattern(a) == (2, 3, 3))
+    observed = sum(1 for a in enumerate_allocations() if _sizes(a) == (2, 3, 3))
     expected = math.factorial(8) // (math.factorial(2) * math.factorial(3) * math.factorial(3))
     assert observed == expected == 560
 
@@ -125,7 +134,7 @@ def test_counter_roundtrip():
 def test_bundle_helpers():
     bundle = bundle_of((7, 0, 3))
     assert members(bundle) == (0, 3, 7)
-    assert bundle_size(bundle) == 3
+    assert bundle.bit_count() == 3
     with pytest.raises(ValueError):
         bundle_of((8,))
     with pytest.raises(ValueError):

@@ -10,6 +10,10 @@ Hypothesis-generated templates with random type partitions (types of one
 to eight goods, special one-good types, names in any order), random top
 ranks, exceptional triples with repeated types, and relabelings of order
 dividing 3.
+
+The generated templates also drive the EFX reads of efxcheck.verify (the
+no-EFX scan, the deficit profile, is_efx and strong_envy_witness) against
+a reference on frozensets over the literal ranks.
 """
 
 from __future__ import annotations
@@ -23,11 +27,19 @@ from hypothesis import strategies as st
 from helpers import identical_agents_doc, random_template_doc
 from oracles import literal_profile
 
-from efxcheck.core import ALL_BUNDLES, GOODS
+from efxcheck.core import ALL_BUNDLES, GOODS, N_ALLOCATIONS
 from efxcheck.ordinal import build_profile, bundled_instance_text, parse_template
-from efxcheck.verify import Profile, verify_no_efx
+from efxcheck.verify import (
+    Profile,
+    compute_deficit_profile,
+    is_efx,
+    strong_envy_witness,
+    verify_no_efx,
+)
 
 HYPOTHESIS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# Each example below scans all 6561 allocations twice, once per side.
+HYPOTHESIS_SCANS = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 
 NAMES = ("A", "B", "C", "x", "y", "Z", "m", "q")
 
@@ -152,3 +164,55 @@ def test_identical_agents_have_an_efx_allocation_on_seeded_templates():
 @example(WIDE_DOC)
 def test_identical_agents_have_an_efx_allocation_on_generated_templates(doc):
     assert _efx_count_with_identical_agents(doc) >= 1
+
+
+def _set_based_envy(doc: dict) -> tuple[list[frozenset], list[int], list]:
+    """Per allocation in counter order (good g goes to agent digit g of
+    the counter in base 3): the bundles as frozensets, the largest rank
+    gap max(0, rank_i(X_j - g) - rank_i(X_i)), and the first (i, j, g)
+    with a positive gap, or None."""
+    ranks, _, _ = literal_profile(doc)
+    allocations, deficits, witnesses = [], [], []
+    for counter in range(N_ALLOCATIONS):
+        owners = [counter // 3**g % 3 for g in GOODS]
+        bundles = [frozenset(g for g in GOODS if owners[g] == agent) for agent in range(3)]
+        deficit, witness = 0, None
+        for i in range(3):
+            own = ranks[i][bundles[i]]
+            for j in range(3):
+                if j == i:
+                    continue
+                for g in sorted(bundles[j]):
+                    gap = ranks[i][bundles[j] - {g}] - own
+                    deficit = max(deficit, gap)
+                    if gap > 0 and witness is None:
+                        witness = (i, j, g)
+        allocations.append(bundles)
+        deficits.append(deficit)
+        witnesses.append(witness)
+    return allocations, deficits, witnesses
+
+
+@HYPOTHESIS_SCANS
+@given(template_docs())
+@example(WIDE_DOC)
+def test_generated_templates_efx_reads_match_set_based_reference(doc):
+    allocations, deficits, witnesses = _set_based_envy(doc)
+    ordinal = build_profile(parse_template(json.dumps(doc)))
+    profile = Profile(kind="ordinal", ordinal=ordinal)
+
+    efx = [counter for counter, deficit in enumerate(deficits) if not deficit]
+    report = verify_no_efx(profile, witness_limit=10)
+    assert dict(report.breakdown)["efx_allocations"] == len(efx)
+    assert [w.allocation for w in report.witnesses] == [
+        tuple(tuple(sorted(bundle)) for bundle in allocations[counter]) for counter in efx[:10]
+    ]
+
+    deficit = compute_deficit_profile(profile)
+    assert deficit.d_star == min(deficits)
+    assert dict(deficit.histogram) == {d: deficits.count(d) for d in set(deficits)}
+
+    for bundles, gap, witness in zip(allocations, deficits, witnesses):
+        allocation = tuple(_mask(bundle) for bundle in bundles)
+        assert is_efx(allocation, ordinal) == (gap == 0)
+        assert strong_envy_witness(allocation, ordinal) == witness

@@ -2,7 +2,7 @@
 
 The reference walks every allocation, agent, other bundle and removed good
 explicitly, the way the scans worked before they were rebuilt around
-per-agent reduction maxima.  Ordinal EFX comes from ordinal.is_efx,
+per-agent reduction maxima.  Ordinal EFX comes from oracles.naive_is_efx,
 cardinal EFX from the realization's own values, the deficit from an
 explicit loop over rank gaps, and the scaled condition from
 compare_scaled on every (own, reduced) level pair.  The subjects are the
@@ -17,10 +17,11 @@ import dataclasses
 import pytest
 
 from helpers import identical_agents_doc, random_template_doc
+from oracles import naive_is_efx
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_coverage, build_subadditive, compare_scaled
-from efxcheck.core import N_AGENTS, N_ALLOCATIONS, allocation_from_counter, members, rotate_allocation
-from efxcheck.ordinal import builtin_profile, is_efx, load_template
+from efxcheck.core import N_AGENTS, N_ALLOCATIONS, allocation_from_counter, members
+from efxcheck.ordinal import builtin_profile, load_template, rotate_allocation
 from efxcheck.verify import (
     Profile,
     builtin,
@@ -82,7 +83,7 @@ def reference_efx(profile: Profile) -> list[int]:
     for counter in range(N_ALLOCATIONS):
         allocation = allocation_from_counter(counter)
         if profile.kind == "ordinal":
-            efx = is_efx(allocation, profile.ordinal)
+            efx = naive_is_efx(allocation, profile.ordinal.rank_tables)
         else:
             efx = all(
                 not value(i, reduced) > value(i, own)
@@ -211,8 +212,8 @@ def test_cyclic_mismatches_match_reference():
     expected = [
         counter
         for counter in range(N_ALLOCATIONS)
-        if is_efx(allocation_from_counter(counter), skewed)
-        != is_efx(rotate_allocation(allocation_from_counter(counter), skewed.permutation), skewed)
+        if naive_is_efx(allocation_from_counter(counter), skewed.rank_tables)
+        != naive_is_efx(rotate_allocation(allocation_from_counter(counter), skewed.permutation), skewed.rank_tables)
     ]
     assert expected
     report = verify_cyclic_symmetry(Profile(kind="ordinal", ordinal=skewed), witness_limit=10)

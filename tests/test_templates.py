@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from helpers import identical_agents_doc, mutated_pair_doc
+from helpers import identical_agents_doc, mutated_pair_doc, run_cli
+from oracles import naive_is_efx
 
 from efxcheck.core import ALL_BUNDLES
 from efxcheck.ordinal import (
@@ -138,10 +139,9 @@ def test_identical_agents_template_has_efx_allocations():
     assert report.verdict == "fail"
     assert report.witnesses
     # balanced size patterns are among the accepted allocations
-    from efxcheck.ordinal import is_efx
     from efxcheck.core import bundle_of
 
-    assert is_efx((bundle_of((0, 1, 2)), bundle_of((3, 4, 5)), bundle_of((6, 7))), profile)
+    assert naive_is_efx((bundle_of((0, 1, 2)), bundle_of((3, 4, 5)), bundle_of((6, 7))), profile.rank_tables)
 
 
 def test_boolean_values_rejected_in_documents():
@@ -162,3 +162,37 @@ def test_pair_rank_mutation_changes_the_verdict_data():
     report = verify_no_efx(Profile(kind="ordinal", ordinal=profile))
     assert report.verdict == "fail"
     assert dict(report.breakdown)["efx_allocations"] == 156
+
+
+def _with_type_y_renamed(name: str) -> str:
+    """Built-in template with the special type y renamed everywhere."""
+    return json.dumps(_base_doc()).replace('"y"', json.dumps(name))
+
+
+@pytest.mark.parametrize(
+    ("name", "message"),
+    [
+        ("AB", "type sets {A, B} and {AB} both give the support label 'AB'"),
+        ("∅", "type sets {} and {∅} both give the support label '∅'"),
+    ],
+)
+def test_type_names_spelling_one_support_label_are_rejected(tmp_path, name, message):
+    # Support labels join type names with no separator; before this check
+    # these documents failed support_collapse with 31 support classes.
+    path = tmp_path / "ambiguous.json"
+    path.write_text(_with_type_y_renamed(name), encoding="utf-8")
+    code, out, err = run_cli(["template", str(path), "properties"])
+    assert code == 2
+    assert out == ""
+    assert f"template error at types: {message}" in err
+
+
+def test_renamed_type_with_distinct_labels_still_passes(tmp_path):
+    path = tmp_path / "renamed.json"
+    path.write_text(_with_type_y_renamed("z"), encoding="utf-8")
+    code, out, _ = run_cli(["template", str(path), "properties", "--format", "json"])
+    assert code == 0
+    reports = json.loads(out)
+    collapse = [r for r in reports if r["claim"].startswith("support_collapse")]
+    assert len(collapse) == 3
+    assert all(r["verdict"] == "pass" and r["breakdown"]["support_classes"] == 32 for r in collapse)

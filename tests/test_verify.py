@@ -7,6 +7,7 @@ import json
 import pytest
 
 from helpers import identical_agents_doc
+from oracles import naive_efx_feasible, naive_is_efx
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled, level_sum_compare
 from efxcheck.core import (
@@ -16,12 +17,10 @@ from efxcheck.core import (
     N_ALLOCATIONS,
     allocation_from_counter,
     bundle_of,
-    bundle_size,
     enumerate_allocations,
     members,
-    rotate_allocation,
 )
-from efxcheck.ordinal import builtin_profile, is_efx, load_template
+from efxcheck.ordinal import builtin_profile, load_template, rotate_allocation
 from efxcheck.verify import (
     GOLDEN_D_STAR,
     GOLDEN_D_STAR_ARGMIN_COUNT,
@@ -72,7 +71,7 @@ def test_no_efx_fails_with_reverifiable_witnesses_on_identical_agents():
     _, profile = load_template(identical_agents_doc())
     for witness in report.witnesses:
         allocation = tuple(bundle_of(goods) for goods in witness.allocation)
-        assert is_efx(allocation, profile)
+        assert naive_is_efx(allocation, profile.rank_tables)
 
 
 def test_alpha_scan_examples():
@@ -184,7 +183,7 @@ def test_deficit_vector_spot_checks():
     profile = builtin_profile()
     # counter 0 gives every good to agent 0
     assert allocation_from_counter(0) == (FULL_BUNDLE, 0, 0)
-    assert deficit.deficit_of_counter(0) == 7
+    assert deficit.deficits[0] == 7
     for counter in range(0, N_ALLOCATIONS, 487):
         assert deficit.deficits[counter] == _deficit_of(allocation_from_counter(counter), profile)
 
@@ -209,7 +208,7 @@ def test_property_suites_all_pass():
 
 
 def test_monotone_adversarial_double_fails():
-    table = tuple(bundle_size(b) % 3 for b in ALL_BUNDLES)
+    table = tuple(b.bit_count() % 3 for b in ALL_BUNDLES)
     report = check_monotone(table, "monotone(doctored)")
     assert not report.passed
     witness = report.witnesses[0]
@@ -220,7 +219,7 @@ def test_monotone_adversarial_double_fails():
 def test_subadditive_adversarial_double_fails():
     # doubled exponents fall fast enough that two size-4 halves lose to
     # the full bundle
-    table = tuple(None if b == 0 else 2 * (8 - bundle_size(b)) for b in ALL_BUNDLES)
+    table = tuple(None if b == 0 else 2 * (8 - b.bit_count()) for b in ALL_BUNDLES)
     report = check_subadditive(table, "subadditive(doctored)")
     assert not report.passed
     witness = report.witnesses[0]
@@ -230,7 +229,7 @@ def test_subadditive_adversarial_double_fails():
 
 
 def test_submodular_adversarial_double_fails():
-    table = tuple(bundle_size(b) ** 2 for b in ALL_BUNDLES)
+    table = tuple(b.bit_count() ** 2 for b in ALL_BUNDLES)
     report = check_submodular(table, "submodular(doctored)")
     assert not report.passed
     witness = report.witnesses[0]
@@ -262,7 +261,7 @@ def test_support_collapse_pass_and_class_count():
 
 def test_support_collapse_adversarial_double_fails():
     profile = builtin_profile()
-    table = tuple(bundle_size(b) for b in ALL_BUNDLES)  # depends on multiplicity
+    table = tuple(b.bit_count() for b in ALL_BUNDLES)  # depends on multiplicity
     report = check_support_collapse(table, profile.support_labels, "support_collapse(doctored)")
     assert not report.passed
 
@@ -284,16 +283,14 @@ def test_first_pair_restriction_passes_and_xy_absent():
 
 def test_no_feasible_ax_pair_with_sizes_2_2_4():
     # in the (2,2,4) class the first pair can never be of type Ax
-    from efxcheck.ordinal import efx_feasible
-
     profile = builtin_profile()
     count = 0
     for allocation in enumerate_allocations():
-        if tuple(bundle_size(b) for b in allocation) != (2, 2, 4):
+        if tuple(b.bit_count() for b in allocation) != (2, 2, 4):
             continue
         if profile.support_labels[allocation[0]] != "Ax":
             continue
-        if efx_feasible(0, allocation, profile):
+        if naive_efx_feasible(0, allocation, profile.rank_tables):
             count += 1
     assert count == 0
 
@@ -323,7 +320,7 @@ def test_cyclic_symmetry_builtins_and_template():
 
 def test_identical_template_efx_set_closed_under_rotation():
     _, profile = load_template(identical_agents_doc())
-    efx_set = {a for a in enumerate_allocations() if is_efx(a, profile)}
+    efx_set = {a for a in enumerate_allocations() if naive_is_efx(a, profile.rank_tables)}
     assert efx_set
     for allocation in efx_set:
         assert rotate_allocation(allocation, profile.permutation) in efx_set
@@ -400,11 +397,11 @@ def test_witness_limit_respected():
 
 def test_zero_witness_limit_still_fails_violating_inputs():
     # a verdict must never depend on how many witnesses were kept
-    doctored_monotone = tuple(bundle_size(b) % 3 for b in ALL_BUNDLES)
+    doctored_monotone = tuple(b.bit_count() % 3 for b in ALL_BUNDLES)
     assert not check_monotone(doctored_monotone, "doctored", witness_limit=0).passed
-    doctored_sub = tuple(None if b == 0 else 2 * (8 - bundle_size(b)) for b in ALL_BUNDLES)
+    doctored_sub = tuple(None if b == 0 else 2 * (8 - b.bit_count()) for b in ALL_BUNDLES)
     assert not check_subadditive(doctored_sub, "doctored", witness_limit=0).passed
-    doctored_submod = tuple(bundle_size(b) ** 2 for b in ALL_BUNDLES)
+    doctored_submod = tuple(b.bit_count() ** 2 for b in ALL_BUNDLES)
     assert not check_submodular(doctored_submod, "doctored", witness_limit=0).passed
     ranks = builtin_profile().rank_tables[0]
     constant = tuple(1 for _ in ALL_BUNDLES)
@@ -420,9 +417,9 @@ def test_every_witness_in_a_battery_reverifies():
     identical = _identical_profile()
     sub = builtin("subadditive")
     half = ApproxFactor.parse("1/2")
-    doctored_monotone = tuple(bundle_size(b) % 3 for b in ALL_BUNDLES)
-    doctored_sub = tuple(None if b == 0 else 2 * (8 - bundle_size(b)) for b in ALL_BUNDLES)
-    doctored_submod = tuple(bundle_size(b) ** 2 for b in ALL_BUNDLES)
+    doctored_monotone = tuple(b.bit_count() % 3 for b in ALL_BUNDLES)
+    doctored_sub = tuple(None if b == 0 else 2 * (8 - b.bit_count()) for b in ALL_BUNDLES)
+    doctored_submod = tuple(b.bit_count() ** 2 for b in ALL_BUNDLES)
 
     def reverify_efx(report, profile):
         keys = profile_value_keys(profile)
@@ -491,4 +488,4 @@ def test_counter_order_of_witnesses():
     # the first witness is the first EFX allocation in counter order
     _, profile = load_template(identical_agents_doc())
     for counter in range(counters[0]):
-        assert not is_efx(allocation_from_counter(counter), profile)
+        assert not naive_is_efx(allocation_from_counter(counter), profile.rank_tables)
