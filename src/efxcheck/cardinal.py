@@ -36,7 +36,7 @@ from .core import (
     members,
     permutation_power,
 )
-from .ordinal import OrdinalProfile, builtin_profile
+from .ordinal import OrdinalProfile, builtin_profile, support_representatives
 
 # Dyadic bracket for the level base q = 2**(-1/6), used to seed the
 # certified interval refinement in AlgebraicValue.sign.
@@ -415,16 +415,15 @@ def support_value_table() -> dict[str, tuple[int, int]]:
     constant on each group before returning one row per support.
     """
     profile = builtin_profile()
-    coverage = builtin_coverage()
+    labels = profile.support_labels
     ranks = profile.rank_tables[0]
-    values = coverage.value_tables[0]
-    rows: dict[str, tuple[int, int]] = {}
-    for bundle in ALL_BUNDLES:
-        label = profile.support_labels[bundle]
-        row = (ranks[bundle], values[bundle])
-        if label in rows and rows[label] != row:
+    values = builtin_coverage().value_tables[0]
+    representatives = support_representatives(labels)
+    for bundle, representative in zip(ALL_BUNDLES, representatives):
+        row, expected = (ranks[bundle], values[bundle]), (ranks[representative], values[representative])
+        if row != expected:
             raise SupportCollapseError(
-                f"support {label}: bundle {members(bundle)} gives {row}, expected {rows[label]}"
+                f"support {labels[bundle]}: bundle {members(bundle)} gives {row}, expected {expected}"
             )
-        rows.setdefault(label, row)
+    rows = {labels[b]: (ranks[b], values[b]) for b in set(representatives)}
     return dict(sorted(rows.items(), key=lambda item: (item[1], item[0])))

@@ -17,10 +17,11 @@ Commands:
   suite completed.
 
 Exit codes: 0 success or expected verdict, 1 verification discrepancy,
-2 usage or parse error, 141 (128 + SIGPIPE) when the reader closes stdout
-before the report is written.  Reports serialize with elapsed_ms fixed
-to 0 so output is byte-identical run to run; measured wall time goes to
-stderr.
+2 usage or parse error, 3 internal error (an uncaught exception; its
+traceback goes to stderr), 141 (128 + SIGPIPE) when the reader closes
+stdout before the report is written.  Reports serialize with elapsed_ms
+fixed to 0 so output is byte-identical run to run; measured wall time
+goes to stderr.
 ``--workers K`` is accepted for compatibility and has no effect: every
 scan runs in this process.
 """
@@ -62,6 +63,7 @@ FORMATS = ("markdown", "json", "csv")
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by the signal
 
 
@@ -356,6 +358,13 @@ def entrypoint() -> None:
         # interpreter exit has nowhere to fail, and exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = EXIT_CLOSED_STDOUT
+    except Exception:
+        # A bug, not a verdict: exit 1 stays reserved for discrepancies.
+        import traceback
+
+        traceback.print_exc()
+        print("efxcheck: internal error", file=sys.stderr)
+        status = EXIT_INTERNAL
     sys.exit(status)
 
 

@@ -148,6 +148,13 @@ def _type_set_labels(names: tuple[str, ...]) -> list[str]:
     return labels
 
 
+def support_representatives(support_labels: tuple[str, ...]) -> tuple[Bundle, ...]:
+    """For every bundle, the first bundle in integer order with the same
+    support label: the representative of its support class."""
+    first: dict[str, Bundle] = {}
+    return tuple(first.setdefault(label, bundle) for bundle, label in enumerate(support_labels))
+
+
 def _exceptional_bundles(template: InstanceTemplate) -> frozenset[Bundle]:
     """The triples whose type multiset the template lists as exceptional."""
     type_of_good = template.type_of_good()

@@ -13,6 +13,11 @@ The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
 settled and the witness list is full.  Their checked field counts the
 whole universe the verdict covers, not the pairs actually visited.
+Strict-order transfer follows the same pattern: an agent whose value
+keys keep strict rank order over all bundles cannot break transfer, and
+only the agents that do not are walked allocation by allocation.  Its
+triple count depends on ranks alone and is summed over the disjoint
+bundle pairs that the universe's first two columns list.
 
 Ordinal verdicts compare integer ranks.  Cardinal verdicts compare exact
 values: coverage values are integers, and level values are compared
@@ -24,10 +29,10 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, compress, islice
+from operator import gt, le
 from typing import Callable, Iterable, Iterator
 
 from .cardinal import (
@@ -54,7 +59,7 @@ from .core import (
     members,
     one_good_reductions,
 )
-from .ordinal import OrdinalProfile, builtin_profile
+from .ordinal import OrdinalProfile, builtin_profile, support_representatives
 
 PROFILE_KINDS = ("ordinal", "subadditive", "coverage")
 
@@ -280,6 +285,14 @@ def _universe() -> tuple[Allocation, ...]:
             for extended in ((x0 | bit, x1, x2), (x0, x1 | bit, x2), (x0, x1, x2 | bit))
         ]
     return tuple(allocations)
+
+
+@lru_cache(maxsize=1)
+def _disjoint_pairs() -> tuple[tuple[Bundle, ...], tuple[Bundle, ...], tuple[int, ...]]:
+    """The universe as columns (X0, X1, |X2|): every ordered pair of
+    disjoint bundles once, with the number of goods outside both."""
+    firsts, seconds, thirds = zip(*_universe())
+    return firsts, seconds, tuple(map(int.bit_count, thirds))
 
 
 @lru_cache(maxsize=4)
@@ -698,6 +711,19 @@ def check_submodular(
     return _report(claim, N_NESTED_PAIRS, N_NESTED_PAIRS, passed, witnesses, {}, started)
 
 
+def _lower_rank_maxima(rank_table: tuple[int, ...], key_table: tuple[int, ...]) -> dict[int, int]:
+    """below[r]: the largest key of a bundle ranked strictly below r, for
+    every rank r in the table; the lowest rank, which has no such bundle,
+    gets a key under every key.  A bundle of rank r has a key no higher
+    than some lower-ranked bundle's exactly when its key is at most
+    below[r]."""
+    top_key: dict[int, int] = {}
+    for rank, key in zip(rank_table, key_table):
+        top_key[rank] = max(key, top_key.get(rank, key))
+    ranks = sorted(top_key)
+    return dict(zip(ranks, accumulate(map(top_key.__getitem__, ranks), max, initial=min(key_table) - 1)))
+
+
 def check_strict_consistency(
     rank_table: tuple[int, ...],
     key_table: tuple[int, ...],
@@ -715,18 +741,12 @@ def check_strict_consistency(
     """
     started = time.perf_counter()
     show = display or key_table.__getitem__
-    top_key: dict[int, int] = {}
-    for rank, key in zip(rank_table, key_table):
-        top_key[rank] = max(key, top_key.get(rank, key))
-    ranks = sorted(top_key)
-    # below[r]: the largest key of a rank under r; the lowest rank has none.
-    below = dict(zip(ranks[1:], accumulate(map(top_key.__getitem__, ranks), max)))
+    below = _lower_rank_maxima(rank_table, key_table)
 
     def violations() -> Iterator[Witness]:
         for first in ALL_BUNDLES:
             rank_first, key_first = rank_table[first], key_table[first]
-            bound = below.get(rank_first)
-            if bound is None or key_first > bound:
+            if key_first > below[rank_first]:
                 continue
             for second in ALL_BUNDLES:
                 if rank_first > rank_table[second] and key_first <= key_table[second]:
@@ -744,30 +764,24 @@ def check_support_collapse(
     claim: str,
     witness_limit: int = 10,
 ) -> VerdictReport:
-    """The value of a bundle depends only on its type support."""
+    """The value of a bundle depends only on its type support: each
+    bundle is compared with its support class's representative."""
     started = time.perf_counter()
-    witnesses: list[Witness] = []
-    violations = 0
-    first_seen: dict[str, Bundle] = {}
-    for bundle in ALL_BUNDLES:
-        label = support_labels[bundle]
-        if label not in first_seen:
-            first_seen[label] = bundle
-        else:
-            representative = first_seen[label]
+    representatives = support_representatives(support_labels)
+
+    def violations() -> Iterator[Witness]:
+        for bundle, representative in zip(ALL_BUNDLES, representatives):
             if value_table[bundle] != value_table[representative]:
-                violations += 1
-                if len(witnesses) < witness_limit:
-                    witnesses.append(
-                        Witness(
-                            bundle_s=members(representative),
-                            bundle_t=members(bundle),
-                            lhs=value_table[representative],
-                            rhs=value_table[bundle],
-                        )
-                    )
-    breakdown = {"support_classes": len(first_seen)}
-    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), violations == 0, witnesses, breakdown, started)
+                yield Witness(
+                    bundle_s=members(representative),
+                    bundle_t=members(bundle),
+                    lhs=value_table[representative],
+                    rhs=value_table[bundle],
+                )
+
+    passed, witnesses = _first_violations(violations(), witness_limit)
+    breakdown = {"support_classes": len(set(representatives))}
+    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), passed, witnesses, breakdown, started)
 
 
 def check_normalized_levels(
@@ -942,21 +956,28 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
     )
 
 
-def _reduction_ladders(
-    ranks: tuple[int, ...], keys: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per bundle: the ranks of its one-good reductions in ascending order,
-    and for each position p the least key among reductions p onward (one
-    extra entry past the end, which no key reaches)."""
-    ladders = []
-    ceiling = max(keys) + 1
-    for reduced in one_good_reductions():
-        steps = sorted((ranks[r], keys[r]) for r in reduced)
-        least = [ceiling]
-        for _, key in reversed(steps):
-            least.append(min(key, least[-1]))
-        ladders.append((tuple(rank for rank, _ in steps), tuple(reversed(least))))
-    return tuple(ladders)
+def _strict_order_breaks(rank_table: tuple[int, ...], key_table: tuple[int, ...]) -> bool:
+    """Whether some bundle ranks strictly above another without a
+    strictly higher key."""
+    below = _lower_rank_maxima(rank_table, key_table)
+    return any(map(le, key_table, map(below.__getitem__, rank_table)))
+
+
+def _ordinal_triples(rank_tables: tuple[tuple[int, ...], ...]) -> int:
+    """Ordinal strong-envy triples (allocation, i, j != i, g in X_j) with
+    rank_i(X_j - g) > rank_i(X_i), summed over agents i.
+
+    For fixed i and j, an allocation is a disjoint pair (A, B) = (X_i, X_j)
+    and a triple is a pair (A, S = B - g) with g outside both, so the
+    count is the sum over disjoint (A, S) with rank_i(S) > rank_i(A) of
+    the goods outside A and S.  The universe's (X0, X1, |X2|) columns list
+    exactly those pairs and counts, for either j.
+    """
+    firsts, seconds, spare = _disjoint_pairs()
+    return 2 * sum(
+        sum(compress(spare, map(gt, map(table.__getitem__, seconds), map(table.__getitem__, firsts))))
+        for table in rank_tables
+    )
 
 
 def verify_transfer(
@@ -965,57 +986,49 @@ def verify_transfer(
     """Every ordinal strong-envy triple stays a strict value violation
     under the cardinal realization, over all allocations and triples.
 
-    For each owner and other bundle, the triples are the reductions of the
-    other bundle ranked above the owner's bundle: a bisection of the
-    bundle's sorted reduction ranks counts them, and goods are enumerated
-    only when the least value key among them does not exceed the owner's.
+    A violation is a triple whose reduced bundle ranks above the owner's
+    bundle without a strictly higher value key.  An agent whose keys keep
+    strict rank order over all 256 bundles (every key above the largest
+    key of a lower rank) has none, disjoint bundles or not; when every
+    agent does, the claim passes with no further work.  Otherwise the
+    allocations are walked good by good for the agents that break strict
+    order, until the verdict is settled and witness_limit witnesses are
+    held, in (allocation, i, j, g) order.  checked counts every ordinal
+    triple, from disjoint bundle pairs (see _ordinal_triples).
     """
     if cardinal_profile.ordinal != ordinal_profile.ordinal:
         raise ValueError("cardinal profile must realize the given ordinal profile")
     started = time.perf_counter()
     ranks = ordinal_profile.ordinal.rank_tables
     keys = profile_value_keys(cardinal_profile)
-    agents = tuple(
-        (i, ranks[i], keys[i], _reduction_ladders(ranks[i], keys[i]), others)
-        for i, others in enumerate(_OTHER_AGENTS)
-    )
-    universe = _universe()
-    triples = 0
-    violations: list[tuple[int, int, int, int]] = []
-    violation_count = 0
-    for counter, allocation in enumerate(universe):
-        for i, rank_table, key_table, ladder, others in agents:
-            own_rank = rank_table[allocation[i]]
-            own_key = key_table[allocation[i]]
-            for j in others:
-                bundle = allocation[j]
-                reduction_ranks, least_keys = ladder[bundle]
-                above = bisect_right(reduction_ranks, own_rank)
-                triples += len(reduction_ranks) - above
-                if least_keys[above] > own_key:
-                    continue
-                for g in members(bundle):
-                    reduced = bundle ^ (1 << g)
-                    if rank_table[reduced] > own_rank and key_table[reduced] <= own_key:
-                        violation_count += 1
-                        if len(violations) < witness_limit:
-                            violations.append((counter, i, j, g))
-    witnesses = tuple(
-        Witness(
-            allocation=_allocation_goods(universe[counter]),
-            agent_i=i,
-            agent_j=j,
-            good_g=g,
-            lhs=display_value(cardinal_profile, i, universe[counter][i]),
-            rhs=display_value(cardinal_profile, i, universe[counter][j] ^ (1 << g)),
-        )
-        for counter, i, j, g in violations
-    )
+    triples = _ordinal_triples(ranks)
+    breaking = [i for i in range(N_AGENTS) if _strict_order_breaks(ranks[i], keys[i])]
+
+    def violations() -> Iterator[Witness]:
+        for allocation in _universe():
+            for i in breaking:
+                rank_table, key_table = ranks[i], keys[i]
+                own = allocation[i]
+                own_rank, own_key = rank_table[own], key_table[own]
+                for j in _OTHER_AGENTS[i]:
+                    for g in members(allocation[j]):
+                        reduced = allocation[j] ^ (1 << g)
+                        if rank_table[reduced] > own_rank and key_table[reduced] <= own_key:
+                            yield Witness(
+                                allocation=_allocation_goods(allocation),
+                                agent_i=i,
+                                agent_j=j,
+                                good_g=g,
+                                lhs=display_value(cardinal_profile, i, own),
+                                rhs=display_value(cardinal_profile, i, reduced),
+                            )
+
+    passed, witnesses = _first_violations(violations(), witness_limit)
     return _report(
         claim=f"strict_order_transfer({cardinal_profile.kind})",
         universe=N_ALLOCATIONS,
         checked=triples,
-        passed=violation_count == 0,
+        passed=passed,
         witnesses=witnesses,
         breakdown={"ordinal_witness_triples": triples},
         started=started,

@@ -171,3 +171,31 @@ def float_level_sum(exponents: list[int | None], target: int | None) -> float:
     total = sum(0.0 if e is None else LEVEL_BASE**e for e in exponents)
     total -= 0.0 if target is None else LEVEL_BASE**target
     return total
+
+
+def naive_transfer(rank_tables, value) -> tuple[int, list]:
+    """Strict-order transfer read literally, allocation by allocation in
+    counter order (good g goes to agent digit g of the counter in base 3).
+
+    Returns the number of ordinal strong-envy triples (i, j != i, g in
+    X_j) with rank_i(X_j - g) > rank_i(X_i), and, in (counter, i, j, g)
+    order, those among them where value(i, X_j - g) is not strictly above
+    value(i, X_i), as (allocation bitmasks, i, j, g).
+    """
+    triples = 0
+    violations = []
+    for counter in range(3**8):
+        owners = [counter // 3**g % 3 for g in range(8)]
+        allocation = tuple(sum(1 << g for g in range(8) if owners[g] == agent) for agent in range(3))
+        for i in range(3):
+            own = allocation[i]
+            for j in range(3):
+                if j == i:
+                    continue
+                for g in [g for g in range(8) if owners[g] == j]:
+                    reduced = allocation[j] - (1 << g)
+                    if rank_tables[i][reduced] > rank_tables[i][own]:
+                        triples += 1
+                        if not value(i, reduced) > value(i, own):
+                            violations.append((allocation, i, j, g))
+    return triples, violations

@@ -1,5 +1,6 @@
 """Level values, exact comparisons, and the coverage valuation."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -7,11 +8,13 @@ import pytest
 
 from oracles import LEVEL_BASE, RELABELING, float_level_sum, naive_coverage, naive_coverage_for_agent
 
+from efxcheck import cardinal
 from efxcheck.cardinal import (
     ApproxFactor,
     AlgebraicValue,
     BASE_COVERAGE_ATOMS,
     LevelValue,
+    SupportCollapseError,
     build_coverage,
     build_subadditive,
     builtin_coverage,
@@ -270,6 +273,18 @@ def test_support_value_table_rows():
     assert table["BC"] == (5, 46)
     assert table["∅"] == (0, 0)
     assert table["ABCxy"] == (7, 49)
+
+
+def test_support_value_table_rejects_a_split_support(monkeypatch):
+    # Good 3 shares type A with good 0; valuing {3} apart splits support A.
+    coverage = builtin_coverage()
+    doctored = dataclasses.replace(coverage, value_tables=(
+        tuple(v + (bundle == bundle_of((3,))) for bundle, v in enumerate(coverage.value_tables[0])),
+    ) + coverage.value_tables[1:])
+    monkeypatch.setattr(cardinal, "builtin_coverage", lambda: doctored)
+    expected = coverage.value_tables[0][bundle_of((0,))]
+    with pytest.raises(SupportCollapseError, match=rf"support A: bundle \(3,\) gives \(1, {expected + 1}\), expected \(1, {expected}\)"):
+        support_value_table()
 
 
 def test_coverage_total_weight_hit_by_full_bundle():

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import identical_agents_doc, run_cli
 
+from efxcheck import cli
 from efxcheck.cli import expected_no_alpha_efx
 from efxcheck.cardinal import ApproxFactor
 from efxcheck.ordinal import bundled_instance_text
@@ -236,6 +237,39 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert head.startswith(b"[")
     assert code == 141
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def _run_entrypoint(monkeypatch, argv: list[str]) -> int:
+    monkeypatch.setattr(sys, "argv", ["efxcheck", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    return exited.value.code
+
+
+def test_uncaught_exception_exits_three_with_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "lemmas", broken)
+    code = _run_entrypoint(monkeypatch, ["lemmas"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: handler bug" in captured.err
+    assert "internal error" in captured.err
+
+
+def test_entrypoint_leaves_usage_exits_and_interrupts_alone(monkeypatch, capsys):
+    assert _run_entrypoint(monkeypatch, ["verify", "nonsense"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "lemmas", interrupted)
+    monkeypatch.setattr(sys, "argv", ["efxcheck", "lemmas"])
+    with pytest.raises(KeyboardInterrupt):
+        cli.entrypoint()
 
 
 def test_missing_template_file_exits_two(tmp_path):

@@ -13,7 +13,9 @@ dividing 3.
 
 The generated templates also drive the EFX reads of efxcheck.verify (the
 no-EFX scan, the deficit profile, is_efx and strong_envy_witness) against
-a reference on frozensets over the literal ranks.
+a reference on frozensets over the literal ranks, and strict-order
+transfer under both cardinal realizations against the per-allocation loop
+of oracles.naive_transfer.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import identical_agents_doc, random_template_doc
-from oracles import literal_profile
+from oracles import literal_profile, naive_transfer
 
+from efxcheck.cardinal import build_coverage, build_subadditive
 from efxcheck.core import ALL_BUNDLES, GOODS, N_ALLOCATIONS
 from efxcheck.ordinal import build_profile, bundled_instance_text, parse_template
 from efxcheck.verify import (
@@ -35,11 +38,14 @@ from efxcheck.verify import (
     is_efx,
     strong_envy_witness,
     verify_no_efx,
+    verify_transfer,
 )
 
 HYPOTHESIS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 # Each example below scans all 6561 allocations twice, once per side.
 HYPOTHESIS_SCANS = settings(derandomize=True, database=None, deadline=None, max_examples=12)
+# Each example below runs the per-allocation transfer loop twice.
+HYPOTHESIS_TRANSFER = settings(derandomize=True, database=None, deadline=None, max_examples=8)
 
 NAMES = ("A", "B", "C", "x", "y", "Z", "m", "q")
 
@@ -216,3 +222,30 @@ def test_generated_templates_efx_reads_match_set_based_reference(doc):
         allocation = tuple(_mask(bundle) for bundle in bundles)
         assert is_efx(allocation, ordinal) == (gap == 0)
         assert strong_envy_witness(allocation, ordinal) == witness
+
+
+@HYPOTHESIS_TRANSFER
+@given(template_docs())
+@example(WIDE_DOC)
+def test_generated_templates_transfer_matches_reference(doc):
+    ordinal = build_profile(parse_template(json.dumps(doc)))
+    realizations = (
+        Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal)),
+        Profile(kind="coverage", ordinal=ordinal, coverage=build_coverage(ordinal)),
+    )
+    passed = {}
+    for profile in realizations:
+        value = (profile.subadditive or profile.coverage).value
+        triples, violations = naive_transfer(ordinal.rank_tables, value)
+        report = verify_transfer(Profile(kind="ordinal", ordinal=ordinal), profile, witness_limit=10)
+        assert report.checked == dict(report.breakdown)["ordinal_witness_triples"] == triples
+        assert report.passed == (not violations)
+        assert [
+            (tuple(_mask(frozenset(goods)) for goods in w.allocation), w.agent_i, w.agent_j, w.good_g)
+            for w in report.witnesses
+        ] == violations[:10]
+        passed[profile.kind] = report.passed
+    # A level value is a strictly increasing function of rank (zero for
+    # the empty bundle, which alone ranks 0), so the subadditive
+    # realization keeps every strict rank comparison.
+    assert passed["subadditive"]

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from helpers import identical_agents_doc
-from oracles import naive_efx_feasible, naive_is_efx
+from oracles import naive_efx_feasible, naive_is_efx, naive_transfer
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled, level_sum_compare
 from efxcheck.core import (
@@ -342,6 +342,32 @@ def test_transfer_empty_bundle_case():
     other = sub.value(1, allocation[0] ^ 1)
     assert own == LevelValue.zero()
     assert other > own
+
+    # Valued 0, agent 0's pair {0, 7} (rank 6) no longer beats any
+    # lower-ranked own bundle, the empty one included; the singleton {0}
+    # (rank 1) only ties with the empty bundle, the one lower rank.
+    base = builtin("coverage")
+    for lowered, rank in ((bundle_of((0, 7)), 6), (bundle_of((0,)), 1)):
+        assert base.ordinal.rank_tables[0][lowered] == rank
+        table = tuple(0 if bundle == lowered else v for bundle, v in enumerate(base.coverage.value_tables[0]))
+        doctored = dataclasses.replace(base, coverage=dataclasses.replace(
+            base.coverage, value_tables=(table,) + base.coverage.value_tables[1:]
+        ))
+        triples, violations = naive_transfer(doctored.ordinal.rank_tables, doctored.coverage.value)
+        assert any(allocation[i] == 0 for allocation, i, _, _ in violations)
+        report = verify_transfer(builtin("ordinal"), doctored, witness_limit=10)
+        assert not report.passed
+        assert report.checked == dict(report.breakdown)["ordinal_witness_triples"] == triples
+        found = [
+            (tuple(bundle_of(goods) for goods in w.allocation), w.agent_i, w.agent_j, w.good_g)
+            for w in report.witnesses
+        ]
+        assert found == violations[:10]
+        assert [(w.lhs, w.rhs) for w in report.witnesses] == [
+            (doctored.coverage.value(i, allocation[i]), 0) for allocation, i, _, _ in violations[:10]
+        ]
+        bare = verify_transfer(builtin("ordinal"), doctored, witness_limit=0)
+        assert not bare.passed and bare.witnesses == ()
 
 
 def test_transfer_rejects_foreign_ordinal_profile():
