@@ -3,11 +3,15 @@
 Every checker decides a claim over a whole finite universe (the 6561
 allocations, the 256 bundles, or pairs thereof) and returns a
 VerdictReport whose witnesses a caller can re-evaluate standalone.
-Allocation scans share one decode of the universe and test each
-allocation through per-agent tables of reduction maxima, in one process:
-a 6561-allocation universe gains nothing from a process pool.  This
-module owns every EFX read: the scans, and efx_feasible, is_efx and
-strong_envy_witness for one allocation, all go through those tables.
+Every allocation claim reads one status column per key table: each
+allocation's EFX status, one byte in counter order, built in one pass over
+a shared decode of the universe through per-agent tables of reduction
+maxima and cached, so the claims on one profile share it.  Cyclic symmetry
+finds the rotated allocation's status by counter arithmetic instead of a
+second EFX test.  A 6561-allocation universe gains nothing from a process
+pool.  This module owns every EFX read: the scans, and efx_feasible,
+is_efx and strong_envy_witness for one allocation, all go through the
+reduction-maxima tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
@@ -29,9 +33,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, compress, islice
+from itertools import accumulate, chain, combinations, compress, islice, starmap
 from operator import gt, le
 from typing import Callable, Iterable, Iterator
 
@@ -255,7 +260,9 @@ def _pattern_key(pattern: tuple[int, int, int]) -> str:
     return f"({pattern[0]},{pattern[1]},{pattern[2]})"
 
 
-def _pattern_breakdown(prefix: str, counts: dict[tuple[int, int, int], int]) -> dict[str, int]:
+def _pattern_breakdown(prefix: str, allocations: Iterable[Allocation]) -> dict[str, int]:
+    """Allocations counted by their bundle sizes, as breakdown entries."""
+    counts = Counter((x0.bit_count(), x1.bit_count(), x2.bit_count()) for x0, x1, x2 in allocations)
     return {f"{prefix}{_pattern_key(pattern)}": n for pattern, n in counts.items()}
 
 
@@ -264,8 +271,8 @@ def _pattern_breakdown(prefix: str, counts: dict[tuple[int, int, int], int]) -> 
 #
 # Agent i is content toward another bundle B, up to any one good, exactly
 # when key_i[X_i] >= W_i[B], where W_i[B] is the largest key of a one-good
-# reduction of B.  Every scan below tests allocations through these
-# 256-entry tables, over one shared decode of the universe.
+# reduction of B.  One pass over the shared decode of the universe turns
+# these 256-entry tables into a status column, which every scan reads.
 
 # The other agents of agent 0, 1 and 2, in ascending order.
 _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
@@ -312,16 +319,14 @@ def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     return tuple(maxima)
 
 
-def _efx_status(
-    keys: tuple[tuple[int, ...], ...], maxima: tuple[tuple[int, ...], ...]
-) -> Callable[[int, int, int], int]:
-    """status(x0, x1, x2) is 0 when agent 0 envies another bundle up to
-    one good, 1 when only agent 1 or 2 does, and 2 when nobody does.
-
-    keys give each agent's value of their own bundle; maxima are the
-    reduction maxima of the value keys.  The scaled scan passes keys
-    raised by its slack.
-    """
+@lru_cache(maxsize=8)
+def _status_column(keys: tuple[tuple[int, ...], ...], maxima: tuple[tuple[int, ...], ...]) -> bytes:
+    """Each allocation's EFX status as one byte, in counter order: 0 when
+    agent 0 envies another bundle up to one good, 1 when only agent 1 or 2
+    does, and 2 when nobody does.  keys give each agent's value of their
+    own bundle (the scaled scan raises them by its slack); maxima are the
+    reduction maxima of the value keys.  The cache fits the columns a
+    process serving the built-ins reads: one per kind, one per slack."""
     (k0, k1, k2), (w0, w1, w2) = keys, maxima
 
     def status(x0: int, x1: int, x2: int) -> int:
@@ -334,12 +339,13 @@ def _efx_status(
         own = k2[x2]
         return 1 if own < w2[x0] or own < w2[x1] else 2
 
-    return status
+    return bytes(starmap(status, _universe()))
 
 
-def _profile_status(profile: Profile) -> Callable[[int, int, int], int]:
+def _profile_column(profile: Profile) -> bytes:
+    """The status column of the profile's own value keys."""
     keys = profile_value_keys(profile)
-    return _efx_status(keys, _reduction_maxima(keys))
+    return _status_column(keys, _reduction_maxima(keys))
 
 
 # --- single allocations ------------------------------------------------------
@@ -355,8 +361,7 @@ def efx_feasible(agent: int, allocation: Allocation, profile: OrdinalProfile) ->
 
 
 def is_efx(allocation: Allocation, profile: OrdinalProfile) -> bool:
-    ranks = profile.rank_tables
-    return _efx_status(ranks, _reduction_maxima(ranks))(*allocation) == 2
+    return strong_envy_witness(allocation, profile) is None
 
 
 def strong_envy_witness(
@@ -376,9 +381,9 @@ def strong_envy_witness(
     return None
 
 
-def _allocation_witnesses(counters: Iterable[int], **fields) -> tuple[Witness, ...]:
+def _allocation_witnesses(counters: Iterable[int]) -> tuple[Witness, ...]:
     universe = _universe()
-    return tuple(Witness(allocation=_allocation_goods(universe[c]), **fields) for c in counters)
+    return tuple(Witness(allocation=_allocation_goods(universe[c])) for c in counters)
 
 
 # --- no-EFX ----------------------------------------------------------------
@@ -392,24 +397,18 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     records the total EFX count.
     """
     started = time.perf_counter()
-    status = _profile_status(profile)
-    efx: list[int] = []
-    feasible0: dict[tuple[int, int, int], int] = {}
-    for counter, (x0, x1, x2) in enumerate(_universe()):
-        verdict = status(x0, x1, x2)
-        if not verdict:
-            continue
-        sizes = (x0.bit_count(), x1.bit_count(), x2.bit_count())
-        feasible0[sizes] = feasible0.get(sizes, 0) + 1
-        if verdict == 2:
-            efx.append(counter)
+    column = _profile_column(profile)
+    efx = [counter for counter, verdict in enumerate(column) if verdict == 2]
     return _report(
         claim=f"no_efx_{profile.kind}",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
         passed=not efx,
         witnesses=_allocation_witnesses(efx[:witness_limit]),
-        breakdown={"efx_allocations": len(efx), **_pattern_breakdown("feasible0", feasible0)},
+        breakdown={
+            "efx_allocations": len(efx),
+            **_pattern_breakdown("feasible0", compress(_universe(), column)),
+        },
         started=started,
     )
 
@@ -452,21 +451,18 @@ def verify_no_alpha_efx(
     raised = tuple(
         tuple(key + slack if bundle else key for bundle, key in enumerate(table)) for table in keys
     )
-    status = _efx_status(raised, _reduction_maxima(keys))
-    holds: list[int] = []
-    patterns: dict[tuple[int, int, int], int] = {}
-    for counter, (x0, x1, x2) in enumerate(_universe()):
-        if status(x0, x1, x2) == 2:
-            holds.append(counter)
-            sizes = (x0.bit_count(), x1.bit_count(), x2.bit_count())
-            patterns[sizes] = patterns.get(sizes, 0) + 1
+    column = _status_column(raised, _reduction_maxima(keys))
+    holds = [counter for counter, verdict in enumerate(column) if verdict == 2]
     return _report(
         claim=f"no_alpha_efx({alpha})",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
         passed=not holds,
         witnesses=_allocation_witnesses(holds[:witness_limit]),
-        breakdown={"alpha_efx_allocations": len(holds), **_pattern_breakdown("alpha_efx", patterns)},
+        breakdown={
+            "alpha_efx_allocations": len(holds),
+            **_pattern_breakdown("alpha_efx", map(_universe().__getitem__, holds)),
+        },
         started=started,
     )
 
@@ -836,26 +832,20 @@ def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> Verdic
     a pair, agent-0 feasibility confines the pair's type support to
     Ax, Ay, BC, By, Cy."""
     started = time.perf_counter()
-    status = _profile_status(profile)
+    column = _profile_column(profile)
     labels = profile.ordinal.support_labels
-    allowed = set(ALLOWED_FIRST_PAIR_LABELS)
-    checked = 0
-    label_counts: dict[str, int] = {}
-    violations: list[int] = []
-    for counter, (x0, x1, x2) in enumerate(_universe()):
-        if x0.bit_count() != 2 or x1.bit_count() < 2 or x2.bit_count() < 2:
-            continue
-        checked += 1
-        if not status(x0, x1, x2):
-            continue
-        label = labels[x0]
-        label_counts[label] = label_counts.get(label, 0) + 1
-        if label not in allowed:
-            violations.append(counter)
+    candidates = [
+        (counter, x0)
+        for counter, (x0, x1, x2) in enumerate(_universe())
+        if x0.bit_count() == 2 and x1.bit_count() >= 2 and x2.bit_count() >= 2
+    ]
+    feasible = [(counter, labels[x0]) for counter, x0 in candidates if column[counter]]
+    violations = [counter for counter, label in feasible if label not in ALLOWED_FIRST_PAIR_LABELS]
+    label_counts = Counter(label for _, label in feasible)
     return _report(
         claim="first_pair_restriction",
-        universe=checked,
-        checked=checked,
+        universe=len(candidates),
+        checked=len(candidates),
         passed=not violations,
         witnesses=_allocation_witnesses(violations[:witness_limit]),
         breakdown={f"feasible_first_pair[{label}]": n for label, n in label_counts.items()},
@@ -886,14 +876,14 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
     verified by enumerating all ordered size triples.
     """
     started = time.perf_counter()
-    status = _profile_status(profile)
+    column = _profile_column(profile)
     classes = {name: [0, []] for name in ("small_first", "(2,2,4)", "(2,3,3)")}
     for counter, (x0, x1, x2) in enumerate(_universe()):
         name = _size_class((x0.bit_count(), x1.bit_count(), x2.bit_count()))
         if name is None:
             continue
         classes[name][0] += 1
-        if status(x0, x1, x2) == 2:
+        if column[counter] == 2:
             classes[name][1].append(counter)
 
     factorial = math.factorial
@@ -931,27 +921,34 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
 
 def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     """EFX status is invariant under one cyclic relabeling step, for all
-    6561 allocations, under the profile's own comparisons.  The image of
-    (X0, X1, X2) is (perm(X1), perm(X2), perm(X0))."""
+    6561 allocations, under the profile's own comparisons.
+
+    The image of (X0, X1, X2) is (perm(X1), perm(X2), perm(X0)).  A counter
+    is the sum of agent(g) * 3^g, so the image's counter is w[perm(X2)] +
+    2 * w[perm(X0)], where w[B] (the sum of 3^g over g in B) is B's binary
+    digits read in base 3; its status is read from the same column.  A
+    witness names its own direction: EFX and not after rotation, or the
+    reverse."""
     started = time.perf_counter()
-    status = _profile_status(profile)
-    image = profile.ordinal.bundle_images[1]
-    efx_count = 0
-    mismatches: list[int] = []
-    for counter, (x0, x1, x2) in enumerate(_universe()):
-        before = status(x0, x1, x2) == 2
-        efx_count += before
-        if before != (status(image[x1], image[x2], image[x0]) == 2):
-            mismatches.append(counter)
+    column = _profile_column(profile)
+    rotated = [int(f"{image:b}", 3) for image in profile.ordinal.bundle_images[1]]
+    universe = _universe()
+    mismatches = [
+        counter
+        for counter, (x0, _, x2) in enumerate(universe)
+        if (column[counter] == 2) != (column[rotated[x2] + 2 * rotated[x0]] == 2)
+    ]
+    witnesses = []
+    for c in mismatches[:witness_limit]:
+        lhs, rhs = ("EFX", "not EFX after rotation") if column[c] == 2 else ("not EFX", "EFX after rotation")
+        witnesses.append(Witness(allocation=_allocation_goods(universe[c]), lhs=lhs, rhs=rhs))
     return _report(
         claim=f"cyclic_symmetry({profile.kind})",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
         passed=not mismatches,
-        witnesses=_allocation_witnesses(
-            mismatches[:witness_limit], lhs="EFX", rhs="not EFX after rotation"
-        ),
-        breakdown={"efx_allocations": efx_count},
+        witnesses=witnesses,
+        breakdown={"efx_allocations": column.count(2)},
         started=started,
     )
 
@@ -963,6 +960,7 @@ def _strict_order_breaks(rank_table: tuple[int, ...], key_table: tuple[int, ...]
     return any(map(le, key_table, map(below.__getitem__, rank_table)))
 
 
+@lru_cache(maxsize=1)
 def _ordinal_triples(rank_tables: tuple[tuple[int, ...], ...]) -> int:
     """Ordinal strong-envy triples (allocation, i, j != i, g in X_j) with
     rank_i(X_j - g) > rank_i(X_i), summed over agents i.

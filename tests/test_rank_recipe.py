@@ -12,10 +12,11 @@ ranks, exceptional triples with repeated types, and relabelings of order
 dividing 3.
 
 The generated templates also drive the EFX reads of efxcheck.verify (the
-no-EFX scan, the deficit profile, is_efx and strong_envy_witness) against
-a reference on frozensets over the literal ranks, and strict-order
-transfer under both cardinal realizations against the per-allocation loop
-of oracles.naive_transfer.
+no-EFX scan, the deficit profile, cyclic symmetry, is_efx and
+strong_envy_witness) against a reference on frozensets over the literal
+ranks, the 1/2-scaled scan against a theorem, and strict-order transfer
+under both cardinal realizations against the per-allocation loop of
+oracles.naive_transfer.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from helpers import identical_agents_doc, random_template_doc
 from oracles import literal_profile, naive_transfer
 
-from efxcheck.cardinal import build_coverage, build_subadditive
+from efxcheck.cardinal import ApproxFactor, build_coverage, build_subadditive
 from efxcheck.core import ALL_BUNDLES, GOODS, N_ALLOCATIONS
 from efxcheck.ordinal import build_profile, bundled_instance_text, parse_template
 from efxcheck.verify import (
@@ -37,6 +38,8 @@ from efxcheck.verify import (
     compute_deficit_profile,
     is_efx,
     strong_envy_witness,
+    verify_cyclic_symmetry,
+    verify_no_alpha_efx,
     verify_no_efx,
     verify_transfer,
 )
@@ -222,6 +225,33 @@ def test_generated_templates_efx_reads_match_set_based_reference(doc):
         allocation = tuple(_mask(bundle) for bundle in bundles)
         assert is_efx(allocation, ordinal) == (gap == 0)
         assert strong_envy_witness(allocation, ordinal) == witness
+
+    # One relabeling step takes (X0, X1, X2) to (perm(X1), perm(X2),
+    # perm(X0)); good g of the image goes to agent digit g of its counter.
+    perm = doc["permutation"]
+    mismatches = []
+    for counter, (x0, x1, x2) in enumerate(allocations):
+        image = [frozenset(perm[g] for g in bundle) for bundle in (x1, x2, x0)]
+        rotated = sum(agent * 3**g for agent, bundle in enumerate(image) for g in bundle)
+        if (deficits[counter] == 0) != (deficits[rotated] == 0):
+            mismatches.append(counter)
+    cyclic = verify_cyclic_symmetry(profile, witness_limit=10)
+    assert cyclic.passed == (not mismatches)
+    assert dict(cyclic.breakdown)["efx_allocations"] == len(efx)
+    assert [w.allocation for w in cyclic.witnesses] == [
+        tuple(tuple(sorted(bundle)) for bundle in allocations[counter]) for counter in mismatches[:10]
+    ]
+    # Agent i + 1 ranks every bundle B as agent i ranks perm(B), agents
+    # taken mod 3 because the relabeling's order divides 3, so rotation
+    # keeps every status.
+    assert cyclic.passed
+
+    # With top_rank <= 7 every nonempty level value lies in [1/2, 1], so
+    # the level realization is subadditive, and a 1/2-scaled EFX
+    # allocation exists (Plaut and Roughgarden, SODA 2018).
+    if doc["top_rank"] <= 7:
+        levels = Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal))
+        assert not verify_no_alpha_efx(levels, ApproxFactor.parse("1/2"), witness_limit=0).passed
 
 
 @HYPOTHESIS_TRANSFER

@@ -13,11 +13,12 @@ coverage realizations.
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 
 import pytest
 
 from helpers import identical_agents_doc, random_template_doc
-from oracles import naive_is_efx
+from oracles import naive_efx_feasible, naive_is_efx
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_coverage, build_subadditive, compare_scaled
 from efxcheck.core import N_AGENTS, N_ALLOCATIONS, allocation_from_counter, members
@@ -27,8 +28,10 @@ from efxcheck.verify import (
     builtin,
     compute_deficit_profile,
     verify_cyclic_symmetry,
+    verify_lemma_first_pair,
     verify_no_alpha_efx,
     verify_no_efx,
+    verify_size_pattern_props,
     verify_transfer,
 )
 
@@ -93,6 +96,19 @@ def reference_efx(profile: Profile) -> list[int]:
         if efx:
             found.append(counter)
     return found
+
+
+@lru_cache(maxsize=None)
+def reference_ordinal_status(profile: Profile) -> tuple[tuple[tuple[int, int, int], bool, bool], ...]:
+    """Per allocation in counter order: the bundle sizes, whether agent 0
+    is EFX-feasible, and whether the allocation is EFX."""
+    ranks = profile.ordinal.rank_tables
+    found = []
+    for counter in range(N_ALLOCATIONS):
+        allocation = allocation_from_counter(counter)
+        sizes = tuple(len(members(bundle)) for bundle in allocation)
+        found.append((sizes, naive_efx_feasible(0, allocation, ranks), naive_is_efx(allocation, ranks)))
+    return tuple(found)
 
 
 def reference_deficits(profile: Profile) -> tuple[int, ...]:
@@ -220,4 +236,63 @@ def test_cyclic_mismatches_match_reference():
     assert not report.passed
     found = [tuple(sum(1 << g for g in goods) for goods in w.allocation) for w in report.witnesses]
     assert found == [allocation_from_counter(c) for c in expected[:10]]
-    assert {(w.lhs, w.rhs) for w in report.witnesses} == {("EFX", "not EFX after rotation")}
+    # Each witness names its own direction.
+    assert [(w.lhs, w.rhs) for w in report.witnesses] == [
+        ("EFX", "not EFX after rotation")
+        if naive_is_efx(allocation_from_counter(c), skewed.rank_tables)
+        else ("not EFX", "EFX after rotation")
+        for c in expected[:10]
+    ]
+
+
+def witness_counters(report) -> list[int]:
+    """Good g of a witness allocation goes to agent digit g of its counter."""
+    return [sum(agent * 3**g for agent, goods in enumerate(w.allocation) for g in goods) for w in report.witnesses]
+
+
+@pytest.mark.parametrize("profile", cases("ordinal"))
+def test_first_pair_matches_reference(profile):
+    labels = profile.ordinal.support_labels
+    checked = 0
+    label_counts: dict[str, int] = {}
+    violations = []
+    for counter, (sizes, feasible0, _) in enumerate(reference_ordinal_status(profile)):
+        if sizes[0] != 2 or sizes[1] < 2 or sizes[2] < 2:
+            continue
+        checked += 1
+        if feasible0:
+            label = labels[allocation_from_counter(counter)[0]]
+            label_counts[label] = label_counts.get(label, 0) + 1
+            if label not in ("Ax", "Ay", "BC", "By", "Cy"):
+                violations.append(counter)
+    report = verify_lemma_first_pair(profile, witness_limit=10)
+    assert report.universe == report.checked == checked
+    assert report.passed == (not violations)
+    assert dict(report.breakdown) == {f"feasible_first_pair[{label}]": n for label, n in label_counts.items()}
+    assert witness_counters(report) == violations[:10]
+
+
+@pytest.mark.parametrize("profile", cases("ordinal"))
+def test_size_patterns_match_reference(profile):
+    classes = {"small_first": [0, []], "(2,2,4)": [0, []], "(2,3,3)": [0, []]}
+    for counter, (sizes, _, efx) in enumerate(reference_ordinal_status(profile)):
+        if sizes[0] <= 1:
+            name = "small_first"
+        elif sizes in ((2, 2, 4), (2, 3, 3)):
+            name = f"({sizes[0]},{sizes[1]},{sizes[2]})"
+        else:
+            continue
+        classes[name][0] += 1
+        if efx:
+            classes[name][1].append(counter)
+    report = verify_size_pattern_props(profile, witness_limit=10)
+    total = sum(universe for universe, _ in classes.values())
+    assert report.universe == report.checked == total == 256 + 8 * 128 + 420 + 560
+    assert report.passed == (not any(efx for _, efx in classes.values()))
+    expected = {"size_triples_covered": 1}
+    for name, (universe, efx) in classes.items():
+        expected[f"universe[{name}]"] = universe
+        expected[f"efx[{name}]"] = len(efx)
+    assert dict(report.breakdown) == expected
+    # Witnesses run class by class, in counter order within a class.
+    assert witness_counters(report) == [c for _, efx in classes.values() for c in efx][:10]
