@@ -19,9 +19,9 @@ Commands:
 Exit codes: 0 success or expected verdict, 1 verification discrepancy,
 2 usage or parse error, 3 internal error (an uncaught exception; its
 traceback goes to stderr), 141 (128 + SIGPIPE) when the reader closes
-stdout before the report is written.  Reports serialize with elapsed_ms
-fixed to 0 so output is byte-identical run to run; measured wall time
-goes to stderr.
+stdout before the report is written.  Reports do not time themselves:
+elapsed_ms is always 0 in serialized output, so output is byte-identical
+run to run, and the command's wall time goes to stderr.
 ``--workers K`` is accepted for compatibility and has no effect: every
 scan runs in this process.
 """
@@ -138,7 +138,7 @@ def _usage_error(message: str) -> int:
 
 
 def reports_to_json(reports: list[VerdictReport]) -> str:
-    return json.dumps([r.to_dict(deterministic=True) for r in reports], indent=2, sort_keys=True)
+    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
 
 
 def reports_to_csv(reports: list[VerdictReport]) -> str:
@@ -146,7 +146,7 @@ def reports_to_csv(reports: list[VerdictReport]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["claim", "universe", "checked", "verdict", "witnesses", "breakdown", "elapsed_ms"])
     for report in reports:
-        data = report.to_dict(deterministic=True)
+        data = report.to_dict()
         writer.writerow([
             data["claim"],
             data["universe"],
@@ -291,7 +291,6 @@ def cmd_alpha_star(args: argparse.Namespace) -> int:
                 }.items()
             )
         ),
-        elapsed_ms=deficit.elapsed_ms,
     )
     if args.fmt == "markdown":
         exact = deficit.alpha_star_exact()

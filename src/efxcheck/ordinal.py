@@ -53,6 +53,11 @@ from .core import (
     permutation_power,
 )
 
+# Longest template document read from a file, in characters.  The shipped
+# instance is under 1 KiB; the bound keeps a stream such as /dev/zero from
+# being read into memory without end.
+MAX_TEMPLATE_CHARS = 1 << 20
+
 
 class UndefinedPairRank(ValueError):
     """Raised for type pairs with no realizable two-good bundle."""
@@ -455,11 +460,13 @@ def load_template(text: str) -> tuple[InstanceTemplate, OrdinalProfile]:
 def load_template_file(path: str) -> tuple[InstanceTemplate, OrdinalProfile]:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read(MAX_TEMPLATE_CHARS + 1)
     except OSError as exc:
         raise TemplateError(str(exc), path) from None
     except UnicodeDecodeError as exc:
         raise TemplateError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", path) from None
+    if len(text) > MAX_TEMPLATE_CHARS:
+        raise TemplateError(f"document longer than {MAX_TEMPLATE_CHARS} characters", path)
     return load_template(text)
 
 

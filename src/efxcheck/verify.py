@@ -3,14 +3,17 @@
 Every checker decides a claim over a whole finite universe (the 6561
 allocations, the 256 bundles, or pairs thereof) and returns a
 VerdictReport whose witnesses a caller can re-evaluate standalone.
-Every allocation claim reads one status column per key table: each
-allocation's EFX status, one byte in counter order, built in one pass over
-a shared decode of the universe through per-agent tables of reduction
-maxima and cached, so the claims on one profile share it.  Cyclic symmetry
-finds the rotated allocation's status by counter arithmetic instead of a
-second EFX test.  A 6561-allocation universe gains nothing from a process
-pool.  This module owns every EFX read: the scans, and efx_feasible,
-is_efx and strong_envy_witness for one allocation, all go through the
+Every allocation claim reads one of two cached columns of a key table,
+each built in one pass over a shared decode of the universe through
+per-agent tables of reduction maxima.  The status column, each
+allocation's EFX status as one byte in counter order, serves the EFX
+reads: no-EFX, first pair, size patterns and cyclic symmetry, which finds
+the rotated allocation's status by counter arithmetic instead of a second
+EFX test.  The deficit kernel, each allocation's largest envy gap, serves
+alpha-star on the rank tables and the scaled scan on the level keys.  A
+6561-allocation universe gains nothing from a process pool.  This module
+owns every EFX read: the scans, and efx_feasible, is_efx and
+strong_envy_witness for one allocation, all go through the
 reduction-maxima tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
@@ -32,7 +35,6 @@ irrational base.  Floating point never decides anything here.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -193,7 +195,8 @@ class VerdictReport:
     """Outcome of one exhaustive check.
 
     breakdown is a sorted tuple of (key, count) pairs so reports are
-    hashable and serialize canonically.
+    hashable and serialize canonically.  Reports do not time themselves:
+    the serialized elapsed_ms is always 0, and from_dict ignores it.
     """
 
     claim: str
@@ -202,13 +205,12 @@ class VerdictReport:
     verdict: str
     witnesses: tuple[Witness, ...] = ()
     breakdown: tuple[tuple[str, int], ...] = ()
-    elapsed_ms: int = 0
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self, deterministic: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "claim": self.claim,
             "universe": self.universe,
@@ -216,7 +218,7 @@ class VerdictReport:
             "verdict": self.verdict,
             "witnesses": [w.to_dict() for w in self.witnesses],
             "breakdown": dict(self.breakdown),
-            "elapsed_ms": 0 if deterministic else self.elapsed_ms,
+            "elapsed_ms": 0,
         }
 
     @classmethod
@@ -228,7 +230,6 @@ class VerdictReport:
             verdict=data["verdict"],
             witnesses=tuple(Witness.from_dict(w) for w in data["witnesses"]),
             breakdown=tuple(sorted(data["breakdown"].items())),
-            elapsed_ms=data["elapsed_ms"],
         )
 
 
@@ -239,7 +240,6 @@ def _report(
     passed: bool,
     witnesses: Iterable[Witness],
     breakdown: dict[str, int],
-    started: float,
 ) -> VerdictReport:
     return VerdictReport(
         claim=claim,
@@ -248,7 +248,6 @@ def _report(
         verdict="pass" if passed else "fail",
         witnesses=tuple(witnesses),
         breakdown=tuple(sorted(breakdown.items())),
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
     )
 
 
@@ -272,7 +271,8 @@ def _pattern_breakdown(prefix: str, allocations: Iterable[Allocation]) -> dict[s
 # Agent i is content toward another bundle B, up to any one good, exactly
 # when key_i[X_i] >= W_i[B], where W_i[B] is the largest key of a one-good
 # reduction of B.  One pass over the shared decode of the universe turns
-# these 256-entry tables into a status column, which every scan reads.
+# these 256-entry tables into a status column or a deficit kernel, which
+# every scan reads.
 
 # The other agents of agent 0, 1 and 2, in ascending order.
 _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
@@ -319,15 +319,13 @@ def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     return tuple(maxima)
 
 
-@lru_cache(maxsize=8)
-def _status_column(keys: tuple[tuple[int, ...], ...], maxima: tuple[tuple[int, ...], ...]) -> bytes:
-    """Each allocation's EFX status as one byte, in counter order: 0 when
-    agent 0 envies another bundle up to one good, 1 when only agent 1 or 2
-    does, and 2 when nobody does.  keys give each agent's value of their
-    own bundle (the scaled scan raises them by its slack); maxima are the
-    reduction maxima of the value keys.  The cache fits the columns a
-    process serving the built-ins reads: one per kind, one per slack."""
-    (k0, k1, k2), (w0, w1, w2) = keys, maxima
+@lru_cache(maxsize=3)
+def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
+    """Each allocation's EFX status under the key tables as one byte, in
+    counter order: 0 when agent 0 envies another bundle up to one good, 1
+    when only agent 1 or 2 does, and 2 when nobody does.  The cache holds
+    the columns of the three built-in kinds."""
+    (k0, k1, k2), (w0, w1, w2) = keys, _reduction_maxima(keys)
 
     def status(x0: int, x1: int, x2: int) -> int:
         own = k0[x0]
@@ -342,10 +340,30 @@ def _status_column(keys: tuple[tuple[int, ...], ...], maxima: tuple[tuple[int, .
     return bytes(starmap(status, _universe()))
 
 
-def _profile_column(profile: Profile) -> bytes:
-    """The status column of the profile's own value keys."""
-    keys = profile_value_keys(profile)
-    return _status_column(keys, _reduction_maxima(keys))
+@lru_cache(maxsize=2)
+def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Each allocation's deficit under the key tables, in counter order:
+    max(0, max over agents i and bundles j != i of W_i[X_j] - key_i[X_i]),
+    the largest key gap by which an agent envies another bundle up to one
+    good.  It is 0 exactly when the allocation is EFX.  The cache holds
+    the two tables a process serving the built-ins grades: the ranks,
+    for alpha-star, and the level keys, for the scaled scan."""
+    (k0, k1, k2), (w0, w1, w2) = keys, _reduction_maxima(keys)
+
+    def deficit(x0: int, x1: int, x2: int) -> int:
+        a, b = w0[x1], w0[x2]
+        worst = (a if a > b else b) - k0[x0]
+        a, b = w1[x0], w1[x2]
+        gap = (a if a > b else b) - k1[x1]
+        if gap > worst:
+            worst = gap
+        a, b = w2[x0], w2[x1]
+        gap = (a if a > b else b) - k2[x2]
+        if gap > worst:
+            worst = gap
+        return worst if worst > 0 else 0
+
+    return tuple(starmap(deficit, _universe()))
 
 
 # --- single allocations ------------------------------------------------------
@@ -396,8 +414,7 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     breakdown counts allocations feasible for agent 0 by size pattern and
     records the total EFX count.
     """
-    started = time.perf_counter()
-    column = _profile_column(profile)
+    column = _status_column(profile_value_keys(profile))
     efx = [counter for counter, verdict in enumerate(column) if verdict == 2]
     return _report(
         claim=f"no_efx_{profile.kind}",
@@ -409,7 +426,6 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
             "efx_allocations": len(efx),
             **_pattern_breakdown("feasible0", compress(_universe(), column)),
         },
-        started=started,
     )
 
 
@@ -435,24 +451,30 @@ def verify_no_alpha_efx(
     """Pass when no allocation satisfies the alpha-scaled condition
     value(own) >= alpha * value(other minus any one good), decided exactly.
 
-    An agent holding the empty bundle fails against every nonempty
-    deletion; deleting the only good of a singleton leaves the empty
-    bundle, which never violates.  Keys are negated exponents, so an
-    agent with a nonempty bundle meets the condition exactly when
-    key(own) + slack >= W(other) for both other bundles; an agent with the
-    empty bundle only when neither other bundle has a nonempty reduction,
-    that is W(other) is the empty bundle's key.
+    The allocations that satisfy it are those with no empty bundle whose
+    deficit under the level keys is at most the slack of alpha.  Keys are
+    negated exponents, so one rank step is one power of the base: an
+    agent holding a nonempty bundle meets the condition against a nonempty
+    reduction exactly when the key gap is at most the slack, and always
+    against the empty reduction, whose key is the lowest.  An agent
+    holding the empty bundle, worth nothing, meets it only when every
+    reduction it faces is worth nothing.  But the other two bundles then
+    share all 8 goods, so one of them holds at least 4, and each of its
+    one-good reductions is a nonempty bundle, worth more than nothing.
+    That last step needs a value for every nonempty bundle, so a payload
+    that gives one a zero value is refused.
     """
     if profile.kind != "subadditive":
         raise ValueError(f"scaled verification needs a subadditive profile, got {profile.kind}")
-    started = time.perf_counter()
-    keys = profile_value_keys(profile)
+    if any(None in table[1:] for table in profile.subadditive.exponent_tables):  # type: ignore[union-attr]
+        raise ValueError("scaled verification needs a positive level value on every nonempty bundle")
     slack = _scale_slack(alpha, profile.ordinal.top_rank)
-    raised = tuple(
-        tuple(key + slack if bundle else key for bundle, key in enumerate(table)) for table in keys
-    )
-    column = _status_column(raised, _reduction_maxima(keys))
-    holds = [counter for counter, verdict in enumerate(column) if verdict == 2]
+    universe = _universe()
+    holds = [
+        counter
+        for counter, (allocation, deficit) in enumerate(zip(universe, _deficits(profile_value_keys(profile))))
+        if deficit <= slack and all(allocation)
+    ]
     return _report(
         claim=f"no_alpha_efx({alpha})",
         universe=N_ALLOCATIONS,
@@ -461,9 +483,8 @@ def verify_no_alpha_efx(
         witnesses=_allocation_witnesses(holds[:witness_limit]),
         breakdown={
             "alpha_efx_allocations": len(holds),
-            **_pattern_breakdown("alpha_efx", map(_universe().__getitem__, holds)),
+            **_pattern_breakdown("alpha_efx", map(universe.__getitem__, holds)),
         },
-        started=started,
     )
 
 
@@ -488,7 +509,6 @@ class DeficitProfile:
     min_deficit_all_nonempty: int
     histogram: tuple[tuple[int, int], ...]
     deficits: tuple[int, ...]
-    elapsed_ms: int = 0
 
     def argmin_allocations(self) -> tuple[Allocation, ...]:
         return tuple(allocation_from_counter(c) for c in self.argmin_counters)
@@ -503,36 +523,19 @@ class DeficitProfile:
 
 
 def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> DeficitProfile:
-    """Exact deficit of every allocation, with the global minimum and its
-    attaining allocations in counter order."""
-    started = time.perf_counter()
-    ranks = profile.ordinal.rank_tables
-    (r0, r1, r2), (w0, w1, w2) = ranks, _reduction_maxima(ranks)
-    universe = _universe()
-    deficits = tuple(
-        max(
-            0,
-            max(w0[x1], w0[x2]) - r0[x0],
-            max(w1[x0], w1[x2]) - r1[x1],
-            max(w2[x0], w2[x1]) - r2[x2],
-        )
-        for x0, x1, x2 in universe
-    )
+    """Rank deficit of every allocation, read from the deficit kernel on
+    the rank tables, with the global minimum and its attaining
+    allocations in counter order."""
+    deficits = _deficits(profile.ordinal.rank_tables)
     d_star = min(deficits)
     argmin = [counter for counter, deficit in enumerate(deficits) if deficit == d_star]
-    histogram: dict[int, int] = {}
-    for deficit in deficits:
-        histogram[deficit] = histogram.get(deficit, 0) + 1
     return DeficitProfile(
         d_star=d_star,
         argmin_counters=tuple(argmin[:argmin_limit]),
         argmin_count=len(argmin),
-        min_deficit_all_nonempty=min(
-            deficit for allocation, deficit in zip(universe, deficits) if 0 not in allocation
-        ),
-        histogram=tuple(sorted(histogram.items())),
+        min_deficit_all_nonempty=min(compress(deficits, map(all, _universe()))),
+        histogram=tuple(sorted(Counter(deficits).items())),
         deficits=deficits,
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
     )
 
 
@@ -569,7 +572,6 @@ def check_monotone(
     display gives a bundle's value as a witness shows it; by default the
     key itself.  checked counts every (bundle, good) pair.
     """
-    started = time.perf_counter()
     show = display or key_table.__getitem__
 
     def violations() -> Iterator[Witness]:
@@ -581,7 +583,7 @@ def check_monotone(
                     yield Witness(bundle_s=members(bundle), good_g=g, lhs=show(extended), rhs=show(bundle))
 
     passed, witnesses = _first_violations(violations(), witness_limit)
-    return _report(claim, N_MONOTONE_PAIRS, N_MONOTONE_PAIRS, passed, witnesses, {}, started)
+    return _report(claim, N_MONOTONE_PAIRS, N_MONOTONE_PAIRS, passed, witnesses, {})
 
 
 @lru_cache(maxsize=None)
@@ -620,7 +622,6 @@ def check_subadditive(
     value(S) + m >= U(S) >= value(S union T).  That bound is one exact
     sum per row.  checked counts all 65536 pairs.
     """
-    started = time.perf_counter()
     # Order keys of the values: exponents negated, zero strictly below.
     bottom = -1 - max((e for e in exponent_table if e is not None), default=0)
     keys = [bottom if e is None else -e for e in exponent_table]
@@ -647,7 +648,7 @@ def check_subadditive(
                     )
 
     passed, witnesses = _first_violations(violations(), witness_limit)
-    return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {}, started)
+    return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {})
 
 
 def _locally_submodular(value_table: tuple[int, ...]) -> bool:
@@ -677,7 +678,6 @@ def check_submodular(
     nested pairs, for its witnesses in scan order.  checked counts all
     8 * 3^7 ordered nested pairs.
     """
-    started = time.perf_counter()
 
     def violations() -> Iterator[Witness]:
         for g in GOODS:
@@ -704,7 +704,7 @@ def check_submodular(
         passed, witnesses = True, ()
     else:
         passed, witnesses = _first_violations(violations(), witness_limit)
-    return _report(claim, N_NESTED_PAIRS, N_NESTED_PAIRS, passed, witnesses, {}, started)
+    return _report(claim, N_NESTED_PAIRS, N_NESTED_PAIRS, passed, witnesses, {})
 
 
 def _lower_rank_maxima(rank_table: tuple[int, ...], key_table: tuple[int, ...]) -> dict[int, int]:
@@ -735,7 +735,6 @@ def check_strict_consistency(
     ranks; only such rows are scanned.  display is as for check_monotone.
     checked counts all 65536 pairs.
     """
-    started = time.perf_counter()
     show = display or key_table.__getitem__
     below = _lower_rank_maxima(rank_table, key_table)
 
@@ -751,7 +750,7 @@ def check_strict_consistency(
                     )
 
     passed, witnesses = _first_violations(violations(), witness_limit)
-    return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {}, started)
+    return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {})
 
 
 def check_support_collapse(
@@ -762,7 +761,6 @@ def check_support_collapse(
 ) -> VerdictReport:
     """The value of a bundle depends only on its type support: each
     bundle is compared with its support class's representative."""
-    started = time.perf_counter()
     representatives = support_representatives(support_labels)
 
     def violations() -> Iterator[Witness]:
@@ -777,7 +775,7 @@ def check_support_collapse(
 
     passed, witnesses = _first_violations(violations(), witness_limit)
     breakdown = {"support_classes": len(set(representatives))}
-    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), passed, witnesses, breakdown, started)
+    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), passed, witnesses, breakdown)
 
 
 def check_normalized_levels(
@@ -787,7 +785,6 @@ def check_normalized_levels(
 ) -> VerdictReport:
     """Empty bundle worth zero, nonempty bundles positive and at most one
     (exponents non-negative); records the exponent range."""
-    started = time.perf_counter()
     witnesses: list[Witness] = []
     if exponent_table[0] is not None:
         witnesses.append(Witness(bundle_s=(), lhs=str(LevelValue(exponent_table[0])), rhs="0"))
@@ -802,13 +799,12 @@ def check_normalized_levels(
         "max_exponent": max(exponents, default=0),
         "top_rank": top_rank,
     }
-    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), not witnesses, witnesses, breakdown, started)
+    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), not witnesses, witnesses, breakdown)
 
 
 def check_normalized_ints(value_table: tuple[int, ...], claim: str) -> VerdictReport:
     """Empty bundle worth zero and all values non-negative; records the
     nonempty value range."""
-    started = time.perf_counter()
     witnesses: list[Witness] = []
     if value_table[0] != 0:
         witnesses.append(Witness(bundle_s=(), lhs=value_table[0], rhs=0))
@@ -820,7 +816,7 @@ def check_normalized_ints(value_table: tuple[int, ...], claim: str) -> VerdictRe
         "min_nonempty_value": min(value_table[1:]),
         "max_nonempty_value": max(value_table[1:]),
     }
-    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), not witnesses, witnesses, breakdown, started)
+    return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), not witnesses, witnesses, breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +827,7 @@ def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> Verdic
     """When the first bundle is a pair and no other bundle is smaller than
     a pair, agent-0 feasibility confines the pair's type support to
     Ax, Ay, BC, By, Cy."""
-    started = time.perf_counter()
-    column = _profile_column(profile)
+    column = _status_column(profile_value_keys(profile))
     labels = profile.ordinal.support_labels
     candidates = [
         (counter, x0)
@@ -849,7 +844,6 @@ def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> Verdic
         passed=not violations,
         witnesses=_allocation_witnesses(violations[:witness_limit]),
         breakdown={f"feasible_first_pair[{label}]": n for label, n in label_counts.items()},
-        started=started,
     )
 
 
@@ -875,8 +869,7 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
     parts is reachable from one of the three classes by rotation) is
     verified by enumerating all ordered size triples.
     """
-    started = time.perf_counter()
-    column = _profile_column(profile)
+    column = _status_column(profile_value_keys(profile))
     classes = {name: [0, []] for name in ("small_first", "(2,2,4)", "(2,3,3)")}
     for counter, (x0, x1, x2) in enumerate(_universe()):
         name = _size_class((x0.bit_count(), x1.bit_count(), x2.bit_count()))
@@ -915,7 +908,6 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
         passed=passed,
         witnesses=_allocation_witnesses(witness_counters),
         breakdown=breakdown,
-        started=started,
     )
 
 
@@ -929,8 +921,7 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
     digits read in base 3; its status is read from the same column.  A
     witness names its own direction: EFX and not after rotation, or the
     reverse."""
-    started = time.perf_counter()
-    column = _profile_column(profile)
+    column = _status_column(profile_value_keys(profile))
     rotated = [int(f"{image:b}", 3) for image in profile.ordinal.bundle_images[1]]
     universe = _universe()
     mismatches = [
@@ -949,7 +940,6 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
         passed=not mismatches,
         witnesses=witnesses,
         breakdown={"efx_allocations": column.count(2)},
-        started=started,
     )
 
 
@@ -996,7 +986,6 @@ def verify_transfer(
     """
     if cardinal_profile.ordinal != ordinal_profile.ordinal:
         raise ValueError("cardinal profile must realize the given ordinal profile")
-    started = time.perf_counter()
     ranks = ordinal_profile.ordinal.rank_tables
     keys = profile_value_keys(cardinal_profile)
     triples = _ordinal_triples(ranks)
@@ -1029,7 +1018,6 @@ def verify_transfer(
         passed=passed,
         witnesses=witnesses,
         breakdown={"ordinal_witness_triples": triples},
-        started=started,
     )
 
 

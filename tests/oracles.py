@@ -199,3 +199,38 @@ def naive_transfer(rank_tables, value) -> tuple[int, list]:
                         if not value(i, reduced) > value(i, own):
                             violations.append((allocation, i, j, g))
     return triples, violations
+
+
+def scaled_pair_groups(exponent_tables) -> dict[frozenset, list[int]]:
+    """Allocation counters grouped by the set of (own, reduced) level
+    exponents that the scaled condition must hold on: for every agent i,
+    other agent j and good g in X_j, the pair (e_i(X_i), e_i(X_j - g)).
+    Good g goes to agent digit g of the counter in base 3; an exponent of
+    None is the zero value.  Counters within a group ascend."""
+    groups: dict[frozenset, list[int]] = {}
+    for counter in range(3**8):
+        owners = [counter // 3**g % 3 for g in range(8)]
+        allocation = tuple(sum(1 << g for g in range(8) if owners[g] == agent) for agent in range(3))
+        pairs = frozenset(
+            (exponent_tables[i][allocation[i]], exponent_tables[i][allocation[j] - (1 << g)])
+            for i in range(3)
+            for j in range(3)
+            if j != i
+            for g in range(8)
+            if owners[g] == j
+        )
+        groups.setdefault(pairs, []).append(counter)
+    return groups
+
+
+def scaled_efx_counters(groups: dict[frozenset, list[int]], holds) -> list[int]:
+    """Counters, ascending, of the allocations whose every pair satisfies
+    holds(own exponent, reduced exponent); holds is asked once per
+    distinct pair."""
+    decided = {pair: holds(*pair) for pair in frozenset().union(*groups)}
+    return sorted(
+        counter
+        for pairs, counters in groups.items()
+        if all(decided[pair] for pair in pairs)
+        for counter in counters
+    )

@@ -122,7 +122,7 @@ def test_json_reports_roundtrip():
     reports = [VerdictReport.from_dict(entry) for entry in json.loads(out)]
     assert len(reports) == 1
     assert reports[0].passed
-    assert json.loads(out)[0] == reports[0].to_dict(deterministic=True)
+    assert json.loads(out)[0] == reports[0].to_dict()
 
 
 def test_csv_reports_parse():
@@ -328,6 +328,17 @@ def test_non_utf8_template_exits_two_naming_the_path(tmp_path):
     assert "template error" in err
     assert str(path) in err
     assert "UTF-8" in err
+
+
+def test_oversized_template_exits_two_naming_the_path(tmp_path):
+    # The bundled document is valid JSON on its own, and trailing
+    # whitespace keeps it so: only the length bound can reject it.
+    path = tmp_path / "padded.json"
+    path.write_text(bundled_instance_text() + " " * (1 << 20), encoding="utf-8")
+    code, out, err = run_cli(["template", str(path), "verify"])
+    assert code == 2
+    assert out == ""
+    assert f"template error at {path}: document longer than" in err
 
 
 def test_oversized_alpha_is_rejected_before_scanning():

@@ -36,8 +36,12 @@ BUILTIN_COMMANDS = (
     ("alpha-star",),
     ("tables",),
 )
-# Both sides of the level base 2^(-1/6) ~ 0.890899.
-ALPHAS = ("9/10", "0.95", "1", "lambda^1/2", "0.8909", "lambda^1", "1/2", "0.8908", "lambda^2")
+# Both sides of the level base 2^(-1/6) ~ 0.890899, and every scale slack
+# from 0 to the built-in top rank 7 (1/10 is below every reachable power).
+ALPHAS = (
+    "9/10", "0.95", "1", "lambda^1/2", "0.8909", "lambda^1", "1/2", "0.8908", "lambda^2",
+    "lambda^3", "lambda^4", "lambda^5", "1/10",
+)
 # Single pair-rank cells of the built-in template, drawn once with a fixed
 # seed from the mutations that do have EFX allocations, so that witness
 # order is pinned on nonempty EFX sets.

@@ -5,8 +5,7 @@ the way the checks worked before they learned to skip rows that an exact
 bound rules out and to stop once their witnesses are full.  Each reference
 runs once at the largest witness limit; its report at a smaller limit is
 the same report with the witness list cut to that limit, because the loops
-record witnesses in scan order.  Reports are compared whole, apart from
-elapsed_ms.
+record witnesses in scan order.  Reports are compared whole.
 
 Subjects: the built-in tables, seeded random tables (many of which fail,
 with None exponents on nonempty bundles, a non-None exponent on the empty
@@ -209,17 +208,13 @@ def reference_suite(profile: Profile, witness_limit: int) -> list[VerdictReport]
     return reports
 
 
-def untimed(report: VerdictReport) -> VerdictReport:
-    return dataclasses.replace(report, elapsed_ms=0)
-
-
 def assert_matches(check, reference, *tables):
     """check at every witness limit equals the reference's full report
     cut to that limit."""
     full = reference(*tables, "claim", witness_limit=max(WITNESS_LIMITS))
     for limit in WITNESS_LIMITS:
         expected = dataclasses.replace(full, witnesses=full.witnesses[:limit])
-        assert untimed(check(*tables, "claim", witness_limit=limit)) == expected, limit
+        assert check(*tables, "claim", witness_limit=limit) == expected, limit
 
 
 def assert_subadditive_matches(table):
@@ -347,8 +342,7 @@ def test_random_tables_cover_both_verdicts():
     "profile", template_profiles(), ids=[f"seed{s}-{k}" for s in TEMPLATE_SEEDS for k in ("sub", "cov")]
 )
 def test_template_suites_match_reference(profile, limit):
-    found = [untimed(report) for report in property_reports(profile, witness_limit=limit)]
-    assert found == [untimed(report) for report in reference_suite(profile, limit)]
+    assert property_reports(profile, witness_limit=limit) == reference_suite(profile, limit)
 
 
 # --- generated tables ------------------------------------------------------------

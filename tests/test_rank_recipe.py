@@ -14,9 +14,10 @@ dividing 3.
 The generated templates also drive the EFX reads of efxcheck.verify (the
 no-EFX scan, the deficit profile, cyclic symmetry, is_efx and
 strong_envy_witness) against a reference on frozensets over the literal
-ranks, the 1/2-scaled scan against a theorem, and strict-order transfer
-under both cardinal realizations against the per-allocation loop of
-oracles.naive_transfer.
+ranks, the scaled scan at every slack against exponent pairs of the
+literal ranks decided by compare_scaled, the 1/2-scaled scan against a
+theorem, and strict-order transfer under both cardinal realizations
+against the per-allocation loop of oracles.naive_transfer.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import identical_agents_doc, random_template_doc
-from oracles import literal_profile, naive_transfer
+from oracles import literal_profile, naive_transfer, scaled_efx_counters, scaled_pair_groups
 
-from efxcheck.cardinal import ApproxFactor, build_coverage, build_subadditive
+from efxcheck.cardinal import ApproxFactor, LevelValue, build_coverage, build_subadditive, compare_scaled
 from efxcheck.core import ALL_BUNDLES, GOODS, N_ALLOCATIONS
 from efxcheck.ordinal import build_profile, bundled_instance_text, parse_template
 from efxcheck.verify import (
@@ -61,6 +62,10 @@ def _goods(bundle: int) -> frozenset[int]:
 
 def _mask(goods: frozenset[int]) -> int:
     return sum(1 << g for g in goods)
+
+
+def level(exponent: int | None) -> LevelValue:
+    return LevelValue.zero() if exponent is None else LevelValue.power(exponent)
 
 
 def _assert_matches_literal_recipe(doc: dict) -> None:
@@ -220,6 +225,9 @@ def test_generated_templates_efx_reads_match_set_based_reference(doc):
     deficit = compute_deficit_profile(profile)
     assert deficit.d_star == min(deficits)
     assert dict(deficit.histogram) == {d: deficits.count(d) for d in set(deficits)}
+    assert deficit.min_deficit_all_nonempty == min(
+        gap for bundles, gap in zip(allocations, deficits) if all(bundles)
+    )
 
     for bundles, gap, witness in zip(allocations, deficits, witnesses):
         allocation = tuple(_mask(bundle) for bundle in bundles)
@@ -249,9 +257,26 @@ def test_generated_templates_efx_reads_match_set_based_reference(doc):
     # With top_rank <= 7 every nonempty level value lies in [1/2, 1], so
     # the level realization is subadditive, and a 1/2-scaled EFX
     # allocation exists (Plaut and Roughgarden, SODA 2018).
+    levels = Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal))
     if doc["top_rank"] <= 7:
-        levels = Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal))
         assert not verify_no_alpha_efx(levels, ApproxFactor.parse("1/2"), witness_limit=0).passed
+
+    # The scaled scan at every slack against the exponent pairs of the
+    # literal ranks (top_rank - rank, None for the empty bundle), each
+    # decided by compare_scaled.
+    ranks, _, _ = literal_profile(doc)
+    top = doc["top_rank"]
+    groups = scaled_pair_groups(
+        [tuple(top - ranks[i][_goods(b)] if b else None for b in ALL_BUNDLES) for i in range(3)]
+    )
+    for slack in range(top + 1):
+        alpha = ApproxFactor.parse(f"lambda^{slack}")
+        holds = scaled_efx_counters(groups, lambda own, reduced: compare_scaled(level(own), alpha, level(reduced)))
+        report = verify_no_alpha_efx(levels, alpha, witness_limit=10)
+        assert dict(report.breakdown)["alpha_efx_allocations"] == len(holds), slack
+        assert [w.allocation for w in report.witnesses] == [
+            tuple(tuple(sorted(bundle)) for bundle in allocations[counter]) for counter in holds[:10]
+        ], slack
 
 
 @HYPOTHESIS_TRANSFER

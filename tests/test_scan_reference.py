@@ -18,7 +18,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import identical_agents_doc, random_template_doc
-from oracles import naive_efx_feasible, naive_is_efx
+from oracles import naive_efx_feasible, naive_is_efx, scaled_efx_counters, scaled_pair_groups
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_coverage, build_subadditive, compare_scaled
 from efxcheck.core import N_AGENTS, N_ALLOCATIONS, allocation_from_counter, members
@@ -126,26 +126,16 @@ def reference_deficits(profile: Profile) -> tuple[int, ...]:
 
 def reference_scaled_counts(profile: Profile) -> dict[str, int]:
     """Scaled-EFX count per factor.  Allocations are grouped by the set of
-    (own, reduced) level exponents they must satisfy, and each distinct
-    pair is decided by compare_scaled once per factor."""
-    exponents = profile.subadditive.exponent_tables
-    groups: dict[frozenset, int] = {}
-    for counter in range(N_ALLOCATIONS):
-        allocation = allocation_from_counter(counter)
-        pairs = frozenset(
-            (exponents[i][own], exponents[i][reduced])
-            for i in range(N_AGENTS)
-            for own, reduced in strong_envy_pairs(allocation, i)
-        )
-        groups[pairs] = groups.get(pairs, 0) + 1
+    (own, reduced) level exponents they must satisfy
+    (oracles.scaled_pair_groups), and each distinct pair is decided by
+    compare_scaled once per factor."""
+    groups = scaled_pair_groups(profile.subadditive.exponent_tables)
     counts = {}
     for text in FACTORS:
         alpha = ApproxFactor.parse(text)
-        holds = {
-            pair: compare_scaled(level(pair[0]), alpha, level(pair[1]))
-            for pair in frozenset().union(*groups)
-        }
-        counts[text] = sum(n for pairs, n in groups.items() if all(holds[pair] for pair in pairs))
+        counts[text] = len(
+            scaled_efx_counters(groups, lambda own, reduced: compare_scaled(level(own), alpha, level(reduced)))
+        )
     return counts
 
 

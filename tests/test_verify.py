@@ -120,6 +120,23 @@ def test_alpha_requires_subadditive_profile():
         verify_no_alpha_efx(builtin("ordinal"), ApproxFactor.parse("9/10"))
 
 
+def test_alpha_refuses_a_zero_value_on_a_nonempty_bundle():
+    # The scaled scan drops every allocation with an empty bundle because
+    # each nonempty bundle is worth more than nothing; a payload without
+    # that premise, which the normalization property also rejects, is
+    # refused rather than scanned.
+    sub = builtin("subadditive")
+    tables = sub.subadditive.exponent_tables
+    zeroed = tables[1][:9] + (None,) + tables[1][10:]
+    doctored = dataclasses.replace(
+        sub, subadditive=dataclasses.replace(sub.subadditive, exponent_tables=(tables[0], zeroed, tables[2]))
+    )
+    assert [r.passed for r in property_reports(doctored) if r.claim == "normalized(level_value[1])"] == [False]
+    for factor in ("1", "1/2", "1/10"):
+        with pytest.raises(ValueError, match="nonempty bundle"):
+            verify_no_alpha_efx(doctored, ApproxFactor.parse(factor))
+
+
 def test_alpha_factor_range_is_enforced_upstream():
     for bad in ("0", "-1/2", "7/5"):
         with pytest.raises(ValueError):
@@ -190,6 +207,21 @@ def test_deficit_vector_spot_checks():
 
 def test_deficit_of_degenerate_allocation_is_seven():
     assert _deficit_of((FULL_BUNDLE, 0, 0), builtin_profile()) == 7
+
+
+def test_min_deficit_all_nonempty_skips_allocations_with_an_empty_bundle():
+    # On the built-ins both minima are 1.  Agent 0 ranking the empty bundle
+    # above everything makes an empty first bundle cost that agent
+    # nothing, and the other two agents then have an EFX split of all 8
+    # goods, so d* drops to 0; no allocation without an empty bundle gains.
+    base = builtin_profile()
+    skewed = dataclasses.replace(base, rank_tables=((100,) + base.rank_tables[0][1:],) + base.rank_tables[1:])
+    deficit = compute_deficit_profile(Profile(kind="ordinal", ordinal=skewed))
+    nonempty = [
+        _deficit_of(allocation, skewed) for allocation in enumerate_allocations() if 0 not in allocation
+    ]
+    assert deficit.d_star == 0
+    assert deficit.min_deficit_all_nonempty == min(nonempty) == 1
 
 
 def test_no_efx_pass_iff_d_star_positive():
@@ -409,9 +441,8 @@ def test_lemma_reports_all_pass():
 
 def test_report_json_roundtrip():
     report = verify_no_efx(_identical_profile(), witness_limit=3)
-    normalized = dataclasses.replace(report, elapsed_ms=0)
-    parsed = VerdictReport.from_dict(json.loads(json.dumps(normalized.to_dict())))
-    assert parsed == normalized
+    parsed = VerdictReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    assert parsed == report
 
 
 def test_witness_limit_respected():
