@@ -16,20 +16,21 @@ Two valuation families share the built-in ordinal instance:
   powers of the cyclic relabeling, so evaluation never permutes the
   queried bundle.
 
-Nothing here uses floating point.
+Nothing here uses floating point.  fractions is imported where a
+factor is parsed or an exact sign is decided, not with this module: most
+commands need neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterable
 from functools import lru_cache, total_ordering
-from typing import Iterable
 
 from .core import (
     ALL_BUNDLES,
     N_AGENTS,
     Bundle,
+    Record,
     apply_permutation,
     bundle_of,
     invert_permutation,
@@ -38,12 +39,9 @@ from .core import (
 )
 from .ordinal import OrdinalProfile, builtin_profile, support_representatives
 
-# Dyadic bracket for the level base q = 2**(-1/6), used to seed the
-# certified interval refinement in AlgebraicValue.sign.
-_LEVEL_BASE_LOW = Fraction(89, 100)
-_LEVEL_BASE_HIGH = Fraction(8_909_830_057, 10_000_000_000)
-_HALF = Fraction(1, 2)
-assert _LEVEL_BASE_LOW**6 < _HALF < _LEVEL_BASE_HIGH**6
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest digit count of a parsed factor's numerator or denominator:
 # Python's default limit for converting an int to a decimal string.
@@ -51,8 +49,7 @@ MAX_FACTOR_DIGITS = 4300
 
 
 @total_ordering
-@dataclass(frozen=True)
-class LevelValue:
+class LevelValue(Record):
     """Zero, or the exponent e of a value q**e with q = 2**(-1/6).
 
     Ordering mirrors the numeric order: zero below everything, and a
@@ -87,8 +84,7 @@ class LevelValue:
         return "0" if self.exponent is None else f"lambda^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class ApproxFactor:
+class ApproxFactor(Record):
     """A factor in (0, 1]: either an exact rational, or q**t for rational t >= 0."""
 
     rational: Fraction | None = None
@@ -104,10 +100,14 @@ class ApproxFactor:
 
     @classmethod
     def from_rational(cls, value: Fraction | int | str) -> "ApproxFactor":
+        from fractions import Fraction
+
         return cls(rational=Fraction(value))
 
     @classmethod
     def from_level_exponent(cls, exponent: Fraction | int | str) -> "ApproxFactor":
+        from fractions import Fraction
+
         return cls(level_exponent=Fraction(exponent))
 
     @classmethod
@@ -133,6 +133,8 @@ class ApproxFactor:
 
 
 def _bounded_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     _, marker, exponent = text.lower().partition("e")
     if marker:
         try:
@@ -169,19 +171,31 @@ def compare_scaled(a: LevelValue, alpha: ApproxFactor, b: LevelValue) -> bool:
     return gap <= alpha.level_exponent  # type: ignore[operator]
 
 
-_ZERO6 = (Fraction(0),) * 6
+_ZERO6 = (0,) * 6
 
 
-@dataclass(frozen=True)
-class AlgebraicValue:
+@lru_cache(maxsize=1)
+def _level_base_bracket() -> tuple[Fraction, Fraction, Fraction]:
+    """A dyadic bracket (low, high) for the level base q = 2**(-1/6), and
+    q**6 = 1/2, used to seed the certified interval refinement in
+    AlgebraicValue.sign."""
+    from fractions import Fraction
+
+    low, high, half = Fraction(89, 100), Fraction(8_909_830_057, 10_000_000_000), Fraction(1, 2)
+    assert low**6 < half < high**6
+    return low, high, half
+
+
+class AlgebraicValue(Record):
     """Element of the ring generated by q = 2**(-1/6) over the rationals.
 
     Stored as rational coefficients (c0, ..., c5) of 1, q, ..., q**5 after
-    reduction by q**6 = 1/2.  The representation is canonical (q has
-    degree 6), so equality is coefficient-wise.
+    reduction by q**6 = 1/2; a zero coefficient may be the int 0.  The
+    representation is canonical (q has degree 6), so equality is
+    coefficient-wise.
     """
 
-    coeffs: tuple[Fraction, ...] = _ZERO6
+    coeffs: tuple[Fraction | int, ...] = _ZERO6
 
     @classmethod
     def zero(cls) -> "AlgebraicValue":
@@ -191,8 +205,10 @@ class AlgebraicValue:
     def from_level_exponent(cls, exponent: int) -> "AlgebraicValue":
         if exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {exponent}")
+        from fractions import Fraction
+
         whole, rest = divmod(exponent, 6)
-        coeffs = [Fraction(0)] * 6
+        coeffs: list[Fraction | int] = [0] * 6
         coeffs[rest] = Fraction(1, 2**whole)
         return cls(tuple(coeffs))
 
@@ -225,7 +241,7 @@ class AlgebraicValue:
         """
         if self.is_zero:
             return 0
-        low, high = _LEVEL_BASE_LOW, _LEVEL_BASE_HIGH
+        low, high, half = _level_base_bracket()
         for _ in range(10_000):
             low_powers = _endpoint_powers(low)
             high_powers = _endpoint_powers(high)
@@ -242,15 +258,15 @@ class AlgebraicValue:
             if upper < 0:
                 return -1
             mid = (low + high) / 2
-            if mid**6 > _HALF:
+            if mid**6 > half:
                 high = mid
             else:
                 low = mid
         raise RuntimeError("interval refinement failed to resolve a nonzero sign")
 
 
-def _endpoint_powers(point: Fraction) -> tuple[Fraction, ...]:
-    powers = [Fraction(1)]
+def _endpoint_powers(point: Fraction) -> tuple[Fraction | int, ...]:
+    powers: list[Fraction | int] = [1]
     for _ in range(5):
         powers.append(powers[-1] * point)
     return tuple(powers)
@@ -265,7 +281,7 @@ def level_sum_compare(values: Iterable[LevelValue], target: LevelValue) -> int:
     return total.sign()
 
 
-def level_power_decimal(exponent: Fraction, digits: int = 10) -> str:
+def level_power_decimal(exponent: Fraction | int, digits: int = 10) -> str:
     """Decimal rendering of q**exponent truncated toward zero.
 
     For exponent n/d the result is the largest m with m**(6*d) * 2**n
@@ -294,8 +310,7 @@ def level_power_decimal(exponent: Fraction, digits: int = 10) -> str:
 # Level-value (subadditive) profile
 
 
-@dataclass(frozen=True)
-class SubadditiveProfile:
+class SubadditiveProfile(Record):
     """Per-agent level values derived from an ordinal profile.
 
     exponent_tables[i][bundle] is top_rank - rank, or None for the empty
@@ -330,8 +345,7 @@ def subadditive_value(agent: int, bundle: Bundle, profile: OrdinalProfile) -> Le
 # Weighted coverage profile
 
 
-@dataclass(frozen=True)
-class CoverageAtom:
+class CoverageAtom(Record):
     covered: Bundle
     weight: int
 
@@ -353,8 +367,7 @@ BASE_COVERAGE_ATOMS: tuple[CoverageAtom, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CoverageProfile:
+class CoverageProfile(Record):
     """Per-agent atom lists (pre-relabeled) and memoized value tables."""
 
     atoms: tuple[tuple[CoverageAtom, ...], ...]

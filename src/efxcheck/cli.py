@@ -29,7 +29,6 @@ scan runs in this process.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -142,6 +141,8 @@ def reports_to_json(reports: list[VerdictReport]) -> str:
 
 
 def reports_to_csv(reports: list[VerdictReport]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["claim", "universe", "checked", "verdict", "witnesses", "breakdown", "elapsed_ms"])
@@ -211,6 +212,8 @@ def emit_tables(artifacts: list[TableArtifact], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps([a.to_dict() for a in artifacts], indent=2, sort_keys=True))
     elif fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["table", "row", "cells"])

@@ -8,13 +8,14 @@ triple of pairwise-disjoint bundles covering all eight goods; the
 every scan is reproducible run to run.  Which goods share a type, and
 which permutation relabels them, is a template's to say (efxcheck.ordinal).
 
-All values here are immutable.
+All values here are immutable, and Record is the base of every value
+type the other modules define.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 Bundle = int
 Allocation = tuple[int, int, int]
@@ -27,6 +28,77 @@ FULL_BUNDLE: Bundle = (1 << N_GOODS) - 1
 ALL_BUNDLES: tuple[Bundle, ...] = tuple(range(1 << N_GOODS))
 N_ALLOCATIONS: int = N_AGENTS**N_GOODS
 IDENTITY_PERMUTATION: tuple[int, ...] = tuple(range(N_GOODS))
+
+
+class Record:
+    """Base of an immutable value type.
+
+    A subclass names its fields by class annotations, in order, and gives
+    a field a default by a class attribute of the same name.  Fields are
+    passed by position or keyword; __post_init__ then runs, so a subclass
+    can validate them.  Assigning or deleting an attribute raises
+    AttributeError.  Two records are equal when they are of the same
+    class with equal fields, and a record hashes as its field tuple, so
+    it is never equal to a plain tuple.  replace() gives a changed copy.
+
+    It stands in for frozen dataclasses, which cost a fresh process more
+    to import and apply than the rest of efxcheck's import together.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        cls._fields = tuple(own.get("__annotations__", ()))
+        cls._defaults = {name: own[name] for name in cls._fields if name in own}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif field in self._defaults:
+                values[field] = self._defaults[field]
+            else:
+                raise TypeError(f"{name} missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{name} got unknown or repeated fields {sorted(kwargs)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, field: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {field!r} of a {type(self).__qualname__}")
+
+    def __delattr__(self, field: str) -> None:
+        raise AttributeError(f"cannot delete field {field!r} of a {type(self).__qualname__}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={value!r}" for field, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, validated again."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
 
 def bundle_of(goods: Iterable[int]) -> Bundle:

@@ -34,10 +34,9 @@ allocation lives in efxcheck.verify.
 from __future__ import annotations
 
 import json
+import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations
 
 from .core import (
@@ -46,6 +45,7 @@ from .core import (
     N_AGENTS,
     N_GOODS,
     Bundle,
+    Record,
     apply_permutation,
     is_permutation,
     members,
@@ -85,8 +85,7 @@ def is_exceptional(bundle: Bundle) -> bool:
     return bundle in _exceptional_bundles(builtin_template())
 
 
-@dataclass(frozen=True)
-class InstanceTemplate:
+class InstanceTemplate(Record):
     """Construction recipe for a cyclic three-agent rank profile.
 
     type_goods lists every type with its goods, multi-good types first and
@@ -117,8 +116,7 @@ class InstanceTemplate:
         return dict(self.pair_ranks)
 
 
-@dataclass(frozen=True)
-class OrdinalProfile:
+class OrdinalProfile(Record):
     """Three memoized rank functions plus the tables they were built from.
 
     rank_tables[i][bundle] answers agent i in O(1); bundle_images[i] maps a
@@ -471,5 +469,8 @@ def load_template_file(path: str) -> tuple[InstanceTemplate, OrdinalProfile]:
 
 
 def bundled_instance_text() -> str:
-    """The built-in instance's template document as shipped."""
-    return resources.files(__package__).joinpath("paper_instance.json").read_text("utf-8")
+    """The built-in instance's template document as shipped, read from
+    beside this module."""
+    path = os.path.join(os.path.dirname(__file__), "paper_instance.json")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()

@@ -10,11 +10,10 @@ construction pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cardinal import support_value_table
-from .core import GOODS, bundle_of, members
+from .core import GOODS, Record, bundle_of, members
 from .ordinal import InstanceTemplate, OrdinalProfile, builtin_profile
 
 # Pair-rank matrices for the three agents, row/column order A, B, C, x, y.
@@ -63,8 +62,7 @@ EXPECTED_SUPPORT_ROWS: dict[int, tuple[tuple[int, ...], tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class TableArtifact:
+class TableArtifact(Record):
     table_id: str
     title: str
     rows: tuple[tuple, ...]

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations, compress, islice, starmap
 from operator import gt, le
-from typing import Callable, Iterable, Iterator
 
 from .cardinal import (
     ApproxFactor,
@@ -62,6 +61,7 @@ from .core import (
     N_GOODS,
     Allocation,
     Bundle,
+    Record,
     allocation_from_counter,
     members,
     one_good_reductions,
@@ -85,8 +85,7 @@ GOLDEN_D_STAR_ARGMIN_COUNT = 600
 GOLDEN_MIN_DEFICIT_ALL_NONEMPTY = 1
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """A verification subject: an ordinal profile, optionally realized
     by one of the two cardinal families."""
 
@@ -148,8 +147,7 @@ def display_value(profile: Profile, agent: int, bundle: Bundle) -> int | str:
 # Reports
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One re-verifiable violation (or one claimed object, for existence
     claims).  Unused fields stay None."""
 
@@ -190,8 +188,7 @@ class Witness:
         )
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(Record):
     """Outcome of one exhaustive check.
 
     breakdown is a sorted tuple of (key, count) pairs so reports are
@@ -491,8 +488,7 @@ def verify_no_alpha_efx(
 # --- deficit profile ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeficitProfile:
+class DeficitProfile(Record):
     """Worst rank deficits per allocation, aggregated.
 
     deficits[counter] is the largest envy gap max(0, rank_i(other minus
@@ -517,9 +513,7 @@ class DeficitProfile:
         return f"2^(-{self.d_star}/6)"
 
     def alpha_star_decimal(self, digits: int = 10) -> str:
-        from fractions import Fraction
-
-        return level_power_decimal(Fraction(self.d_star), digits)
+        return level_power_decimal(self.d_star, digits)
 
 
 def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> DeficitProfile:

@@ -1,6 +1,5 @@
 """Level values, exact comparisons, and the coverage valuation."""
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -278,7 +277,7 @@ def test_support_value_table_rows():
 def test_support_value_table_rejects_a_split_support(monkeypatch):
     # Good 3 shares type A with good 0; valuing {3} apart splits support A.
     coverage = builtin_coverage()
-    doctored = dataclasses.replace(coverage, value_tables=(
+    doctored = coverage.replace(value_tables=(
         tuple(v + (bundle == bundle_of((3,))) for bundle, v in enumerate(coverage.value_tables[0])),
     ) + coverage.value_tables[1:])
     monkeypatch.setattr(cardinal, "builtin_coverage", lambda: doctored)

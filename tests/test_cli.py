@@ -370,6 +370,16 @@ def test_cli_import_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_unneeded_modules_unloaded():
+    # -S keeps site-packages' .pth files from importing any of these first.
+    unneeded = ("dataclasses", "inspect", "csv", "importlib.resources", "typing", "fractions")
+    probe = f"import sys, efxcheck.cli; print([m for m in {unneeded!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=_source_env(), capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_workers_help_says_the_option_is_ignored():
     _, help_text, _ = run_cli(["verify", "--help"])
     assert "--workers" in help_text and "ignored" in help_text

@@ -1,17 +1,21 @@
-"""Goods, bundles, permutations, allocations, and the enumerator."""
+"""Goods, bundles, permutations, allocations, the enumerator, and the Record base."""
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from oracles import RELABELING, SIGMA, TYPE_BY_GOOD
 
+from efxcheck.cardinal import ApproxFactor, CoverageAtom, LevelValue
 from efxcheck.core import (
     ALL_BUNDLES,
     FULL_BUNDLE,
     GOODS,
     N_ALLOCATIONS,
+    Record,
     allocation_from_counter,
     apply_permutation,
     bundle_of,
@@ -22,7 +26,8 @@ from efxcheck.core import (
     members,
     permutation_power,
 )
-from efxcheck.ordinal import rotate_allocation, support_of, type_of
+from efxcheck.ordinal import builtin_profile, rotate_allocation, support_of, type_of
+from efxcheck.verify import Profile, builtin, profile_value_keys
 
 
 def _sizes(allocation):
@@ -154,3 +159,86 @@ def test_all_pairs_disjoint_cover():
         for a, b in combinations((x0, x1, x2), 2):
             assert a & b == 0
         assert x0 | x1 | x2 == FULL_BUNDLE
+
+
+class _Pair(Record):
+    first: int
+    second: int = 0
+
+
+class _OtherPair(Record):
+    first: int
+    second: int = 0
+
+
+def test_record_fields_come_from_annotations_and_class_defaults():
+    assert _Pair._fields == ("first", "second")
+    assert _Pair(1) == _Pair(first=1, second=0) == _Pair(1, 0)
+    assert _Pair(1, 2).second == 2
+    assert repr(_Pair(1, 2)) == "_Pair(first=1, second=2)"
+    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((1,), {"first": 1}), ((1,), {"third": 3})):
+        with pytest.raises(TypeError):
+            _Pair(*args, **kwargs)
+
+
+def test_record_equality_needs_the_same_class_and_fields():
+    assert _Pair(1, 2) == _Pair(1, 2) and hash(_Pair(1, 2)) == hash(_Pair(1, 2))
+    assert _Pair(1, 2) != _Pair(2, 1)
+    assert _Pair(1, 2) != _OtherPair(1, 2)
+    assert _Pair(1, 2) != (1, 2) and (1, 2) != _Pair(1, 2)
+    assert CoverageAtom(3, 1) != _Pair(3, 1)
+    assert len({_Pair(1, 2), _Pair(1, 2), _OtherPair(1, 2)}) == 2
+
+
+def test_record_keeps_level_value_order():
+    # Equality and order are LevelValue's own, not a tuple's.
+    assert LevelValue.zero() < LevelValue.power(7) < LevelValue.power(0)
+    assert LevelValue.power(3) <= LevelValue.power(3) and not LevelValue.power(3) < LevelValue.power(3)
+    assert LevelValue.power(3) != (3,)
+
+
+def test_records_are_frozen():
+    atom = CoverageAtom(3, 1)
+    with pytest.raises(AttributeError):
+        atom.weight = 2
+    with pytest.raises(AttributeError):
+        del atom.weight
+    with pytest.raises(AttributeError):
+        builtin("ordinal").kind = "coverage"
+    assert atom == CoverageAtom(3, 1)
+
+
+def test_record_replace_copies_and_validates_again():
+    atom = CoverageAtom(3, 1)
+    assert atom.replace(weight=2) == CoverageAtom(3, 2)
+    assert atom == CoverageAtom(3, 1)
+    ordinal = builtin("ordinal")
+    assert ordinal.replace(kind="ordinal") == ordinal
+    with pytest.raises(ValueError, match="subadditive profile payload missing"):
+        ordinal.replace(kind="subadditive")
+    with pytest.raises(ValueError, match=r"factor must lie in \(0, 1\]"):
+        ApproxFactor.parse("9/10").replace(rational=Fraction(2))
+    with pytest.raises(TypeError):
+        atom.replace(colour=1)
+
+
+def test_invalid_profile_and_factor_still_raise():
+    with pytest.raises(ValueError, match="unknown profile kind"):
+        Profile(kind="cardinal", ordinal=builtin_profile())
+    with pytest.raises(ValueError, match="coverage profile payload missing"):
+        Profile(kind="coverage", ordinal=builtin_profile())
+    with pytest.raises(ValueError, match="exactly one of"):
+        ApproxFactor()
+    with pytest.raises(ValueError, match="exactly one of"):
+        ApproxFactor(rational=Fraction(1, 2), level_exponent=Fraction(0))
+    with pytest.raises(ValueError, match="non-negative"):
+        ApproxFactor.from_level_exponent(-1)
+
+
+def test_equal_profiles_share_an_lru_cache_entry():
+    keys = lru_cache(maxsize=None)(profile_value_keys)
+    first = keys(builtin("ordinal"))
+    assert keys(Profile(kind="ordinal", ordinal=builtin_profile())) is first
+    assert keys.cache_info().hits == 1
+    assert keys(builtin("subadditive")) is not first
+    assert keys.cache_info().misses == 2

@@ -15,7 +15,6 @@ Hypothesis with a fixed seed and no example database.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from functools import lru_cache, partial
 
@@ -213,7 +212,7 @@ def assert_matches(check, reference, *tables):
     cut to that limit."""
     full = reference(*tables, "claim", witness_limit=max(WITNESS_LIMITS))
     for limit in WITNESS_LIMITS:
-        expected = dataclasses.replace(full, witnesses=full.witnesses[:limit])
+        expected = full.replace(witnesses=full.witnesses[:limit])
         assert check(*tables, "claim", witness_limit=limit) == expected, limit
 
 

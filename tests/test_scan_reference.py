@@ -12,7 +12,6 @@ coverage realizations.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -212,9 +211,7 @@ def test_cyclic_mismatches_match_reference():
     # the EFX status of some allocations.
     base = builtin_profile()
     _, flat = load_template(identical_agents_doc())
-    skewed = dataclasses.replace(
-        base, rank_tables=(base.rank_tables[0], flat.rank_tables[1], base.rank_tables[2])
-    )
+    skewed = base.replace(rank_tables=(base.rank_tables[0], flat.rank_tables[1], base.rank_tables[2]))
     expected = [
         counter
         for counter in range(N_ALLOCATIONS)

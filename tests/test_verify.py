@@ -1,7 +1,6 @@
 """Checker verdicts: built-in theorems pass, doctored inputs fail with
 re-verifiable witnesses, and reports merge deterministically."""
 
-import dataclasses
 import json
 
 import pytest
@@ -128,9 +127,7 @@ def test_alpha_refuses_a_zero_value_on_a_nonempty_bundle():
     sub = builtin("subadditive")
     tables = sub.subadditive.exponent_tables
     zeroed = tables[1][:9] + (None,) + tables[1][10:]
-    doctored = dataclasses.replace(
-        sub, subadditive=dataclasses.replace(sub.subadditive, exponent_tables=(tables[0], zeroed, tables[2]))
-    )
+    doctored = sub.replace(subadditive=sub.subadditive.replace(exponent_tables=(tables[0], zeroed, tables[2])))
     assert [r.passed for r in property_reports(doctored) if r.claim == "normalized(level_value[1])"] == [False]
     for factor in ("1", "1/2", "1/10"):
         with pytest.raises(ValueError, match="nonempty bundle"):
@@ -215,7 +212,7 @@ def test_min_deficit_all_nonempty_skips_allocations_with_an_empty_bundle():
     # nothing, and the other two agents then have an EFX split of all 8
     # goods, so d* drops to 0; no allocation without an empty bundle gains.
     base = builtin_profile()
-    skewed = dataclasses.replace(base, rank_tables=((100,) + base.rank_tables[0][1:],) + base.rank_tables[1:])
+    skewed = base.replace(rank_tables=((100,) + base.rank_tables[0][1:],) + base.rank_tables[1:])
     deficit = compute_deficit_profile(Profile(kind="ordinal", ordinal=skewed))
     nonempty = [
         _deficit_of(allocation, skewed) for allocation in enumerate_allocations() if 0 not in allocation
@@ -382,9 +379,7 @@ def test_transfer_empty_bundle_case():
     for lowered, rank in ((bundle_of((0, 7)), 6), (bundle_of((0,)), 1)):
         assert base.ordinal.rank_tables[0][lowered] == rank
         table = tuple(0 if bundle == lowered else v for bundle, v in enumerate(base.coverage.value_tables[0]))
-        doctored = dataclasses.replace(base, coverage=dataclasses.replace(
-            base.coverage, value_tables=(table,) + base.coverage.value_tables[1:]
-        ))
+        doctored = base.replace(coverage=base.coverage.replace(value_tables=(table,) + base.coverage.value_tables[1:]))
         triples, violations = naive_transfer(doctored.ordinal.rank_tables, doctored.coverage.value)
         assert any(allocation[i] == 0 for allocation, i, _, _ in violations)
         report = verify_transfer(builtin("ordinal"), doctored, witness_limit=10)
