@@ -160,10 +160,14 @@ def reports_to_csv(reports: list[VerdictReport]) -> str:
     return buffer.getvalue()
 
 
+def _allocation_text(allocation: tuple[tuple[int, ...], ...]) -> str:
+    return " | ".join("{" + ",".join(map(str, bundle)) + "}" for bundle in allocation)
+
+
 def _witness_line(witness: Witness) -> str:
     parts = []
     if witness.allocation is not None:
-        parts.append(" | ".join("{" + ",".join(map(str, bundle)) + "}" for bundle in witness.allocation))
+        parts.append(_allocation_text(witness.allocation))
     if witness.bundle_s is not None:
         parts.append(f"S={{{','.join(map(str, witness.bundle_s))}}}")
     if witness.bundle_t is not None:
@@ -269,14 +273,13 @@ def cmd_alpha_star(args: argparse.Namespace) -> int:
         and deficit.argmin_counters[:1] == (GOLDEN_D_STAR_ARGMIN_COUNTER,)
         and deficit.min_deficit_all_nonempty == GOLDEN_MIN_DEFICIT_ALL_NONEMPTY
     )
-    argmin = deficit.argmin_allocations()[:1]
     witnesses = tuple(
         Witness(
             allocation=tuple(members(bundle) for bundle in allocation),
             lhs=deficit.alpha_star_exact(),
             rhs=deficit.alpha_star_decimal(),
         )
-        for allocation in argmin
+        for allocation in deficit.argmin_allocations()[:1]
     )
     report = VerdictReport(
         claim="alpha_star",
@@ -300,9 +303,8 @@ def cmd_alpha_star(args: argparse.Namespace) -> int:
         decimal = deficit.alpha_star_decimal()
         print(f"alpha* = {exact} = {decimal} (10 digits, truncated toward zero)")
         print(f"d* = {deficit.d_star}, attained by {deficit.argmin_count} allocations")
-        if argmin:
-            bundles = " | ".join("{" + ",".join(map(str, members(b))) + "}" for b in argmin[0])
-            print(f"first argmin allocation: {bundles}")
+        if witnesses:
+            print(f"first argmin allocation: {_allocation_text(witnesses[0].allocation)}")
         print()
     emit_reports([report], args.fmt)
     return EXIT_OK if report.passed else EXIT_DISCREPANCY

@@ -5,8 +5,10 @@ so membership, union, and difference are single integer operations and
 the whole bundle space is the range 0..255.  An allocation is an ordered
 triple of pairwise-disjoint bundles covering all eight goods; the
 3^8 = 6561 complete allocations are enumerated in base-3 counter order so
-every scan is reproducible run to run.  Which goods share a type, and
-which permutation relabels them, is a template's to say (efxcheck.ordinal).
+every scan is reproducible run to run.  all_allocations() decodes them
+once, and every counter lookup and scan reads that decode.  Which goods
+share a type, and which permutation relabels them, is a template's to say
+(efxcheck.ordinal).
 
 All values here are immutable, and Record is the base of every value
 type the other modules define.
@@ -164,22 +166,28 @@ def is_allocation(parts: tuple[int, ...]) -> bool:
     return (x0 | x1 | x2) == FULL_BUNDLE and (x0 & x1) == 0 and (x0 & x2) == 0 and (x1 & x2) == 0
 
 
+@lru_cache(maxsize=1)
+def all_allocations() -> tuple[Allocation, ...]:
+    """All 6561 allocations in counter order, decoded once, digit by digit
+    (good 7 is the most significant base-3 digit).  This is the only
+    counter-to-allocation decode; it is built on first use, never at
+    import."""
+    allocations = [(0, 0, 0)]
+    for g in reversed(GOODS):
+        bit = 1 << g
+        allocations = [
+            extended
+            for x0, x1, x2 in allocations
+            for extended in ((x0 | bit, x1, x2), (x0, x1 | bit, x2), (x0, x1, x2 | bit))
+        ]
+    return tuple(allocations)
+
+
 def allocation_from_counter(counter: int) -> Allocation:
     """Allocation in which good g goes to the agent named by base-3 digit g."""
     if not 0 <= counter < N_ALLOCATIONS:
         raise ValueError(f"allocation counter out of range: {counter}")
-    x0 = x1 = x2 = 0
-    c = counter
-    for g in GOODS:
-        digit = c % 3
-        c //= 3
-        if digit == 0:
-            x0 |= 1 << g
-        elif digit == 1:
-            x1 |= 1 << g
-        else:
-            x2 |= 1 << g
-    return (x0, x1, x2)
+    return all_allocations()[counter]
 
 
 def counter_of_allocation(allocation: Allocation) -> int:
@@ -200,5 +208,4 @@ def counter_of_allocation(allocation: Allocation) -> int:
 
 def enumerate_allocations() -> Iterator[Allocation]:
     """All 6561 complete allocations, exactly once, in counter order."""
-    for counter in range(N_ALLOCATIONS):
-        yield allocation_from_counter(counter)
+    return iter(all_allocations())

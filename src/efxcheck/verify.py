@@ -62,6 +62,7 @@ from .core import (
     Allocation,
     Bundle,
     Record,
+    all_allocations,
     allocation_from_counter,
     members,
     one_good_reductions,
@@ -267,7 +268,7 @@ def _pattern_breakdown(prefix: str, allocations: Iterable[Allocation]) -> dict[s
 #
 # Agent i is content toward another bundle B, up to any one good, exactly
 # when key_i[X_i] >= W_i[B], where W_i[B] is the largest key of a one-good
-# reduction of B.  One pass over the shared decode of the universe turns
+# reduction of B.  One pass over core's decode of the universe turns
 # these 256-entry tables into a status column or a deficit kernel, which
 # every scan reads.
 
@@ -276,26 +277,10 @@ _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
 
 
 @lru_cache(maxsize=1)
-def _universe() -> tuple[Allocation, ...]:
-    """All 6561 allocations in counter order, decoded once, digit by digit
-    (good 7 is the most significant base-3 digit).  Built on the first
-    scan, never at import."""
-    allocations = [(0, 0, 0)]
-    for g in reversed(GOODS):
-        bit = 1 << g
-        allocations = [
-            extended
-            for x0, x1, x2 in allocations
-            for extended in ((x0 | bit, x1, x2), (x0, x1 | bit, x2), (x0, x1, x2 | bit))
-        ]
-    return tuple(allocations)
-
-
-@lru_cache(maxsize=1)
 def _disjoint_pairs() -> tuple[tuple[Bundle, ...], tuple[Bundle, ...], tuple[int, ...]]:
     """The universe as columns (X0, X1, |X2|): every ordered pair of
     disjoint bundles once, with the number of goods outside both."""
-    firsts, seconds, thirds = zip(*_universe())
+    firsts, seconds, thirds = zip(*all_allocations())
     return firsts, seconds, tuple(map(int.bit_count, thirds))
 
 
@@ -334,7 +319,7 @@ def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
         own = k2[x2]
         return 1 if own < w2[x0] or own < w2[x1] else 2
 
-    return bytes(starmap(status, _universe()))
+    return bytes(starmap(status, all_allocations()))
 
 
 @lru_cache(maxsize=2)
@@ -360,7 +345,7 @@ def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             worst = gap
         return worst if worst > 0 else 0
 
-    return tuple(starmap(deficit, _universe()))
+    return tuple(starmap(deficit, all_allocations()))
 
 
 # --- single allocations ------------------------------------------------------
@@ -397,7 +382,7 @@ def strong_envy_witness(
 
 
 def _allocation_witnesses(counters: Iterable[int]) -> tuple[Witness, ...]:
-    universe = _universe()
+    universe = all_allocations()
     return tuple(Witness(allocation=_allocation_goods(universe[c])) for c in counters)
 
 
@@ -421,7 +406,7 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
         witnesses=_allocation_witnesses(efx[:witness_limit]),
         breakdown={
             "efx_allocations": len(efx),
-            **_pattern_breakdown("feasible0", compress(_universe(), column)),
+            **_pattern_breakdown("feasible0", compress(all_allocations(), column)),
         },
     )
 
@@ -466,7 +451,7 @@ def verify_no_alpha_efx(
     if any(None in table[1:] for table in profile.subadditive.exponent_tables):  # type: ignore[union-attr]
         raise ValueError("scaled verification needs a positive level value on every nonempty bundle")
     slack = _scale_slack(alpha, profile.ordinal.top_rank)
-    universe = _universe()
+    universe = all_allocations()
     holds = [
         counter
         for counter, (allocation, deficit) in enumerate(zip(universe, _deficits(profile_value_keys(profile))))
@@ -527,7 +512,7 @@ def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> Deficit
         d_star=d_star,
         argmin_counters=tuple(argmin[:argmin_limit]),
         argmin_count=len(argmin),
-        min_deficit_all_nonempty=min(compress(deficits, map(all, _universe()))),
+        min_deficit_all_nonempty=min(compress(deficits, map(all, all_allocations()))),
         histogram=tuple(sorted(Counter(deficits).items())),
         deficits=deficits,
     )
@@ -825,7 +810,7 @@ def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> Verdic
     labels = profile.ordinal.support_labels
     candidates = [
         (counter, x0)
-        for counter, (x0, x1, x2) in enumerate(_universe())
+        for counter, (x0, x1, x2) in enumerate(all_allocations())
         if x0.bit_count() == 2 and x1.bit_count() >= 2 and x2.bit_count() >= 2
     ]
     feasible = [(counter, labels[x0]) for counter, x0 in candidates if column[counter]]
@@ -865,7 +850,7 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
     """
     column = _status_column(profile_value_keys(profile))
     classes = {name: [0, []] for name in ("small_first", "(2,2,4)", "(2,3,3)")}
-    for counter, (x0, x1, x2) in enumerate(_universe()):
+    for counter, (x0, x1, x2) in enumerate(all_allocations()):
         name = _size_class((x0.bit_count(), x1.bit_count(), x2.bit_count()))
         if name is None:
             continue
@@ -917,7 +902,7 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
     reverse."""
     column = _status_column(profile_value_keys(profile))
     rotated = [int(f"{image:b}", 3) for image in profile.ordinal.bundle_images[1]]
-    universe = _universe()
+    universe = all_allocations()
     mismatches = [
         counter
         for counter, (x0, _, x2) in enumerate(universe)
@@ -986,7 +971,7 @@ def verify_transfer(
     breaking = [i for i in range(N_AGENTS) if _strict_order_breaks(ranks[i], keys[i])]
 
     def violations() -> Iterator[Witness]:
-        for allocation in _universe():
+        for allocation in all_allocations():
             for i in breaking:
                 rank_table, key_table = ranks[i], keys[i]
                 own = allocation[i]

@@ -1,11 +1,22 @@
 """Independent reference implementations used as test oracles.
 
 Everything here works on plain Python sets and explicit case analysis,
-deliberately avoiding the bitmask machinery under test.
+deliberately avoiding the bitmask machinery under test; this module
+imports nothing from efxcheck.
+
+It is also the one place the strong-envy rule is written.
+envy_triples() lists an allocation's triples (i, j, g, X_i, X_j - g) on
+frozensets, and universe() decodes every counter literally (good g goes
+to agent digit g of the counter in base 3) once per test run, keeping
+each allocation's bundles and triples.  The readers below take a value
+table, one mapping per agent from frozenset bundles to comparable values
+(see keyed()), and answer EFX, agent feasibility, deficits, first
+witnesses, transfer and scaled exponent pairs from those triples.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 TYPE_BY_GOOD = {0: "A", 1: "B", 2: "C", 3: "A", 4: "B", 5: "C", 6: "x", 7: "y"}
@@ -132,25 +143,6 @@ def literal_profile(doc: dict) -> tuple[list[dict], list[dict], dict]:
     return ranks, images, labels
 
 
-def naive_efx_feasible(agent: int, allocation, rank_tables) -> bool:
-    """The EFX condition for one agent, read literally: for every other
-    agent's bundle and every good in it, the bundle without that good
-    ranks no higher than the agent's own.  Bundles are bitmasks because
-    the rank tables are indexed by them."""
-    own = rank_tables[agent][allocation[agent]]
-    for other, bundle in enumerate(allocation):
-        if other == agent:
-            continue
-        for good in [g for g in range(8) if bundle >> g & 1]:
-            if rank_tables[agent][bundle - (1 << good)] > own:
-                return False
-    return True
-
-
-def naive_is_efx(allocation, rank_tables) -> bool:
-    return all(naive_efx_feasible(agent, allocation, rank_tables) for agent in range(3))
-
-
 def naive_coverage(goods: frozenset[int]) -> int:
     return sum(weight for weight, covered in COVERAGE_TERMS if goods & covered)
 
@@ -173,53 +165,131 @@ def float_level_sum(exponents: list[int | None], target: int | None) -> float:
     return total
 
 
-def naive_transfer(rank_tables, value) -> tuple[int, list]:
-    """Strict-order transfer read literally, allocation by allocation in
-    counter order (good g goes to agent digit g of the counter in base 3).
+# ---------------------------------------------------------------------------
+# The allocation universe on frozensets
 
-    Returns the number of ordinal strong-envy triples (i, j != i, g in
-    X_j) with rank_i(X_j - g) > rank_i(X_i), and, in (counter, i, j, g)
-    order, those among them where value(i, X_j - g) is not strictly above
-    value(i, X_i), as (allocation bitmasks, i, j, g).
-    """
-    triples = 0
-    violations = []
-    for counter in range(3**8):
-        owners = [counter // 3**g % 3 for g in range(8)]
-        allocation = tuple(sum(1 << g for g in range(8) if owners[g] == agent) for agent in range(3))
-        for i in range(3):
-            own = allocation[i]
-            for j in range(3):
-                if j == i:
-                    continue
-                for g in [g for g in range(8) if owners[g] == j]:
-                    reduced = allocation[j] - (1 << g)
-                    if rank_tables[i][reduced] > rank_tables[i][own]:
-                        triples += 1
-                        if not value(i, reduced) > value(i, own):
-                            violations.append((allocation, i, j, g))
-    return triples, violations
+GOODS = tuple(range(8))
+AGENTS = (0, 1, 2)
+N_ALLOCATIONS = 3**8
+
+# Every bundle once, so the universe table shares 256 frozensets.
+BUNDLES = {bundle: bundle for size in range(9) for bundle in map(frozenset, combinations(GOODS, size))}
 
 
-def scaled_pair_groups(exponent_tables) -> dict[frozenset, list[int]]:
+def mask(bundle) -> int:
+    """The bitmask of a collection of goods: bit g set for good g."""
+    return sum(1 << g for g in bundle)
+
+
+def unmask(bitmask: int) -> frozenset[int]:
+    return BUNDLES[frozenset(g for g in GOODS if bitmask >> g & 1)]
+
+
+def counter_of(bundles) -> int:
+    """The counter of an allocation given as collections of goods: good g
+    held by agent a contributes a * 3**g."""
+    return sum(agent * 3**g for agent, bundle in enumerate(bundles) for g in bundle)
+
+
+def bundles_of(counter: int) -> tuple[frozenset[int], ...]:
+    owners = [counter // 3**g % 3 for g in GOODS]
+    return tuple(BUNDLES[frozenset(g for g in GOODS if owners[g] == agent)] for agent in AGENTS)
+
+
+def rotated_counter(bundles, permutation) -> int:
+    """The counter of (perm(X1), perm(X2), perm(X0)), one relabeling step."""
+    return counter_of([{permutation[g] for g in bundles[agent]} for agent in (1, 2, 0)])
+
+
+def keyed(source) -> tuple[dict, ...]:
+    """A value table: per agent, every bundle's value keyed by frozenset.
+    source is value(agent, bitmask), or per-agent tables indexed by
+    bitmask."""
+    value = source if callable(source) else lambda agent, bitmask: source[agent][bitmask]
+    return tuple({bundle: value(agent, mask(bundle)) for bundle in BUNDLES} for agent in AGENTS)
+
+
+def envy_triples(bundles) -> tuple[tuple, ...]:
+    """Every (i, j, g, X_i, X_j - g) with j != i and g in X_j, in (i, j, g)
+    order: the comparisons the EFX condition makes."""
+    return tuple(
+        (i, j, g, bundles[i], BUNDLES[bundles[j] - {g}])
+        for i in AGENTS
+        for j in AGENTS
+        if j != i
+        for g in sorted(bundles[j])
+    )
+
+
+@lru_cache(maxsize=1)
+def universe() -> tuple[tuple[tuple[frozenset[int], ...], tuple[tuple, ...]], ...]:
+    """(bundles, envy triples) of every allocation, in counter order."""
+    return tuple((bundles, envy_triples(bundles)) for bundles in map(bundles_of, range(N_ALLOCATIONS)))
+
+
+# --- readers of one allocation's triples ------------------------------------
+
+
+def envious(values, triples):
+    """The triples in which agent i values X_j - g strictly above X_i."""
+    return (t for t in triples if values[t[0]][t[4]] > values[t[0]][t[3]])
+
+
+def first_witness(values, triples) -> tuple[int, int, int] | None:
+    """The first envious (i, j, g), or None when the allocation is EFX."""
+    return next((t[:3] for t in envious(values, triples)), None)
+
+
+def deficit(values, triples) -> int:
+    """max(0, the largest value gap v_i(X_j - g) - v_i(X_i))."""
+    return max(0, max(values[i][reduced] - values[i][own] for i, _, _, own, reduced in triples))
+
+
+def value_pairs(values, triples) -> frozenset:
+    """The distinct (v_i(X_i), v_i(X_j - g)) pairs of the triples."""
+    return frozenset((values[i][own], values[i][reduced]) for i, _, _, own, reduced in triples)
+
+
+# --- readers of the universe, per counter -----------------------------------
+
+
+def first_witnesses(values) -> list:
+    return [first_witness(values, triples) for _, triples in universe()]
+
+
+def efx_counters(values) -> list[int]:
+    return [counter for counter, witness in enumerate(first_witnesses(values)) if witness is None]
+
+
+def agent_feasible(values, agent: int) -> list[bool]:
+    """Whether the agent envies no other bundle up to any one good."""
+    return [not any(t[0] == agent for t in envious(values, triples)) for _, triples in universe()]
+
+
+def deficits(values) -> tuple[int, ...]:
+    return tuple(deficit(values, triples) for _, triples in universe())
+
+
+def transfer(ranks, values) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Strict-order transfer: the number of triples envious under ranks,
+    and, in (counter, i, j, g) order, those among them where values does
+    not put X_j - g strictly above X_i."""
+    count, violations = 0, []
+    for counter, (_, triples) in enumerate(universe()):
+        for i, j, g, own, reduced in envious(ranks, triples):
+            count += 1
+            if not values[i][reduced] > values[i][own]:
+                violations.append((counter, i, j, g))
+    return count, violations
+
+
+def scaled_pair_groups(exponents) -> dict[frozenset, list[int]]:
     """Allocation counters grouped by the set of (own, reduced) level
-    exponents that the scaled condition must hold on: for every agent i,
-    other agent j and good g in X_j, the pair (e_i(X_i), e_i(X_j - g)).
-    Good g goes to agent digit g of the counter in base 3; an exponent of
+    exponent pairs that the scaled condition must hold on; an exponent of
     None is the zero value.  Counters within a group ascend."""
     groups: dict[frozenset, list[int]] = {}
-    for counter in range(3**8):
-        owners = [counter // 3**g % 3 for g in range(8)]
-        allocation = tuple(sum(1 << g for g in range(8) if owners[g] == agent) for agent in range(3))
-        pairs = frozenset(
-            (exponent_tables[i][allocation[i]], exponent_tables[i][allocation[j] - (1 << g)])
-            for i in range(3)
-            for j in range(3)
-            if j != i
-            for g in range(8)
-            if owners[g] == j
-        )
-        groups.setdefault(pairs, []).append(counter)
+    for counter, (_, triples) in enumerate(universe()):
+        groups.setdefault(value_pairs(exponents, triples), []).append(counter)
     return groups
 
 

@@ -1,12 +1,17 @@
 """Goods, bundles, permutations, allocations, the enumerator, and the Record base."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import RELABELING, SIGMA, TYPE_BY_GOOD
 
 from efxcheck.cardinal import ApproxFactor, CoverageAtom, LevelValue
@@ -134,6 +139,26 @@ def test_enumeration_pattern_count_matches_multinomial():
 def test_counter_roundtrip():
     for counter in range(N_ALLOCATIONS):
         assert counter_of_allocation(allocation_from_counter(counter)) == counter
+
+
+def test_decode_matches_the_literal_decode():
+    # The one place core's decode meets the oracle's counter // 3**g % 3.
+    literal = [tuple(map(oracles.mask, bundles)) for bundles, _ in oracles.universe()]
+    assert [allocation_from_counter(counter) for counter in range(N_ALLOCATIONS)] == literal
+    assert list(enumerate_allocations()) == literal
+    for counter in (-1, N_ALLOCATIONS):
+        with pytest.raises(ValueError):
+            allocation_from_counter(counter)
+
+
+def test_oracles_import_nothing_from_efxcheck():
+    # src is on the path, so an efxcheck import from oracles would succeed
+    # and show up in sys.modules.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]))
+    probe = "import sys, oracles; print(sorted(m for m in sys.modules if m.split('.')[0] == 'efxcheck'))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_bundle_helpers():

@@ -4,7 +4,19 @@ from itertools import combinations
 
 import pytest
 
-from oracles import RELABELING, naive_is_exceptional, naive_rank, naive_rank_for_agent
+from oracles import (
+    RELABELING,
+    envious,
+    envy_triples,
+    first_witness,
+    keyed,
+    mask,
+    naive_is_exceptional,
+    naive_rank,
+    naive_rank_for_agent,
+    universe,
+    unmask,
+)
 
 from efxcheck.core import (
     ALL_BUNDLES,
@@ -185,37 +197,27 @@ def test_strong_envy_witness_examples():
 def test_strong_envy_witness_is_lexicographically_first():
     profile = builtin_profile()
     allocation = (bundle_of((1, 7)), bundle_of((4, 6)), bundle_of((0, 2, 3, 5)))
-    found = []
-    for i in range(N_AGENTS):
-        for j in range(N_AGENTS):
-            if j == i:
-                continue
-            for g in members(allocation[j]):
-                if rank_for_agent(i, allocation[j] ^ (1 << g)) > rank_for_agent(i, allocation[i]):
-                    found.append((i, j, g))
-    assert min(found) == strong_envy_witness(allocation, profile)
+    first = first_witness(keyed(rank_for_agent), envy_triples(tuple(map(unmask, allocation))))
+    assert first is not None
+    assert first == strong_envy_witness(allocation, profile)
 
 
 def test_empty_bundle_agent_always_strongly_envies():
     profile = builtin_profile()
-    for counter, allocation in enumerate(enumerate_allocations()):
+    ranks = keyed(rank_for_agent)
+    for counter, (bundles, triples) in enumerate(universe()):
         if counter % 7:  # thin the scan; the full EFX theorems cover the rest
             continue
-        empties = [i for i in range(N_AGENTS) if allocation[i] == 0]
-        if not empties or all(b.bit_count() < 2 for b in allocation):
+        empties = [i for i in range(N_AGENTS) if not bundles[i]]
+        if not empties or all(len(b) < 2 for b in bundles):
             continue
-        witness = strong_envy_witness(allocation, profile)
+        witness = strong_envy_witness(tuple(map(mask, bundles)), profile)
         assert witness is not None
         if witness[0] not in empties:
             # the lexicographically first witness may belong to another
             # agent; the empty-bundle agent must still have one
             i = empties[0]
-            assert any(
-                rank_for_agent(i, allocation[j] ^ (1 << g)) > 0
-                for j in range(N_AGENTS)
-                if j != i
-                for g in members(allocation[j])
-            )
+            assert any(t[0] == i for t in envious(ranks, triples))
 
 
 def test_witness_none_iff_efx():

@@ -13,11 +13,12 @@ dividing 3.
 
 The generated templates also drive the EFX reads of efxcheck.verify (the
 no-EFX scan, the deficit profile, cyclic symmetry, is_efx and
-strong_envy_witness) against a reference on frozensets over the literal
-ranks, the scaled scan at every slack against exponent pairs of the
+strong_envy_witness) against the set-based oracle in oracles.py over the
+literal ranks, the no-EFX scan of the level realization against that of
+the ranks, the scaled scan at every slack against exponent pairs of the
 literal ranks decided by compare_scaled, the 1/2-scaled scan against a
 theorem, and strict-order transfer under both cardinal realizations
-against the per-allocation loop of oracles.naive_transfer.
+against oracles.transfer.
 """
 
 from __future__ import annotations
@@ -29,10 +30,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import identical_agents_doc, random_template_doc
-from oracles import literal_profile, naive_transfer, scaled_efx_counters, scaled_pair_groups
+from oracles import (
+    counter_of,
+    deficits,
+    first_witnesses,
+    keyed,
+    literal_profile,
+    mask,
+    rotated_counter,
+    scaled_efx_counters,
+    scaled_pair_groups,
+    transfer,
+    universe,
+    unmask,
+)
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_coverage, build_subadditive, compare_scaled
-from efxcheck.core import ALL_BUNDLES, GOODS, N_ALLOCATIONS
+from efxcheck.core import ALL_BUNDLES, GOODS
 from efxcheck.ordinal import build_profile, bundled_instance_text, parse_template
 from efxcheck.verify import (
     Profile,
@@ -56,12 +70,9 @@ NAMES = ("A", "B", "C", "x", "y", "Z", "m", "q")
 SEEDS = range(300)
 
 
-def _goods(bundle: int) -> frozenset[int]:
-    return frozenset(g for g in GOODS if bundle >> g & 1)
-
-
-def _mask(goods: frozenset[int]) -> int:
-    return sum(1 << g for g in goods)
+def _witness_goods(counters: list[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """The allocations of the counters as witnesses list them."""
+    return [tuple(tuple(sorted(bundle)) for bundle in universe()[counter][0]) for counter in counters]
 
 
 def level(exponent: int | None) -> LevelValue:
@@ -72,9 +83,9 @@ def _assert_matches_literal_recipe(doc: dict) -> None:
     profile = build_profile(parse_template(json.dumps(doc)))
     ranks, images, labels = literal_profile(doc)
     for agent in range(3):
-        assert profile.rank_tables[agent] == tuple(ranks[agent][_goods(b)] for b in ALL_BUNDLES), agent
-        assert profile.bundle_images[agent] == tuple(_mask(images[agent][_goods(b)]) for b in ALL_BUNDLES), agent
-    assert profile.support_labels == tuple(labels[_goods(b)] for b in ALL_BUNDLES)
+        assert profile.rank_tables[agent] == tuple(ranks[agent][unmask(b)] for b in ALL_BUNDLES), agent
+        assert profile.bundle_images[agent] == tuple(mask(images[agent][unmask(b)]) for b in ALL_BUNDLES), agent
+    assert profile.support_labels == tuple(labels[unmask(b)] for b in ALL_BUNDLES)
 
 
 @st.composite
@@ -180,103 +191,71 @@ def test_identical_agents_have_an_efx_allocation_on_generated_templates(doc):
     assert _efx_count_with_identical_agents(doc) >= 1
 
 
-def _set_based_envy(doc: dict) -> tuple[list[frozenset], list[int], list]:
-    """Per allocation in counter order (good g goes to agent digit g of
-    the counter in base 3): the bundles as frozensets, the largest rank
-    gap max(0, rank_i(X_j - g) - rank_i(X_i)), and the first (i, j, g)
-    with a positive gap, or None."""
-    ranks, _, _ = literal_profile(doc)
-    allocations, deficits, witnesses = [], [], []
-    for counter in range(N_ALLOCATIONS):
-        owners = [counter // 3**g % 3 for g in GOODS]
-        bundles = [frozenset(g for g in GOODS if owners[g] == agent) for agent in range(3)]
-        deficit, witness = 0, None
-        for i in range(3):
-            own = ranks[i][bundles[i]]
-            for j in range(3):
-                if j == i:
-                    continue
-                for g in sorted(bundles[j]):
-                    gap = ranks[i][bundles[j] - {g}] - own
-                    deficit = max(deficit, gap)
-                    if gap > 0 and witness is None:
-                        witness = (i, j, g)
-        allocations.append(bundles)
-        deficits.append(deficit)
-        witnesses.append(witness)
-    return allocations, deficits, witnesses
-
-
 @HYPOTHESIS_SCANS
 @given(template_docs())
 @example(WIDE_DOC)
 def test_generated_templates_efx_reads_match_set_based_reference(doc):
-    allocations, deficits, witnesses = _set_based_envy(doc)
+    ranks, _, _ = literal_profile(doc)
+    gaps, witnesses = deficits(ranks), first_witnesses(ranks)
     ordinal = build_profile(parse_template(json.dumps(doc)))
     profile = Profile(kind="ordinal", ordinal=ordinal)
 
-    efx = [counter for counter, deficit in enumerate(deficits) if not deficit]
+    efx = [counter for counter, witness in enumerate(witnesses) if witness is None]
     report = verify_no_efx(profile, witness_limit=10)
     assert dict(report.breakdown)["efx_allocations"] == len(efx)
-    assert [w.allocation for w in report.witnesses] == [
-        tuple(tuple(sorted(bundle)) for bundle in allocations[counter]) for counter in efx[:10]
-    ]
+    assert [w.allocation for w in report.witnesses] == _witness_goods(efx[:10])
 
     deficit = compute_deficit_profile(profile)
-    assert deficit.d_star == min(deficits)
-    assert dict(deficit.histogram) == {d: deficits.count(d) for d in set(deficits)}
+    assert deficit.d_star == min(gaps)
+    assert dict(deficit.histogram) == {d: gaps.count(d) for d in set(gaps)}
     assert deficit.min_deficit_all_nonempty == min(
-        gap for bundles, gap in zip(allocations, deficits) if all(bundles)
+        gap for (bundles, _), gap in zip(universe(), gaps) if all(bundles)
     )
 
-    for bundles, gap, witness in zip(allocations, deficits, witnesses):
-        allocation = tuple(_mask(bundle) for bundle in bundles)
-        assert is_efx(allocation, ordinal) == (gap == 0)
+    for (bundles, _), gap, witness in zip(universe(), gaps, witnesses):
+        allocation = tuple(map(mask, bundles))
+        assert is_efx(allocation, ordinal) == (gap == 0) == (witness is None)
         assert strong_envy_witness(allocation, ordinal) == witness
 
     # One relabeling step takes (X0, X1, X2) to (perm(X1), perm(X2),
-    # perm(X0)); good g of the image goes to agent digit g of its counter.
-    perm = doc["permutation"]
-    mismatches = []
-    for counter, (x0, x1, x2) in enumerate(allocations):
-        image = [frozenset(perm[g] for g in bundle) for bundle in (x1, x2, x0)]
-        rotated = sum(agent * 3**g for agent, bundle in enumerate(image) for g in bundle)
-        if (deficits[counter] == 0) != (deficits[rotated] == 0):
-            mismatches.append(counter)
+    # perm(X0)).
+    mismatches = [
+        counter
+        for counter, (bundles, _) in enumerate(universe())
+        if (witnesses[counter] is None) != (witnesses[rotated_counter(bundles, doc["permutation"])] is None)
+    ]
     cyclic = verify_cyclic_symmetry(profile, witness_limit=10)
     assert cyclic.passed == (not mismatches)
     assert dict(cyclic.breakdown)["efx_allocations"] == len(efx)
-    assert [w.allocation for w in cyclic.witnesses] == [
-        tuple(tuple(sorted(bundle)) for bundle in allocations[counter]) for counter in mismatches[:10]
-    ]
+    assert [w.allocation for w in cyclic.witnesses] == _witness_goods(mismatches[:10])
     # Agent i + 1 ranks every bundle B as agent i ranks perm(B), agents
     # taken mod 3 because the relabeling's order divides 3, so rotation
     # keeps every status.
     assert cyclic.passed
 
+    # Level keys are a strictly increasing function of rank, so the level
+    # realization has the same EFX allocations as the ranks.
+    levels = Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal))
+    level_report = verify_no_efx(levels, witness_limit=10)
+    assert (level_report.witnesses, level_report.breakdown) == (report.witnesses, report.breakdown)
+
     # With top_rank <= 7 every nonempty level value lies in [1/2, 1], so
     # the level realization is subadditive, and a 1/2-scaled EFX
     # allocation exists (Plaut and Roughgarden, SODA 2018).
-    levels = Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal))
     if doc["top_rank"] <= 7:
         assert not verify_no_alpha_efx(levels, ApproxFactor.parse("1/2"), witness_limit=0).passed
 
     # The scaled scan at every slack against the exponent pairs of the
     # literal ranks (top_rank - rank, None for the empty bundle), each
     # decided by compare_scaled.
-    ranks, _, _ = literal_profile(doc)
     top = doc["top_rank"]
-    groups = scaled_pair_groups(
-        [tuple(top - ranks[i][_goods(b)] if b else None for b in ALL_BUNDLES) for i in range(3)]
-    )
+    groups = scaled_pair_groups([{b: top - rank if b else None for b, rank in table.items()} for table in ranks])
     for slack in range(top + 1):
         alpha = ApproxFactor.parse(f"lambda^{slack}")
         holds = scaled_efx_counters(groups, lambda own, reduced: compare_scaled(level(own), alpha, level(reduced)))
         report = verify_no_alpha_efx(levels, alpha, witness_limit=10)
         assert dict(report.breakdown)["alpha_efx_allocations"] == len(holds), slack
-        assert [w.allocation for w in report.witnesses] == [
-            tuple(tuple(sorted(bundle)) for bundle in allocations[counter]) for counter in holds[:10]
-        ], slack
+        assert [w.allocation for w in report.witnesses] == _witness_goods(holds[:10]), slack
 
 
 @HYPOTHESIS_TRANSFER
@@ -284,21 +263,18 @@ def test_generated_templates_efx_reads_match_set_based_reference(doc):
 @example(WIDE_DOC)
 def test_generated_templates_transfer_matches_reference(doc):
     ordinal = build_profile(parse_template(json.dumps(doc)))
+    ranks, _, _ = literal_profile(doc)
     realizations = (
         Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal)),
         Profile(kind="coverage", ordinal=ordinal, coverage=build_coverage(ordinal)),
     )
     passed = {}
     for profile in realizations:
-        value = (profile.subadditive or profile.coverage).value
-        triples, violations = naive_transfer(ordinal.rank_tables, value)
+        triples, violations = transfer(ranks, keyed((profile.subadditive or profile.coverage).value))
         report = verify_transfer(Profile(kind="ordinal", ordinal=ordinal), profile, witness_limit=10)
         assert report.checked == dict(report.breakdown)["ordinal_witness_triples"] == triples
         assert report.passed == (not violations)
-        assert [
-            (tuple(_mask(frozenset(goods)) for goods in w.allocation), w.agent_i, w.agent_j, w.good_g)
-            for w in report.witnesses
-        ] == violations[:10]
+        assert [(counter_of(w.allocation), w.agent_i, w.agent_j, w.good_g) for w in report.witnesses] == violations[:10]
         passed[profile.kind] = report.passed
     # A level value is a strictly increasing function of rank (zero for
     # the empty bundle, which alone ranks 0), so the subadditive

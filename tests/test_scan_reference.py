@@ -1,13 +1,14 @@
 """Differential checks: the allocation scans against a per-good reference.
 
-The reference walks every allocation, agent, other bundle and removed good
+The reference is the set-based oracle in oracles.py: every allocation
+decoded literally, and every agent, other bundle and removed good walked
 explicitly, the way the scans worked before they were rebuilt around
-per-agent reduction maxima.  Ordinal EFX comes from oracles.naive_is_efx,
-cardinal EFX from the realization's own values, the deficit from an
-explicit loop over rank gaps, and the scaled condition from
-compare_scaled on every (own, reduced) level pair.  The subjects are the
-built-in profiles and seeded random templates with their level and
-coverage realizations.
+per-agent reduction maxima.  EFX, agent-0 feasibility, deficits and
+transfer are read from the subject's own values (ranks, level values or
+coverage values), and the scaled condition from compare_scaled on every
+(own, reduced) level pair.  Witnesses are compared by counters computed
+literally from their goods.  The subjects are the built-in profiles and
+seeded random templates with their level and coverage realizations.
 """
 
 from __future__ import annotations
@@ -17,11 +18,24 @@ from functools import lru_cache
 import pytest
 
 from helpers import identical_agents_doc, random_template_doc
-from oracles import naive_efx_feasible, naive_is_efx, scaled_efx_counters, scaled_pair_groups
+from oracles import (
+    agent_feasible,
+    counter_of,
+    deficits,
+    efx_counters,
+    first_witnesses,
+    keyed,
+    mask,
+    rotated_counter,
+    scaled_efx_counters,
+    scaled_pair_groups,
+    transfer,
+    universe,
+)
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_coverage, build_subadditive, compare_scaled
-from efxcheck.core import N_AGENTS, N_ALLOCATIONS, allocation_from_counter, members
-from efxcheck.ordinal import builtin_profile, load_template, rotate_allocation
+from efxcheck.core import N_ALLOCATIONS
+from efxcheck.ordinal import builtin_profile, load_template
 from efxcheck.verify import (
     Profile,
     builtin,
@@ -61,66 +75,27 @@ def cases(*kinds: str) -> list:
     return [pytest.param(profile, id=name) for name, profile in SUBJECTS if profile.kind in kinds]
 
 
-def value_function(profile: Profile):
+def values_of(profile: Profile) -> tuple[dict, ...]:
+    """The profile's own values keyed by frozenset: ranks, level values or
+    coverage values."""
     if profile.kind == "ordinal":
-        return lambda agent, bundle: profile.ordinal.rank_tables[agent][bundle]
-    if profile.kind == "coverage":
-        return profile.coverage.value
-    return profile.subadditive.value
+        return keyed(profile.ordinal.rank_tables)
+    return keyed((profile.subadditive or profile.coverage).value)
 
 
-def strong_envy_pairs(allocation, agent: int):
-    """(own bundle, other bundle minus one good) for every other bundle and
-    every good in it."""
-    for j in range(N_AGENTS):
-        if j == agent:
-            continue
-        for g in members(allocation[j]):
-            yield allocation[agent], allocation[j] ^ (1 << g)
-
-
-def reference_efx(profile: Profile) -> list[int]:
-    value = value_function(profile)
-    found = []
-    for counter in range(N_ALLOCATIONS):
-        allocation = allocation_from_counter(counter)
-        if profile.kind == "ordinal":
-            efx = naive_is_efx(allocation, profile.ordinal.rank_tables)
-        else:
-            efx = all(
-                not value(i, reduced) > value(i, own)
-                for i in range(N_AGENTS)
-                for own, reduced in strong_envy_pairs(allocation, i)
-            )
-        if efx:
-            found.append(counter)
-    return found
+def witness_counters(report) -> list[int]:
+    return [counter_of(w.allocation) for w in report.witnesses]
 
 
 @lru_cache(maxsize=None)
 def reference_ordinal_status(profile: Profile) -> tuple[tuple[tuple[int, int, int], bool, bool], ...]:
     """Per allocation in counter order: the bundle sizes, whether agent 0
     is EFX-feasible, and whether the allocation is EFX."""
-    ranks = profile.ordinal.rank_tables
-    found = []
-    for counter in range(N_ALLOCATIONS):
-        allocation = allocation_from_counter(counter)
-        sizes = tuple(len(members(bundle)) for bundle in allocation)
-        found.append((sizes, naive_efx_feasible(0, allocation, ranks), naive_is_efx(allocation, ranks)))
-    return tuple(found)
-
-
-def reference_deficits(profile: Profile) -> tuple[int, ...]:
-    ranks = profile.ordinal.rank_tables
-    deficits = []
-    for counter in range(N_ALLOCATIONS):
-        allocation = allocation_from_counter(counter)
-        worst = 0
-        for i in range(N_AGENTS):
-            for own, reduced in strong_envy_pairs(allocation, i):
-                worst = max(worst, ranks[i][reduced] - ranks[i][own])
-        deficits.append(worst)
-    return tuple(deficits)
+    ranks = keyed(profile.ordinal.rank_tables)
+    return tuple(
+        (tuple(map(len, bundles)), feasible0, witness is None)
+        for (bundles, _), feasible0, witness in zip(universe(), agent_feasible(ranks, 0), first_witnesses(ranks))
+    )
 
 
 def reference_scaled_counts(profile: Profile) -> dict[str, int]:
@@ -128,7 +103,7 @@ def reference_scaled_counts(profile: Profile) -> dict[str, int]:
     (own, reduced) level exponents they must satisfy
     (oracles.scaled_pair_groups), and each distinct pair is decided by
     compare_scaled once per factor."""
-    groups = scaled_pair_groups(profile.subadditive.exponent_tables)
+    groups = scaled_pair_groups(keyed(profile.subadditive.exponent_tables))
     counts = {}
     for text in FACTORS:
         alpha = ApproxFactor.parse(text)
@@ -145,12 +120,8 @@ def level(exponent: int | None) -> LevelValue:
 @pytest.mark.parametrize("profile", cases("ordinal", "subadditive", "coverage"))
 def test_efx_set_matches_reference(profile):
     report = verify_no_efx(profile, witness_limit=N_ALLOCATIONS)
-    found = [
-        tuple(sum(1 << g for g in goods) for goods in witness.allocation)
-        for witness in report.witnesses
-    ]
-    expected = reference_efx(profile)
-    assert found == [allocation_from_counter(c) for c in expected]
+    expected = efx_counters(values_of(profile))
+    assert witness_counters(report) == expected
     assert dict(report.breakdown)["efx_allocations"] == len(expected)
     cyclic = verify_cyclic_symmetry(profile)
     assert dict(cyclic.breakdown)["efx_allocations"] == len(expected)
@@ -159,7 +130,7 @@ def test_efx_set_matches_reference(profile):
 @pytest.mark.parametrize("profile", cases("ordinal"))
 def test_deficits_match_reference(profile):
     deficit = compute_deficit_profile(profile)
-    expected = reference_deficits(profile)
+    expected = deficits(keyed(profile.ordinal.rank_tables))
     assert deficit.deficits == expected
     assert deficit.d_star == min(expected)
     assert deficit.argmin_count == expected.count(min(expected))
@@ -179,31 +150,13 @@ def test_scaled_counts_match_reference(profile):
 
 @pytest.mark.parametrize("profile", cases("subadditive", "coverage"))
 def test_transfer_matches_reference(profile):
-    ranks = profile.ordinal.rank_tables
-    value = value_function(profile)
-    triples = 0
-    violations = []
-    for counter in range(N_ALLOCATIONS):
-        allocation = allocation_from_counter(counter)
-        for i in range(N_AGENTS):
-            for j in range(N_AGENTS):
-                if j == i:
-                    continue
-                for g in members(allocation[j]):
-                    reduced = allocation[j] ^ (1 << g)
-                    if ranks[i][reduced] > ranks[i][allocation[i]]:
-                        triples += 1
-                        if not value(i, reduced) > value(i, allocation[i]):
-                            violations.append((counter, i, j, g))
+    triples, violations = transfer(keyed(profile.ordinal.rank_tables), values_of(profile))
     ordinal = Profile(kind="ordinal", ordinal=profile.ordinal)
     report = verify_transfer(ordinal, profile, witness_limit=10)
     assert report.checked == triples
     assert report.passed == (not violations)
-    found = [
-        (tuple(sum(1 << g for g in goods) for goods in w.allocation), w.agent_i, w.agent_j, w.good_g)
-        for w in report.witnesses
-    ]
-    assert found == [(allocation_from_counter(c), i, j, g) for c, i, j, g in violations[:10]]
+    found = [(counter_of(w.allocation), w.agent_i, w.agent_j, w.good_g) for w in report.witnesses]
+    assert found == violations[:10]
 
 
 def test_cyclic_mismatches_match_reference():
@@ -212,29 +165,20 @@ def test_cyclic_mismatches_match_reference():
     base = builtin_profile()
     _, flat = load_template(identical_agents_doc())
     skewed = base.replace(rank_tables=(base.rank_tables[0], flat.rank_tables[1], base.rank_tables[2]))
+    efx = [witness is None for witness in first_witnesses(keyed(skewed.rank_tables))]
     expected = [
         counter
-        for counter in range(N_ALLOCATIONS)
-        if naive_is_efx(allocation_from_counter(counter), skewed.rank_tables)
-        != naive_is_efx(rotate_allocation(allocation_from_counter(counter), skewed.permutation), skewed.rank_tables)
+        for counter, (bundles, _) in enumerate(universe())
+        if efx[counter] != efx[rotated_counter(bundles, skewed.permutation)]
     ]
     assert expected
     report = verify_cyclic_symmetry(Profile(kind="ordinal", ordinal=skewed), witness_limit=10)
     assert not report.passed
-    found = [tuple(sum(1 << g for g in goods) for goods in w.allocation) for w in report.witnesses]
-    assert found == [allocation_from_counter(c) for c in expected[:10]]
+    assert witness_counters(report) == expected[:10]
     # Each witness names its own direction.
     assert [(w.lhs, w.rhs) for w in report.witnesses] == [
-        ("EFX", "not EFX after rotation")
-        if naive_is_efx(allocation_from_counter(c), skewed.rank_tables)
-        else ("not EFX", "EFX after rotation")
-        for c in expected[:10]
+        ("EFX", "not EFX after rotation") if efx[c] else ("not EFX", "EFX after rotation") for c in expected[:10]
     ]
-
-
-def witness_counters(report) -> list[int]:
-    """Good g of a witness allocation goes to agent digit g of its counter."""
-    return [sum(agent * 3**g for agent, goods in enumerate(w.allocation) for g in goods) for w in report.witnesses]
 
 
 @pytest.mark.parametrize("profile", cases("ordinal"))
@@ -248,7 +192,7 @@ def test_first_pair_matches_reference(profile):
             continue
         checked += 1
         if feasible0:
-            label = labels[allocation_from_counter(counter)[0]]
+            label = labels[mask(universe()[counter][0][0])]
             label_counts[label] = label_counts.get(label, 0) + 1
             if label not in ("Ax", "Ay", "BC", "By", "Cy"):
                 violations.append(counter)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import identical_agents_doc, mutated_pair_doc, run_cli
-from oracles import naive_is_efx
+from oracles import envy_triples, first_witness, keyed
 
 from efxcheck.core import ALL_BUNDLES
 from efxcheck.ordinal import (
@@ -139,9 +139,8 @@ def test_identical_agents_template_has_efx_allocations():
     assert report.verdict == "fail"
     assert report.witnesses
     # balanced size patterns are among the accepted allocations
-    from efxcheck.core import bundle_of
-
-    assert naive_is_efx((bundle_of((0, 1, 2)), bundle_of((3, 4, 5)), bundle_of((6, 7))), profile.rank_tables)
+    balanced = envy_triples((frozenset((0, 1, 2)), frozenset((3, 4, 5)), frozenset((6, 7))))
+    assert first_witness(keyed(profile.rank_tables), balanced) is None
 
 
 def test_boolean_values_rejected_in_documents():

@@ -6,19 +6,24 @@ import json
 import pytest
 
 from helpers import identical_agents_doc
-from oracles import naive_efx_feasible, naive_is_efx, naive_transfer
+from oracles import (
+    agent_feasible,
+    counter_of,
+    deficit,
+    deficits,
+    efx_counters,
+    envy_triples,
+    first_witness,
+    keyed,
+    mask,
+    transfer,
+    universe,
+    unmask,
+    value_pairs,
+)
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled, level_sum_compare
-from efxcheck.core import (
-    ALL_BUNDLES,
-    FULL_BUNDLE,
-    N_AGENTS,
-    N_ALLOCATIONS,
-    allocation_from_counter,
-    bundle_of,
-    enumerate_allocations,
-    members,
-)
+from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, N_ALLOCATIONS, allocation_from_counter, bundle_of
 from efxcheck.ordinal import builtin_profile, load_template, rotate_allocation
 from efxcheck.verify import (
     GOLDEN_D_STAR,
@@ -68,9 +73,9 @@ def test_no_efx_fails_with_reverifiable_witnesses_on_identical_agents():
     assert not report.passed
     assert len(report.witnesses) == 5
     _, profile = load_template(identical_agents_doc())
+    ranks = keyed(profile.rank_tables)
     for witness in report.witnesses:
-        allocation = tuple(bundle_of(goods) for goods in witness.allocation)
-        assert naive_is_efx(allocation, profile.rank_tables)
+        assert first_witness(ranks, envy_triples(tuple(map(frozenset, witness.allocation)))) is None
 
 
 def test_alpha_scan_examples():
@@ -87,12 +92,8 @@ def test_alpha_scan_examples():
 def test_alpha_at_base_matches_deficit_oracle():
     # an allocation satisfies the base-factor condition exactly when it
     # has no empty bundle and its worst rank deficit is at most one
-    profile = builtin_profile()
-    expected = sum(
-        1
-        for allocation in enumerate_allocations()
-        if 0 not in allocation and _deficit_of(allocation, profile) <= 1
-    )
+    gaps = deficits(keyed(builtin_profile().rank_tables))
+    expected = sum(1 for (bundles, _), gap in zip(universe(), gaps) if all(bundles) and gap <= 1)
     report = verify_no_alpha_efx(builtin("subadditive"), ApproxFactor.parse("lambda^1"))
     assert dict(report.breakdown)["alpha_efx_allocations"] == expected == 600
 
@@ -101,17 +102,10 @@ def test_alpha_witness_reverifies():
     sub = builtin("subadditive")
     alpha = ApproxFactor.parse("1/2")
     report = verify_no_alpha_efx(sub, alpha, witness_limit=2)
-    payload = sub.subadditive
+    values = keyed(sub.subadditive.value)
     for witness in report.witnesses:
-        allocation = tuple(bundle_of(goods) for goods in witness.allocation)
-        for i in range(N_AGENTS):
-            own = payload.value(i, allocation[i])
-            for j in range(N_AGENTS):
-                if j == i:
-                    continue
-                for g in members(allocation[j]):
-                    other = payload.value(i, allocation[j] ^ (1 << g))
-                    assert compare_scaled(own, alpha, other)
+        pairs = value_pairs(values, envy_triples(tuple(map(frozenset, witness.allocation))))
+        assert all(compare_scaled(own, alpha, other) for own, other in pairs)
 
 
 def test_alpha_requires_subadditive_profile():
@@ -154,16 +148,9 @@ def test_alpha_monotone_on_grid():
 
 
 def _deficit_of(allocation, profile) -> int:
-    worst = 0
-    for i in range(N_AGENTS):
-        table = profile.rank_tables[i]
-        own = table[allocation[i]]
-        for j in range(N_AGENTS):
-            if j == i:
-                continue
-            for g in members(allocation[j]):
-                worst = max(worst, table[allocation[j] ^ (1 << g)] - own)
-    return worst
+    """The rank deficit of an allocation given as bitmasks, from the
+    set-based oracle."""
+    return deficit(keyed(profile.rank_tables), envy_triples(tuple(map(unmask, allocation))))
 
 
 def test_deficit_profile_matches_golden_data():
@@ -198,8 +185,9 @@ def test_deficit_vector_spot_checks():
     # counter 0 gives every good to agent 0
     assert allocation_from_counter(0) == (FULL_BUNDLE, 0, 0)
     assert deficit.deficits[0] == 7
+    expected = deficits(keyed(profile.rank_tables))
     for counter in range(0, N_ALLOCATIONS, 487):
-        assert deficit.deficits[counter] == _deficit_of(allocation_from_counter(counter), profile)
+        assert deficit.deficits[counter] == expected[counter]
 
 
 def test_deficit_of_degenerate_allocation_is_seven():
@@ -214,9 +202,8 @@ def test_min_deficit_all_nonempty_skips_allocations_with_an_empty_bundle():
     base = builtin_profile()
     skewed = base.replace(rank_tables=((100,) + base.rank_tables[0][1:],) + base.rank_tables[1:])
     deficit = compute_deficit_profile(Profile(kind="ordinal", ordinal=skewed))
-    nonempty = [
-        _deficit_of(allocation, skewed) for allocation in enumerate_allocations() if 0 not in allocation
-    ]
+    gaps = deficits(keyed(skewed.rank_tables))
+    nonempty = [gap for (bundles, _), gap in zip(universe(), gaps) if all(bundles)]
     assert deficit.d_star == 0
     assert deficit.min_deficit_all_nonempty == min(nonempty) == 1
 
@@ -314,12 +301,12 @@ def test_no_feasible_ax_pair_with_sizes_2_2_4():
     # in the (2,2,4) class the first pair can never be of type Ax
     profile = builtin_profile()
     count = 0
-    for allocation in enumerate_allocations():
-        if tuple(b.bit_count() for b in allocation) != (2, 2, 4):
+    for (bundles, _), feasible0 in zip(universe(), agent_feasible(keyed(profile.rank_tables), 0)):
+        if tuple(map(len, bundles)) != (2, 2, 4):
             continue
-        if profile.support_labels[allocation[0]] != "Ax":
+        if profile.support_labels[mask(bundles[0])] != "Ax":
             continue
-        if naive_efx_feasible(0, allocation, profile.rank_tables):
+        if feasible0:
             count += 1
     assert count == 0
 
@@ -349,7 +336,7 @@ def test_cyclic_symmetry_builtins_and_template():
 
 def test_identical_template_efx_set_closed_under_rotation():
     _, profile = load_template(identical_agents_doc())
-    efx_set = {a for a in enumerate_allocations() if naive_is_efx(a, profile.rank_tables)}
+    efx_set = {tuple(map(mask, universe()[c][0])) for c in efx_counters(keyed(profile.rank_tables))}
     assert efx_set
     for allocation in efx_set:
         assert rotate_allocation(allocation, profile.permutation) in efx_set
@@ -380,18 +367,16 @@ def test_transfer_empty_bundle_case():
         assert base.ordinal.rank_tables[0][lowered] == rank
         table = tuple(0 if bundle == lowered else v for bundle, v in enumerate(base.coverage.value_tables[0]))
         doctored = base.replace(coverage=base.coverage.replace(value_tables=(table,) + base.coverage.value_tables[1:]))
-        triples, violations = naive_transfer(doctored.ordinal.rank_tables, doctored.coverage.value)
-        assert any(allocation[i] == 0 for allocation, i, _, _ in violations)
+        values = keyed(doctored.coverage.value)
+        triples, violations = transfer(keyed(doctored.ordinal.rank_tables), values)
+        assert any(not universe()[c][0][i] for c, i, _, _ in violations)
         report = verify_transfer(builtin("ordinal"), doctored, witness_limit=10)
         assert not report.passed
         assert report.checked == dict(report.breakdown)["ordinal_witness_triples"] == triples
-        found = [
-            (tuple(bundle_of(goods) for goods in w.allocation), w.agent_i, w.agent_j, w.good_g)
-            for w in report.witnesses
-        ]
+        found = [(counter_of(w.allocation), w.agent_i, w.agent_j, w.good_g) for w in report.witnesses]
         assert found == violations[:10]
         assert [(w.lhs, w.rhs) for w in report.witnesses] == [
-            (doctored.coverage.value(i, allocation[i]), 0) for allocation, i, _, _ in violations[:10]
+            (values[i][universe()[c][0][i]], 0) for c, i, _, _ in violations[:10]
         ]
         bare = verify_transfer(builtin("ordinal"), doctored, witness_limit=0)
         assert not bare.passed and bare.witnesses == ()
@@ -407,23 +392,9 @@ def test_cardinal_efx_subset_of_ordinal_efx_on_template():
     _, profile = load_template(identical_agents_doc())
     ordinal = Profile(kind="ordinal", ordinal=profile)
     cardinal = Profile(kind="subadditive", ordinal=profile, subadditive=build_subadditive(profile))
-    ordinal_keys = profile_value_keys(ordinal)
-    cardinal_keys = profile_value_keys(cardinal)
-
-    def efx_under(keys, allocation):
-        for i in range(N_AGENTS):
-            own = keys[i][allocation[i]]
-            for j in range(N_AGENTS):
-                if j == i:
-                    continue
-                for g in members(allocation[j]):
-                    if keys[i][allocation[j] ^ (1 << g)] > own:
-                        return False
-        return True
-
-    for allocation in enumerate_allocations():
-        if efx_under(cardinal_keys, allocation):
-            assert efx_under(ordinal_keys, allocation)
+    ordinal_efx = efx_counters(keyed(profile_value_keys(ordinal)))
+    cardinal_efx = efx_counters(keyed(profile_value_keys(cardinal)))
+    assert set(cardinal_efx) <= set(ordinal_efx)
 
 
 def test_lemma_reports_all_pass():
@@ -474,28 +445,15 @@ def test_every_witness_in_a_battery_reverifies():
     doctored_submod = tuple(b.bit_count() ** 2 for b in ALL_BUNDLES)
 
     def reverify_efx(report, profile):
-        keys = profile_value_keys(profile)
+        keys = keyed(profile_value_keys(profile))
         for witness in report.witnesses:
-            allocation = tuple(bundle_of(goods) for goods in witness.allocation)
-            for i in range(N_AGENTS):
-                own = keys[i][allocation[i]]
-                for j in range(N_AGENTS):
-                    if j == i:
-                        continue
-                    for g in members(allocation[j]):
-                        assert keys[i][allocation[j] ^ (1 << g)] <= own
+            assert first_witness(keys, envy_triples(tuple(map(frozenset, witness.allocation)))) is None
 
     def reverify_alpha(report, profile, alpha):
-        payload = profile.subadditive
+        values = keyed(profile.subadditive.value)
         for witness in report.witnesses:
-            allocation = tuple(bundle_of(goods) for goods in witness.allocation)
-            for i in range(N_AGENTS):
-                own = payload.value(i, allocation[i])
-                for j in range(N_AGENTS):
-                    if j == i:
-                        continue
-                    for g in members(allocation[j]):
-                        assert compare_scaled(own, alpha, payload.value(i, allocation[j] ^ (1 << g)))
+            pairs = value_pairs(values, envy_triples(tuple(map(frozenset, witness.allocation))))
+            assert all(compare_scaled(own, alpha, other) for own, other in pairs)
 
     report = verify_no_efx(identical, witness_limit=8)
     reverify_efx(report, identical)
@@ -530,14 +488,8 @@ def test_every_witness_in_a_battery_reverifies():
 
 def test_counter_order_of_witnesses():
     report = verify_no_efx(_identical_profile(), witness_limit=4)
-    counters = []
-    for witness in report.witnesses:
-        allocation = tuple(bundle_of(goods) for goods in witness.allocation)
-        from efxcheck.core import counter_of_allocation
-
-        counters.append(counter_of_allocation(allocation))
+    counters = [counter_of(witness.allocation) for witness in report.witnesses]
     assert counters == sorted(counters)
-    # the first witness is the first EFX allocation in counter order
+    # the witnesses are the first EFX allocations in counter order
     _, profile = load_template(identical_agents_doc())
-    for counter in range(counters[0]):
-        assert not naive_is_efx(allocation_from_counter(counter), profile.rank_tables)
+    assert counters == efx_counters(keyed(profile.rank_tables))[:4]
