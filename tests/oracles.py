@@ -8,10 +8,12 @@ It is also the one place the strong-envy rule is written.
 envy_triples() lists an allocation's triples (i, j, g, X_i, X_j - g) on
 frozensets, and universe() decodes every counter literally (good g goes
 to agent digit g of the counter in base 3) once per test run, keeping
-each allocation's bundles and triples.  The readers below take a value
-table, one mapping per agent from frozenset bundles to comparable values
-(see keyed()), and answer EFX, agent feasibility, deficits, first
-witnesses, transfer and scaled exponent pairs from those triples.
+each allocation's bundles and triples; triples_of() reads a witness's
+triples there after counter_of() checks that its bundles partition the
+goods.  The readers below take a value table, one mapping per agent
+from frozenset bundles to comparable values (see keyed()), and answer
+EFX, agent feasibility, deficits, first witnesses, transfer and scaled
+exponent pairs from those triples.
 """
 
 from __future__ import annotations
@@ -187,7 +189,10 @@ def unmask(bitmask: int) -> frozenset[int]:
 
 def counter_of(bundles) -> int:
     """The counter of an allocation given as collections of goods: good g
-    held by agent a contributes a * 3**g."""
+    held by agent a contributes a * 3**g.  Raises ValueError unless the
+    bundles are one per agent and hold every good exactly once."""
+    if len(bundles) != len(AGENTS) or sorted(g for bundle in bundles for g in bundle) != list(GOODS):
+        raise ValueError(f"not an allocation of goods {GOODS} to agents {AGENTS}: {bundles!r}")
     return sum(agent * 3**g for agent, bundle in enumerate(bundles) for g in bundle)
 
 
@@ -225,6 +230,12 @@ def envy_triples(bundles) -> tuple[tuple, ...]:
 def universe() -> tuple[tuple[tuple[frozenset[int], ...], tuple[tuple, ...]], ...]:
     """(bundles, envy triples) of every allocation, in counter order."""
     return tuple((bundles, envy_triples(bundles)) for bundles in map(bundles_of, range(N_ALLOCATIONS)))
+
+
+def triples_of(bundles) -> tuple[tuple, ...]:
+    """The envy triples of an allocation given as collections of goods,
+    read from universe(); raises ValueError as counter_of does."""
+    return universe()[counter_of(bundles)][1]
 
 
 # --- readers of one allocation's triples ------------------------------------

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from helpers import run_cli
-from oracles import envy_triples, keyed, value_pairs
+from oracles import keyed, triples_of, value_pairs
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, compare_scaled
 from efxcheck.core import ALL_BUNDLES
@@ -74,8 +74,8 @@ def test_criterion_4_half_efx_exists_and_reverifies():
     report = json.loads(out)[1]
     ok = code == 0 and report["verdict"] == "fail" and report["witnesses"]
     if ok:
-        bundles = tuple(map(frozenset, report["witnesses"][0]["allocation"]))
-        pairs = value_pairs(keyed(builtin("subadditive").subadditive.value), envy_triples(bundles))
+        triples = triples_of(report["witnesses"][0]["allocation"])
+        pairs = value_pairs(keyed(builtin("subadditive").subadditive.value), triples)
         alpha = ApproxFactor.parse("1/2")
         ok = all(compare_scaled(own, alpha, other) for own, other in pairs)
     _criterion(4, "a 1/2-scaled EFX allocation exists and re-verifies", ok)

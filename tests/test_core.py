@@ -151,6 +151,22 @@ def test_decode_matches_the_literal_decode():
             allocation_from_counter(counter)
 
 
+def test_literal_counter_needs_a_partition():
+    # Witness checks compare oracles.counter_of, so it must reject bundles
+    # that leave a good out, hold one twice, or are not one per agent.
+    assert oracles.counter_of(((0, 3, 6), (1, 4, 7), (2, 5))) == 3 + 81 + 2187 + 2 * (9 + 243)
+    for bundles in (
+        ((), (), ()),
+        ((0, 1, 2, 3), (4, 5, 6), ()),
+        ((0, 1, 2, 3), (3, 4, 5, 6), (7,)),
+        ((0, 1, 2, 3), (4, 5, 6), (7,), ()),
+        ((0, 1, 2, 3), (4, 5, 6, 7)),
+        ((0, 1, 2, 3), (4, 5, 6), (8,)),
+    ):
+        with pytest.raises(ValueError):
+            oracles.counter_of(bundles)
+
+
 def test_oracles_import_nothing_from_efxcheck():
     # src is on the path, so an efxcheck import from oracles would succeed
     # and show up in sys.modules.

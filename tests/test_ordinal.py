@@ -7,13 +7,13 @@ import pytest
 from oracles import (
     RELABELING,
     envious,
-    envy_triples,
     first_witness,
     keyed,
     mask,
     naive_is_exceptional,
     naive_rank,
     naive_rank_for_agent,
+    triples_of,
     universe,
     unmask,
 )
@@ -197,7 +197,7 @@ def test_strong_envy_witness_examples():
 def test_strong_envy_witness_is_lexicographically_first():
     profile = builtin_profile()
     allocation = (bundle_of((1, 7)), bundle_of((4, 6)), bundle_of((0, 2, 3, 5)))
-    first = first_witness(keyed(rank_for_agent), envy_triples(tuple(map(unmask, allocation))))
+    first = first_witness(keyed(rank_for_agent), triples_of(tuple(map(unmask, allocation))))
     assert first is not None
     assert first == strong_envy_witness(allocation, profile)
 

@@ -12,11 +12,11 @@ from oracles import (
     deficit,
     deficits,
     efx_counters,
-    envy_triples,
     first_witness,
     keyed,
     mask,
     transfer,
+    triples_of,
     universe,
     unmask,
     value_pairs,
@@ -75,7 +75,7 @@ def test_no_efx_fails_with_reverifiable_witnesses_on_identical_agents():
     _, profile = load_template(identical_agents_doc())
     ranks = keyed(profile.rank_tables)
     for witness in report.witnesses:
-        assert first_witness(ranks, envy_triples(tuple(map(frozenset, witness.allocation)))) is None
+        assert first_witness(ranks, triples_of(witness.allocation)) is None
 
 
 def test_alpha_scan_examples():
@@ -104,7 +104,7 @@ def test_alpha_witness_reverifies():
     report = verify_no_alpha_efx(sub, alpha, witness_limit=2)
     values = keyed(sub.subadditive.value)
     for witness in report.witnesses:
-        pairs = value_pairs(values, envy_triples(tuple(map(frozenset, witness.allocation))))
+        pairs = value_pairs(values, triples_of(witness.allocation))
         assert all(compare_scaled(own, alpha, other) for own, other in pairs)
 
 
@@ -150,7 +150,7 @@ def test_alpha_monotone_on_grid():
 def _deficit_of(allocation, profile) -> int:
     """The rank deficit of an allocation given as bitmasks, from the
     set-based oracle."""
-    return deficit(keyed(profile.rank_tables), envy_triples(tuple(map(unmask, allocation))))
+    return deficit(keyed(profile.rank_tables), triples_of(tuple(map(unmask, allocation))))
 
 
 def test_deficit_profile_matches_golden_data():
@@ -447,12 +447,12 @@ def test_every_witness_in_a_battery_reverifies():
     def reverify_efx(report, profile):
         keys = keyed(profile_value_keys(profile))
         for witness in report.witnesses:
-            assert first_witness(keys, envy_triples(tuple(map(frozenset, witness.allocation)))) is None
+            assert first_witness(keys, triples_of(witness.allocation)) is None
 
     def reverify_alpha(report, profile, alpha):
         values = keyed(profile.subadditive.value)
         for witness in report.witnesses:
-            pairs = value_pairs(values, envy_triples(tuple(map(frozenset, witness.allocation))))
+            pairs = value_pairs(values, triples_of(witness.allocation))
             assert all(compare_scaled(own, alpha, other) for own, other in pairs)
 
     report = verify_no_efx(identical, witness_limit=8)
