@@ -34,6 +34,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 from .cardinal import ApproxFactor, LevelValue, compare_scaled
 from .core import N_ALLOCATIONS, members
@@ -82,7 +83,12 @@ def expected_no_alpha_efx(alpha: ApproxFactor) -> bool:
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each build makes
+    argparse look up its message catalogue for every sub-parser, which
+    costs more than parsing.  parse_args leaves the parser unchanged, so
+    one request's options never reach the next."""
     parser = argparse.ArgumentParser(
         prog="efxcheck",
         description="Exhaustive fairness verification for the built-in three-agent, eight-good instances.",

@@ -6,7 +6,13 @@ the whole bundle space is the range 0..255.  An allocation is an ordered
 triple of pairwise-disjoint bundles covering all eight goods; the
 3^8 = 6561 complete allocations are enumerated in base-3 counter order so
 every scan is reproducible run to run.  all_allocations() decodes them
-once, and every counter lookup and scan reads that decode.  Which goods
+once, and every counter lookup and scan reads that decode.  Beside it sit
+the universe columns, the facts that depend on the universe and a
+relabeling alone, never on a valuation: each allocation's bundle sizes
+as one size code, the mask of allocations with no empty bundle, and,
+per relabeling, each allocation's rotated counter.  Each is built on
+first use, never at import, and claims read them with bytes.translate,
+compress and Counter instead of recounting per allocation.  Which goods
 share a type, and which permutation relabels them, is a template's to say
 (efxcheck.ordinal).
 
@@ -16,7 +22,8 @@ type the other modules define.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from array import array
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 
 Bundle = int
@@ -209,3 +216,53 @@ def counter_of_allocation(allocation: Allocation) -> int:
 def enumerate_allocations() -> Iterator[Allocation]:
     """All 6561 complete allocations, exactly once, in counter order."""
     return iter(all_allocations())
+
+
+# ---------------------------------------------------------------------------
+# Universe columns
+
+
+def code_sizes(code: int) -> tuple[int, int, int]:
+    """The bundle sizes (|X0|, |X1|, |X2|) that a size code stands for."""
+    first, second = divmod(code, N_GOODS + 1)
+    return first, second, N_GOODS - first - second
+
+
+def size_code_table(rule: Callable[[int, int, int], int]) -> bytes:
+    """A bytes.translate table sending each size code to rule(|X0|, |X1|,
+    |X2|), a byte; bytes that are no size code map to 0."""
+    return bytes(rule(*sizes) if sizes[2] >= 0 else 0 for sizes in map(code_sizes, range(256)))
+
+
+@lru_cache(maxsize=1)
+def size_codes() -> bytes:
+    """Each allocation's bundle sizes as one byte, in counter order: the
+    size code 9·|X0| + |X1|, so |X2| = 8 − |X0| − |X1|.  Built digit by
+    digit like all_allocations(): a good adds 9, 1 or 0 as it goes to
+    agent 0, 1 or 2."""
+    codes = [0]
+    for _ in GOODS:
+        codes = [code + step for code in codes for step in (N_GOODS + 1, 1, 0)]
+    return bytes(codes)
+
+
+@lru_cache(maxsize=1)
+def nonempty_mask() -> bytes:
+    """1 for each allocation with no empty bundle, else 0, in counter
+    order."""
+    return size_codes().translate(size_code_table(lambda *sizes: int(all(sizes))))
+
+
+@lru_cache(maxsize=2)
+def rotation_column(images: tuple[Bundle, ...]) -> array:
+    """Each allocation's rotated counter, in counter order, for the
+    relabeling that sends bundle B to images[B]: the counter of
+    (images[X1], images[X2], images[X0]).
+
+    A counter is the sum of agent(g) * 3^g, so the image's counter is
+    w[images[X2]] + 2 * w[images[X0]], where w[B] (the sum of 3^g over g
+    in B) is B's binary digits read in base 3.  Stored as unsigned
+    shorts, 13 KB a column; the cache holds the two relabelings used
+    last."""
+    weights = [int(f"{image:b}", 3) for image in images]
+    return array("H", [weights[x2] + 2 * weights[x0] for x0, _, x2 in all_allocations()])

@@ -3,18 +3,21 @@
 Every checker decides a claim over a whole finite universe (the 6561
 allocations, the 256 bundles, or pairs thereof) and returns a
 VerdictReport whose witnesses a caller can re-evaluate standalone.
-Every allocation claim reads one of two cached columns of a key table,
-each built in one pass over a shared decode of the universe through
-per-agent tables of reduction maxima.  The status column, each
-allocation's EFX status as one byte in counter order, serves the EFX
-reads: no-EFX, first pair, size patterns and cyclic symmetry, which finds
-the rotated allocation's status by counter arithmetic instead of a second
-EFX test.  The deficit kernel, each allocation's largest envy gap, serves
-alpha-star on the rank tables and the scaled scan on the level keys.  A
-6561-allocation universe gains nothing from a process pool.  This module
-owns every EFX read: the scans, and efx_feasible, is_efx and
-strong_envy_witness for one allocation, all go through the
-reduction-maxima tables.
+Every allocation claim reads columns in counter order.  Two belong to a
+key table and are cached per table, each built in one pass over core's
+decode of the universe through per-agent tables of reduction maxima: the
+status column (each allocation's EFX status as one byte) and the deficit
+kernel (its largest envy gap).  The others are core's universe columns,
+which no valuation changes: size codes, the nonempty mask and the
+rotation column.  Claims read them with C-level operations: no-EFX
+counts size codes under the status column, size patterns count a class
+column translated from the size codes, the first pair reads a cached
+candidate list, cyclic symmetry compares the EFX mask with its rotated
+image in one comparison, and alpha-star and the scaled scan read the
+deficit kernel under the nonempty mask.  A 6561-allocation universe
+gains nothing from a process pool.  This module owns every EFX read: the
+scans, and efx_feasible, is_efx and strong_envy_witness for one
+allocation, all go through the reduction-maxima tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
@@ -24,7 +27,8 @@ Strict-order transfer follows the same pattern: an agent whose value
 keys keep strict rank order over all bundles cannot break transfer, and
 only the agents that do not are walked allocation by allocation.  Its
 triple count depends on ranks alone and is summed over the disjoint
-bundle pairs that the universe's first two columns list.
+bundle pairs that the universe's first two columns list, weighted by
+the size of the third bundle.
 
 Ordinal verdicts compare integer ranks.  Cardinal verdicts compare exact
 values: coverage values are integers, and level values are compared
@@ -38,8 +42,8 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, compress, islice, starmap
-from operator import gt, le
+from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
+from operator import eq, gt, itemgetter, le, ne
 
 from .cardinal import (
     ApproxFactor,
@@ -64,8 +68,13 @@ from .core import (
     Record,
     all_allocations,
     allocation_from_counter,
+    code_sizes,
     members,
+    nonempty_mask,
     one_good_reductions,
+    rotation_column,
+    size_code_table,
+    size_codes,
 )
 from .ordinal import OrdinalProfile, builtin_profile, support_representatives
 
@@ -257,10 +266,10 @@ def _pattern_key(pattern: tuple[int, int, int]) -> str:
     return f"({pattern[0]},{pattern[1]},{pattern[2]})"
 
 
-def _pattern_breakdown(prefix: str, allocations: Iterable[Allocation]) -> dict[str, int]:
-    """Allocations counted by their bundle sizes, as breakdown entries."""
-    counts = Counter((x0.bit_count(), x1.bit_count(), x2.bit_count()) for x0, x1, x2 in allocations)
-    return {f"{prefix}{_pattern_key(pattern)}": n for pattern, n in counts.items()}
+def _pattern_breakdown(prefix: str, codes: Iterable[int]) -> dict[str, int]:
+    """Allocations counted by their bundle sizes, given as size codes, as
+    breakdown entries."""
+    return {f"{prefix}{_pattern_key(code_sizes(code))}": n for code, n in Counter(codes).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +284,17 @@ def _pattern_breakdown(prefix: str, allocations: Iterable[Allocation]) -> dict[s
 # The other agents of agent 0, 1 and 2, in ascending order.
 _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
 
+# A bytes.translate table: a status byte to 1 exactly when the allocation
+# is EFX.
+_EFX = bytes(status == 2 for status in range(256))
+
 
 @lru_cache(maxsize=1)
-def _disjoint_pairs() -> tuple[tuple[Bundle, ...], tuple[Bundle, ...], tuple[int, ...]]:
+def _disjoint_pairs() -> tuple[tuple[Bundle, ...], tuple[Bundle, ...], bytes]:
     """The universe as columns (X0, X1, |X2|): every ordered pair of
     disjoint bundles once, with the number of goods outside both."""
-    firsts, seconds, thirds = zip(*all_allocations())
-    return firsts, seconds, tuple(map(int.bit_count, thirds))
+    firsts, seconds, _ = zip(*all_allocations())
+    return firsts, seconds, size_codes().translate(size_code_table(lambda first, second, third: third))
 
 
 @lru_cache(maxsize=4)
@@ -397,7 +410,7 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     records the total EFX count.
     """
     column = _status_column(profile_value_keys(profile))
-    efx = [counter for counter, verdict in enumerate(column) if verdict == 2]
+    efx = list(compress(range(N_ALLOCATIONS), column.translate(_EFX)))
     return _report(
         claim=f"no_efx_{profile.kind}",
         universe=N_ALLOCATIONS,
@@ -406,7 +419,7 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
         witnesses=_allocation_witnesses(efx[:witness_limit]),
         breakdown={
             "efx_allocations": len(efx),
-            **_pattern_breakdown("feasible0", compress(all_allocations(), column)),
+            **_pattern_breakdown("feasible0", compress(size_codes(), column)),
         },
     )
 
@@ -451,12 +464,9 @@ def verify_no_alpha_efx(
     if any(None in table[1:] for table in profile.subadditive.exponent_tables):  # type: ignore[union-attr]
         raise ValueError("scaled verification needs a positive level value on every nonempty bundle")
     slack = _scale_slack(alpha, profile.ordinal.top_rank)
-    universe = all_allocations()
-    holds = [
-        counter
-        for counter, (allocation, deficit) in enumerate(zip(universe, _deficits(profile_value_keys(profile))))
-        if deficit <= slack and all(allocation)
-    ]
+    nonempty = nonempty_mask()
+    within_slack = map(le, compress(_deficits(profile_value_keys(profile)), nonempty), repeat(slack))
+    holds = list(compress(compress(range(N_ALLOCATIONS), nonempty), within_slack))
     return _report(
         claim=f"no_alpha_efx({alpha})",
         universe=N_ALLOCATIONS,
@@ -465,7 +475,7 @@ def verify_no_alpha_efx(
         witnesses=_allocation_witnesses(holds[:witness_limit]),
         breakdown={
             "alpha_efx_allocations": len(holds),
-            **_pattern_breakdown("alpha_efx", map(universe.__getitem__, holds)),
+            **_pattern_breakdown("alpha_efx", map(size_codes().__getitem__, holds)),
         },
     )
 
@@ -507,12 +517,12 @@ def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> Deficit
     allocations in counter order."""
     deficits = _deficits(profile.ordinal.rank_tables)
     d_star = min(deficits)
-    argmin = [counter for counter, deficit in enumerate(deficits) if deficit == d_star]
+    argmin = list(compress(range(N_ALLOCATIONS), map(eq, deficits, repeat(d_star))))
     return DeficitProfile(
         d_star=d_star,
         argmin_counters=tuple(argmin[:argmin_limit]),
         argmin_count=len(argmin),
-        min_deficit_all_nonempty=min(compress(deficits, map(all, all_allocations()))),
+        min_deficit_all_nonempty=min(compress(deficits, nonempty_mask())),
         histogram=tuple(sorted(Counter(deficits).items())),
         deficits=deficits,
     )
@@ -802,36 +812,52 @@ def check_normalized_ints(value_table: tuple[int, ...], claim: str) -> VerdictRe
 # Lemma-level allocation checks
 
 
+@lru_cache(maxsize=1)
+def _first_pair_candidates() -> tuple[tuple[int, ...], tuple[Bundle, ...]]:
+    """Counters, and first bundles, of the allocations whose first bundle
+    is a pair and whose other two bundles hold at least two goods each."""
+    shape = size_code_table(lambda first, second, third: first == 2 and second >= 2 and third >= 2)
+    counters = tuple(compress(range(N_ALLOCATIONS), size_codes().translate(shape)))
+    return counters, tuple(all_allocations()[counter][0] for counter in counters)
+
+
 def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     """When the first bundle is a pair and no other bundle is smaller than
     a pair, agent-0 feasibility confines the pair's type support to
     Ax, Ay, BC, By, Cy."""
     column = _status_column(profile_value_keys(profile))
-    labels = profile.ordinal.support_labels
-    candidates = [
-        (counter, x0)
-        for counter, (x0, x1, x2) in enumerate(all_allocations())
-        if x0.bit_count() == 2 and x1.bit_count() >= 2 and x2.bit_count() >= 2
+    counters, firsts = _first_pair_candidates()
+    statuses = list(map(column.__getitem__, counters))
+    labels = list(map(profile.ordinal.support_labels.__getitem__, compress(firsts, statuses)))
+    violations = [
+        counter
+        for counter, label in zip(compress(counters, statuses), labels)
+        if label not in ALLOWED_FIRST_PAIR_LABELS
     ]
-    feasible = [(counter, labels[x0]) for counter, x0 in candidates if column[counter]]
-    violations = [counter for counter, label in feasible if label not in ALLOWED_FIRST_PAIR_LABELS]
-    label_counts = Counter(label for _, label in feasible)
+    label_counts = Counter(labels)
     return _report(
         claim="first_pair_restriction",
-        universe=len(candidates),
-        checked=len(candidates),
+        universe=len(counters),
+        checked=len(counters),
         passed=not violations,
         witnesses=_allocation_witnesses(violations[:witness_limit]),
         breakdown={f"feasible_first_pair[{label}]": n for label, n in label_counts.items()},
     )
 
 
-def _size_class(sizes: tuple[int, int, int]) -> str | None:
+_SIZE_CLASSES = ("small_first", "(2,2,4)", "(2,3,3)")
+
+
+def _size_class(*sizes: int) -> int:
+    """The class of ordered bundle sizes, as its index in _SIZE_CLASSES
+    plus one; 0 for sizes in no class."""
     if sizes[0] <= 1:
-        return "small_first"
-    if sizes in ((2, 2, 4), (2, 3, 3)):
-        return _pattern_key(sizes)
-    return None
+        return 1
+    key = _pattern_key(sizes)
+    return _SIZE_CLASSES.index(key) + 1 if key in _SIZE_CLASSES else 0
+
+
+_SIZE_CLASS = size_code_table(_size_class)
 
 
 def _size_multiset_covered(sizes: tuple[int, int, int]) -> bool:
@@ -848,15 +874,9 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
     parts is reachable from one of the three classes by rotation) is
     verified by enumerating all ordered size triples.
     """
-    column = _status_column(profile_value_keys(profile))
-    classes = {name: [0, []] for name in ("small_first", "(2,2,4)", "(2,3,3)")}
-    for counter, (x0, x1, x2) in enumerate(all_allocations()):
-        name = _size_class((x0.bit_count(), x1.bit_count(), x2.bit_count()))
-        if name is None:
-            continue
-        classes[name][0] += 1
-        if column[counter] == 2:
-            classes[name][1].append(counter)
+    efx = _status_column(profile_value_keys(profile)).translate(_EFX)
+    classes = size_codes().translate(_SIZE_CLASS)
+    efx_per_class = Counter(compress(classes, efx))
 
     factorial = math.factorial
     expected_universe = {
@@ -873,13 +893,17 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
     breakdown: dict[str, int] = {"size_triples_covered": int(covered)}
     witness_counters: list[int] = []
     passed = covered
-    for name, (universe, efx) in classes.items():
+    total_universe = 0
+    for index, name in enumerate(_SIZE_CLASSES, 1):
+        universe, efx_count = classes.count(index), efx_per_class[index]
+        total_universe += universe
         breakdown[f"universe[{name}]"] = universe
-        breakdown[f"efx[{name}]"] = len(efx)
-        if universe != expected_universe[name] or efx:
+        breakdown[f"efx[{name}]"] = efx_count
+        if universe != expected_universe[name] or efx_count:
             passed = False
-        witness_counters += efx[: max(0, witness_limit - len(witness_counters))]
-    total_universe = sum(universe for universe, _ in classes.values())
+        if efx_count:
+            in_class = [counter for counter in compress(range(N_ALLOCATIONS), efx) if classes[counter] == index]
+            witness_counters += in_class[: max(0, witness_limit - len(witness_counters))]
     return _report(
         claim="size_pattern_propositions",
         universe=total_universe,
@@ -894,23 +918,20 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
     """EFX status is invariant under one cyclic relabeling step, for all
     6561 allocations, under the profile's own comparisons.
 
-    The image of (X0, X1, X2) is (perm(X1), perm(X2), perm(X0)).  A counter
-    is the sum of agent(g) * 3^g, so the image's counter is w[perm(X2)] +
-    2 * w[perm(X0)], where w[B] (the sum of 3^g over g in B) is B's binary
-    digits read in base 3; its status is read from the same column.  A
+    The image of (X0, X1, X2) is (perm(X1), perm(X2), perm(X0)), whose
+    counter core's rotation column gives.  The EFX mask is compared with
+    its image under that column, the mask read at each rotated counter,
+    in one comparison; mismatches are listed only when the two differ.  A
     witness names its own direction: EFX and not after rotation, or the
     reverse."""
     column = _status_column(profile_value_keys(profile))
-    rotated = [int(f"{image:b}", 3) for image in profile.ordinal.bundle_images[1]]
+    efx = column.translate(_EFX)
+    rotated = bytes(itemgetter(*rotation_column(profile.ordinal.bundle_images[1]))(efx))
+    mismatches = [] if rotated == efx else list(compress(range(N_ALLOCATIONS), map(ne, efx, rotated)))
     universe = all_allocations()
-    mismatches = [
-        counter
-        for counter, (x0, _, x2) in enumerate(universe)
-        if (column[counter] == 2) != (column[rotated[x2] + 2 * rotated[x0]] == 2)
-    ]
     witnesses = []
     for c in mismatches[:witness_limit]:
-        lhs, rhs = ("EFX", "not EFX after rotation") if column[c] == 2 else ("not EFX", "EFX after rotation")
+        lhs, rhs = ("EFX", "not EFX after rotation") if efx[c] else ("not EFX", "EFX after rotation")
         witnesses.append(Witness(allocation=_allocation_goods(universe[c]), lhs=lhs, rhs=rhs))
     return _report(
         claim=f"cyclic_symmetry({profile.kind})",

@@ -380,6 +380,30 @@ def test_cli_import_leaves_unneeded_modules_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_no_universe_column():
+    probe = (
+        "import efxcheck.cli; from efxcheck import core, verify; "
+        "print([f.__name__ for f in (core.all_allocations, core.size_codes, core.nonempty_mask, "
+        "core.rotation_column, verify._disjoint_pairs, verify._first_pair_candidates) if f.cache_info().currsize])"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_parser_is_built_once_and_keeps_no_option_between_requests():
+    assert cli.build_parser() is cli.build_parser()
+    requests = (["verify", "subadditive", "--alpha", "1/2"], ["verify", "subadditive"])
+    # One process serves both requests in turn; each prints what a fresh
+    # process prints.
+    served = [run_cli(argv)[:2] for argv in requests]
+    for argv, (code, out) in zip(requests, served):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "efxcheck.cli", *argv], env=_source_env(), capture_output=True, text=True
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert "no_alpha_efx" in served[0][1] and "no_alpha_efx" not in served[1][1]
+
+
 def test_workers_help_says_the_option_is_ignored():
     _, help_text, _ = run_cli(["verify", "--help"])
     assert "--workers" in help_text and "ignored" in help_text

@@ -1,0 +1,109 @@
+"""The cached columns under interleaved subjects.
+
+One process alternates claims on the built-in profiles with the same
+claims on templates of two other relabelings, and scaled scans at two
+factors in between, and compares every report with the set-based oracle.
+A status, rotation or size column cached under the wrong key, or kept
+after its subject changed, would answer one subject with another's
+column.  The templates have EFX allocations that no relabeling but their
+own maps onto themselves, so a wrong rotation column shows as a cyclic
+mismatch and a wrong status column as a wrong EFX list.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+
+from helpers import random_template_doc
+from oracles import (
+    RELABELING,
+    agent_feasible,
+    counter_of,
+    efx_counters,
+    keyed,
+    rotated_counter,
+    scaled_efx_counters,
+    scaled_pair_groups,
+    universe,
+)
+
+from efxcheck.cardinal import ApproxFactor, LevelValue, compare_scaled
+from efxcheck.core import N_ALLOCATIONS
+from efxcheck.ordinal import load_template
+from efxcheck.verify import Profile, builtin, verify_cyclic_symmetry, verify_no_alpha_efx, verify_no_efx
+
+TEMPLATE_SEED = 0
+OTHER_RELABELINGS = ((2, 0, 1, 5, 3, 4, 6, 7), tuple(range(8)))
+
+
+def template_subject(permutation: tuple[int, ...]) -> Profile:
+    doc = json.loads(random_template_doc(TEMPLATE_SEED))
+    doc["permutation"] = list(permutation)
+    _, ordinal = load_template(json.dumps(doc))
+    return Profile(kind="ordinal", ordinal=ordinal)
+
+
+def sizes_breakdown(prefix: str, counters) -> dict[str, int]:
+    sizes = Counter(tuple(map(len, universe()[counter][0])) for counter in counters)
+    return {f"{prefix}({a},{b},{c})": n for (a, b, c), n in sizes.items()}
+
+
+def expected_no_efx(values) -> tuple[list[int], dict[str, int]]:
+    efx = efx_counters(values)
+    feasible0 = [counter for counter, feasible in enumerate(agent_feasible(values, 0)) if feasible]
+    return efx, {"efx_allocations": len(efx), **sizes_breakdown("feasible0", feasible0)}
+
+
+def cyclic_mismatches(efx: list[int], permutation: tuple[int, ...]) -> list[int]:
+    members = set(efx)
+    return [
+        counter
+        for counter, (bundles, _) in enumerate(universe())
+        if (counter in members) != (rotated_counter(bundles, permutation) in members)
+    ]
+
+
+def expected_scaled(profile: Profile, text: str) -> tuple[list[int], dict[str, int]]:
+    alpha = ApproxFactor.parse(text)
+
+    def level(exponent):
+        return LevelValue.zero() if exponent is None else LevelValue.power(exponent)
+
+    groups = scaled_pair_groups(keyed(profile.subadditive.exponent_tables))
+    holds = scaled_efx_counters(groups, lambda own, reduced: compare_scaled(level(own), alpha, level(reduced)))
+    return holds, {"alpha_efx_allocations": len(holds), **sizes_breakdown("alpha_efx", holds)}
+
+
+def counters_of(report) -> list[int]:
+    return [counter_of(w.allocation) for w in report.witnesses]
+
+
+def test_interleaved_subjects_each_read_their_own_columns():
+    ordinal, levels = builtin("ordinal"), builtin("subadditive")
+    subjects = [(ordinal, RELABELING)] + [(template_subject(p), p) for p in OTHER_RELABELINGS]
+    expected = {}
+    for profile, permutation in subjects:
+        efx, breakdown = expected_no_efx(keyed(profile.ordinal.rank_tables))
+        assert not cyclic_mismatches(efx, permutation)
+        if profile is not ordinal:
+            # Only its own relabeling keeps this template's EFX set.
+            assert efx and all(cyclic_mismatches(efx, other) for _, other in subjects if other != permutation)
+        expected[permutation] = efx, breakdown
+    scaled = {text: expected_scaled(levels, text) for text in ("9/10", "1/2")}
+    assert not scaled["9/10"][0] and scaled["1/2"][0]
+
+    for _ in range(2):
+        for (profile, permutation), text in zip(subjects, ("9/10", "1/2", "9/10")):
+            efx, breakdown = expected[permutation]
+            cyclic = verify_cyclic_symmetry(profile, witness_limit=10)
+            assert cyclic.passed and not cyclic.witnesses
+            assert cyclic.breakdown == (("efx_allocations", len(efx)),)
+            report = verify_no_efx(profile, witness_limit=N_ALLOCATIONS)
+            assert counters_of(report) == efx
+            assert dict(report.breakdown) == breakdown
+
+            holds, scaled_breakdown = scaled[text]
+            report = verify_no_alpha_efx(levels, ApproxFactor.parse(text), witness_limit=N_ALLOCATIONS)
+            assert counters_of(report) == holds
+            assert dict(report.breakdown) == scaled_breakdown

@@ -24,12 +24,16 @@ from efxcheck.core import (
     allocation_from_counter,
     apply_permutation,
     bundle_of,
+    code_sizes,
     counter_of_allocation,
     enumerate_allocations,
     invert_permutation,
     is_allocation,
     members,
+    nonempty_mask,
     permutation_power,
+    rotation_column,
+    size_codes,
 )
 from efxcheck.ordinal import builtin_profile, rotate_allocation, support_of, type_of
 from efxcheck.verify import Profile, builtin, profile_value_keys
@@ -142,13 +146,30 @@ def test_counter_roundtrip():
 
 
 def test_decode_matches_the_literal_decode():
-    # The one place core's decode meets the oracle's counter // 3**g % 3.
-    literal = [tuple(map(oracles.mask, bundles)) for bundles, _ in oracles.universe()]
+    # The one place core's decode, and the universe columns beside it,
+    # meet the oracle's counter // 3**g % 3.
+    allocations = [bundles for bundles, _ in oracles.universe()]
+    literal = [tuple(map(oracles.mask, allocation)) for allocation in allocations]
     assert [allocation_from_counter(counter) for counter in range(N_ALLOCATIONS)] == literal
     assert list(enumerate_allocations()) == literal
     for counter in (-1, N_ALLOCATIONS):
         with pytest.raises(ValueError):
             allocation_from_counter(counter)
+
+    sizes = [tuple(map(len, allocation)) for allocation in allocations]
+    assert list(size_codes()) == [9 * first + second for first, second, _ in sizes]
+    assert list(map(code_sizes, size_codes())) == sizes
+    assert list(nonempty_mask()) == [int(all(allocation)) for allocation in allocations]
+
+    # The built-in relabeling as the profiles carry it, its inverse, and a
+    # 3-cycle that moves goods of different types.
+    relabelings = [(RELABELING, builtin_profile().bundle_images[1])]
+    for permutation in ((2, 0, 1, 5, 3, 4, 6, 7), (6, 1, 2, 0, 4, 5, 3, 7)):
+        images = tuple(oracles.mask(permutation[g] for g in oracles.unmask(b)) for b in ALL_BUNDLES)
+        relabelings.append((permutation, images))
+    for permutation, images in relabelings:
+        expected = [oracles.rotated_counter(allocation, permutation) for allocation in allocations]
+        assert list(rotation_column(images)) == expected, permutation
 
 
 def test_literal_counter_needs_a_partition():
