@@ -18,9 +18,7 @@ from .cardinal import (
     LevelValue,
     SubadditiveProfile,
     compare_scaled,
-    coverage_value,
     level_sum_compare,
-    subadditive_value,
     support_value_table,
 )
 from .core import (
@@ -29,23 +27,15 @@ from .core import (
     allocation_from_counter,
     apply_permutation,
     bundle_of,
-    enumerate_allocations,
     members,
 )
 from .ordinal import (
     InstanceTemplate,
     OrdinalProfile,
     TemplateError,
-    base_pair_rank,
     builtin_profile,
-    is_exceptional,
     load_template,
     load_template_file,
-    rank0,
-    rank_for_agent,
-    rotate_allocation,
-    support_of,
-    type_of,
 )
 from .verify import (
     DeficitProfile,
@@ -54,7 +44,6 @@ from .verify import (
     Witness,
     builtin,
     compute_deficit_profile,
-    efx_feasible,
     is_efx,
     strong_envy_witness,
     verify_cyclic_symmetry,

@@ -37,7 +37,7 @@ from .core import (
     members,
     permutation_power,
 )
-from .ordinal import OrdinalProfile, builtin_profile, support_representatives
+from .ordinal import OrdinalProfile, support_representatives
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -336,11 +336,6 @@ def build_subadditive(profile: OrdinalProfile) -> SubadditiveProfile:
     return SubadditiveProfile(ordinal=profile, exponent_tables=tables)
 
 
-def subadditive_value(agent: int, bundle: Bundle, profile: OrdinalProfile) -> LevelValue:
-    """Level value of a bundle: zero when empty, else the power top_rank - rank."""
-    return build_subadditive(profile).value(agent, bundle)
-
-
 # ---------------------------------------------------------------------------
 # Weighted coverage profile
 
@@ -407,30 +402,19 @@ def build_coverage(profile: OrdinalProfile) -> CoverageProfile:
     )
 
 
-@lru_cache(maxsize=1)
-def builtin_coverage() -> CoverageProfile:
-    return build_coverage(builtin_profile())
-
-
-def coverage_value(agent: int, bundle: Bundle) -> int:
-    """Built-in coverage value of a bundle for an agent."""
-    return builtin_coverage().value_tables[agent][bundle]
-
-
 class SupportCollapseError(AssertionError):
     """Two bundles with the same type support disagreed on rank or value."""
 
 
-def support_value_table() -> dict[str, tuple[int, int]]:
-    """All 32 type supports with their (rank, coverage value) for agent 0.
+def support_value_table(profile: OrdinalProfile, coverage: CoverageProfile) -> dict[str, tuple[int, int]]:
+    """Every type support with its (rank, coverage value) for agent 0.
 
     Groups every bundle by support and asserts that rank and value are
     constant on each group before returning one row per support.
     """
-    profile = builtin_profile()
     labels = profile.support_labels
     ranks = profile.rank_tables[0]
-    values = builtin_coverage().value_tables[0]
+    values = coverage.value_tables[0]
     representatives = support_representatives(labels)
     for bundle, representative in zip(ALL_BUNDLES, representatives):
         row, expected = (ranks[bundle], values[bundle]), (ranks[representative], values[representative])

@@ -1,4 +1,4 @@
-"""Fixed universe of goods, bundles, allocations, and enumerators.
+"""Fixed universe of goods, bundles and allocations, and the columns over it.
 
 Eight goods are indexed 0..7.  A bundle is a bitmask over good indices,
 so membership, union, and difference are single integer operations and
@@ -23,7 +23,7 @@ type the other modules define.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 
 Bundle = int
@@ -165,14 +165,6 @@ def is_permutation(perm: tuple[int, ...]) -> bool:
     return len(perm) == N_GOODS and sorted(perm) == list(GOODS)
 
 
-def is_allocation(parts: tuple[int, ...]) -> bool:
-    """True when the triple is pairwise disjoint and covers all goods."""
-    if len(parts) != N_AGENTS:
-        return False
-    x0, x1, x2 = parts
-    return (x0 | x1 | x2) == FULL_BUNDLE and (x0 & x1) == 0 and (x0 & x2) == 0 and (x1 & x2) == 0
-
-
 @lru_cache(maxsize=1)
 def all_allocations() -> tuple[Allocation, ...]:
     """All 6561 allocations in counter order, decoded once, digit by digit
@@ -195,27 +187,6 @@ def allocation_from_counter(counter: int) -> Allocation:
     if not 0 <= counter < N_ALLOCATIONS:
         raise ValueError(f"allocation counter out of range: {counter}")
     return all_allocations()[counter]
-
-
-def counter_of_allocation(allocation: Allocation) -> int:
-    """Inverse of allocation_from_counter."""
-    if not is_allocation(allocation):
-        raise ValueError(f"not a complete allocation: {allocation}")
-    counter = 0
-    for g in reversed(GOODS):
-        if allocation[0] >> g & 1:
-            digit = 0
-        elif allocation[1] >> g & 1:
-            digit = 1
-        else:
-            digit = 2
-        counter = counter * 3 + digit
-    return counter
-
-
-def enumerate_allocations() -> Iterator[Allocation]:
-    """All 6561 complete allocations, exactly once, in counter order."""
-    return iter(all_allocations())
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ or x, one B-good and one C-good.
 Agents 1 and 2 rank a bundle by applying the relabeling once or twice and
 asking agent 0.  The built-in instance is read from its shipped template
 document, paper_instance.json, through the same loader and validation as
-user templates; type_of, support_of and rotate_allocation are reads of
-that template, which is the only place the built-in partition and
-relabeling are written down.
+user templates; that document is the only place the built-in partition
+and relabeling are written down.
 
-This module builds and loads profiles and nothing else: every test of an
-allocation lives in efxcheck.verify.
+This module builds and loads profiles and nothing else.  A profile's
+tables are the only reads of its ranks, support labels and relabeled
+bundles, and every test of an allocation lives in efxcheck.verify.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .core import (
     N_GOODS,
     Bundle,
     Record,
-    apply_permutation,
     is_permutation,
     members,
     one_good_reductions,
@@ -59,10 +58,6 @@ from .core import (
 MAX_TEMPLATE_CHARS = 1 << 20
 
 
-class UndefinedPairRank(ValueError):
-    """Raised for type pairs with no realizable two-good bundle."""
-
-
 class TemplateError(ValueError):
     """Template document rejected; location names the offending field."""
 
@@ -70,19 +65,6 @@ class TemplateError(ValueError):
         self.location = location
         self.message = message
         super().__init__(f"{location}: {message}" if location else message)
-
-
-def base_pair_rank(type_a: str, type_b: str) -> int:
-    """Rank of a two-good bundle from the types of its goods (agent 0)."""
-    try:
-        return builtin_template().pair_rank_map()[_sorted_pair(type_a, type_b)]
-    except KeyError:
-        raise UndefinedPairRank(f"no pair of distinct goods has types ({type_a}, {type_b})") from None
-
-
-def is_exceptional(bundle: Bundle) -> bool:
-    """True for the twelve top-rank triples of the built-in instance."""
-    return bundle in _exceptional_bundles(builtin_template())
 
 
 class InstanceTemplate(Record):
@@ -96,7 +78,6 @@ class InstanceTemplate(Record):
     """
 
     type_goods: tuple[tuple[str, tuple[int, ...]], ...]
-    special_types: tuple[str, ...]
     pair_ranks: tuple[tuple[tuple[str, str], int], ...]
     exceptional: tuple[tuple[str, str, str], ...]
     top_rank: int
@@ -227,36 +208,6 @@ def builtin_profile() -> OrdinalProfile:
     return build_profile(builtin_template())
 
 
-def rank0(bundle: Bundle) -> int:
-    """Agent 0's rank of a bundle in the built-in instance."""
-    return builtin_profile().rank_tables[0][bundle]
-
-
-def rank_for_agent(agent: int, bundle: Bundle) -> int:
-    """Rank of a bundle for any agent of the built-in instance."""
-    return builtin_profile().rank_tables[agent][bundle]
-
-
-def type_of(good: int) -> str:
-    """Item type of a good in the built-in instance."""
-    return builtin_template().type_of_good()[good]
-
-
-def support_of(bundle: Bundle) -> frozenset[str]:
-    """Types of the built-in instance with at least one good in the bundle."""
-    return frozenset(map(builtin_template().type_of_good().__getitem__, members(bundle)))
-
-
-def rotate_allocation(
-    allocation: tuple[Bundle, Bundle, Bundle], perm: tuple[int, ...] | None = None
-) -> tuple[Bundle, Bundle, Bundle]:
-    """One cyclic step: (X0, X1, X2) becomes (perm(X1), perm(X2), perm(X0)),
-    perm being the built-in relabeling unless given."""
-    perm = perm or builtin_template().permutation
-    x0, x1, x2 = allocation
-    return apply_permutation(perm, x1), apply_permutation(perm, x2), apply_permutation(perm, x0)
-
-
 # ---------------------------------------------------------------------------
 # Template documents
 
@@ -315,7 +266,6 @@ def parse_template(text: str) -> InstanceTemplate:
 
     specials = doc["special_goods"]
     _require(isinstance(specials, dict), "must map type names to single goods", "special_goods")
-    special_names: list[str] = []
     for name, good in specials.items():
         loc = f"special_goods.{name}"
         _require(isinstance(name, str) and name, "special type name must be a non-empty string", loc)
@@ -323,7 +273,6 @@ def parse_template(text: str) -> InstanceTemplate:
         seen_names.add(name)
         _require(_is_int(good), "special good must be a single integer", loc)
         type_goods.append((name, (good,)))
-        special_names.append(name)
 
     claimed: dict[int, str] = {}
     for name, goods in type_goods:
@@ -416,38 +365,11 @@ def parse_template(text: str) -> InstanceTemplate:
 
     return InstanceTemplate(
         type_goods=tuple(type_goods),
-        special_types=tuple(special_names),
         pair_ranks=tuple(sorted(collected.items())),
         exceptional=tuple(exceptional),
         top_rank=top_rank,
         permutation=perm,
     )
-
-
-def serialize_template(template: InstanceTemplate) -> str:
-    """Template back to its JSON document form (inverse of parse_template)."""
-    specials = set(template.special_types)
-    doc = {
-        "types": [
-            {"name": name, "goods": list(goods)}
-            for name, goods in template.type_goods
-            if name not in specials
-        ],
-        "special_goods": {
-            name: goods[0]
-            for name, goods in template.type_goods
-            if name in specials
-        },
-        "top_rank": template.top_rank,
-        "pair_ranks": {},
-        "exceptional": [list(entry) for entry in template.exceptional],
-        "permutation": list(template.permutation),
-    }
-    pair_ranks: dict[str, dict[str, int]] = {}
-    for (first, second), rank in template.pair_ranks:
-        pair_ranks.setdefault(first, {})[second] = rank
-    doc["pair_ranks"] = pair_ranks
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def load_template(text: str) -> tuple[InstanceTemplate, OrdinalProfile]:
@@ -465,7 +387,14 @@ def load_template_file(path: str) -> tuple[InstanceTemplate, OrdinalProfile]:
         raise TemplateError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", path) from None
     if len(text) > MAX_TEMPLATE_CHARS:
         raise TemplateError(f"document longer than {MAX_TEMPLATE_CHARS} characters", path)
-    return load_template(text)
+    try:
+        return load_template(text)
+    except TemplateError as exc:
+        # A JSON syntax error is placed by line and column alone; name the
+        # file too.  Every other error names a field of the document.
+        if not exc.location.startswith("line "):
+            raise
+        raise TemplateError(exc.message, f"{path}, {exc.location}") from None
 
 
 def bundled_instance_text() -> str:

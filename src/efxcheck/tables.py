@@ -15,6 +15,7 @@ from itertools import combinations
 from .cardinal import support_value_table
 from .core import GOODS, Record, bundle_of, members
 from .ordinal import InstanceTemplate, OrdinalProfile, builtin_profile
+from .verify import builtin
 
 # Pair-rank matrices for the three agents, row/column order A, B, C, x, y.
 # Cells are keyed by canonical (sorted) type pair; (x, x) and (y, y) have
@@ -174,7 +175,8 @@ def table4_artifact() -> TableArtifact:
     """Support table rows grouped by rank, with the separation ladder
     (each positive-rank row's minimum above the previous row's maximum)
     checked on the computed extrema."""
-    support_rows = support_value_table()
+    coverage = builtin("coverage")
+    support_rows = support_value_table(coverage.ordinal, coverage.coverage)
     grouped: dict[int, tuple[set[int], set[str]]] = {}
     for label, (rank, value) in support_rows.items():
         values, labels = grouped.setdefault(rank, (set(), set()))

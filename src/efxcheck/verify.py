@@ -12,12 +12,12 @@ which no valuation changes: size codes, the nonempty mask and the
 rotation column.  Claims read them with C-level operations: no-EFX
 counts size codes under the status column, size patterns count a class
 column translated from the size codes, the first pair reads a cached
-candidate list, cyclic symmetry compares the EFX mask with its rotated
-image in one comparison, and alpha-star and the scaled scan read the
-deficit kernel under the nonempty mask.  A 6561-allocation universe
-gains nothing from a process pool.  This module owns every EFX read: the
-scans, and efx_feasible, is_efx and strong_envy_witness for one
-allocation, all go through the reduction-maxima tables.
+candidate list, cyclic symmetry checks that the rotation column sends
+every EFX counter to an EFX counter, and alpha-star and the scaled scan
+read the deficit kernel under the nonempty mask.  A 6561-allocation
+universe gains nothing from a process pool.  This module owns every EFX read: the
+scans, and is_efx and strong_envy_witness for one allocation, all go
+through the reduction-maxima tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
@@ -43,7 +43,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
-from operator import eq, gt, itemgetter, le, ne
+from operator import eq, gt, le, ne
 
 from .cardinal import (
     ApproxFactor,
@@ -362,15 +362,6 @@ def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 # --- single allocations ------------------------------------------------------
-
-
-def efx_feasible(agent: int, allocation: Allocation, profile: OrdinalProfile) -> bool:
-    """Single-agent condition: the agent's bundle ranks at least as high as
-    every other bundle with any one good removed."""
-    ranks = profile.rank_tables
-    own = ranks[agent][allocation[agent]]
-    maxima = _reduction_maxima(ranks)[agent]
-    return all(own >= maxima[allocation[j]] for j in _OTHER_AGENTS[agent])
 
 
 def is_efx(allocation: Allocation, profile: OrdinalProfile) -> bool:
@@ -919,15 +910,20 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
     6561 allocations, under the profile's own comparisons.
 
     The image of (X0, X1, X2) is (perm(X1), perm(X2), perm(X0)), whose
-    counter core's rotation column gives.  The EFX mask is compared with
-    its image under that column, the mask read at each rotated counter,
-    in one comparison; mismatches are listed only when the two differ.  A
-    witness names its own direction: EFX and not after rotation, or the
-    reverse."""
+    counter core's rotation column gives.  The rotation permutes the
+    counters, so the EFX mask equals its image, the mask read at each
+    rotated counter, exactly when every EFX counter rotates to an EFX
+    counter: the claim passes at once with no EFX allocation, and else
+    after a walk over the EFX counters.  Mismatches are listed, in
+    counter order, only when that walk fails.  A witness names its own
+    direction: EFX and not after rotation, or the reverse."""
     column = _status_column(profile_value_keys(profile))
     efx = column.translate(_EFX)
-    rotated = bytes(itemgetter(*rotation_column(profile.ordinal.bundle_images[1]))(efx))
-    mismatches = [] if rotated == efx else list(compress(range(N_ALLOCATIONS), map(ne, efx, rotated)))
+    mismatches = []
+    if 1 in efx:
+        rotation = rotation_column(profile.ordinal.bundle_images[1])
+        if not all(map(efx.__getitem__, compress(rotation, efx))):
+            mismatches = list(compress(range(N_ALLOCATIONS), map(ne, efx, map(efx.__getitem__, rotation))))
     universe = all_allocations()
     witnesses = []
     for c in mismatches[:witness_limit]:

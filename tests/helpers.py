@@ -8,7 +8,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 from efxcheck.cli import main
-from efxcheck.ordinal import builtin_template, serialize_template
+from efxcheck.ordinal import bundled_instance_text
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -22,7 +22,7 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 def identical_agents_doc() -> str:
     """Template with every pair rank 1 and no exceptional triples: three
     indifferent agents that only distinguish empty from nonempty."""
-    doc = json.loads(serialize_template(builtin_template()))
+    doc = json.loads(bundled_instance_text())
     for row in doc["pair_ranks"].values():
         for key in row:
             row[key] = 1
@@ -32,7 +32,7 @@ def identical_agents_doc() -> str:
 
 def mutated_pair_doc(first: str, second: str, rank: int) -> str:
     """Built-in template with one pair-rank cell overridden."""
-    doc = json.loads(serialize_template(builtin_template()))
+    doc = json.loads(bundled_instance_text())
     row = doc["pair_ranks"].setdefault(first, {})
     row[second] = rank
     return json.dumps(doc)
@@ -50,7 +50,7 @@ def random_template_doc(seed: int) -> str:
     exceptional triples, a random top rank and a relabeling of order
     dividing 3."""
     rng = random.Random(seed)
-    doc = json.loads(serialize_template(builtin_template()))
+    doc = json.loads(bundled_instance_text())
     top_rank = rng.randint(2, 12)
     doc["top_rank"] = top_rank
     for row in doc["pair_ranks"].values():

@@ -7,7 +7,6 @@ import pytest
 
 from oracles import LEVEL_BASE, RELABELING, float_level_sum, naive_coverage, naive_coverage_for_agent
 
-from efxcheck import cardinal
 from efxcheck.cardinal import (
     ApproxFactor,
     AlgebraicValue,
@@ -16,12 +15,9 @@ from efxcheck.cardinal import (
     SupportCollapseError,
     build_coverage,
     build_subadditive,
-    builtin_coverage,
     compare_scaled,
-    coverage_value,
     level_power_decimal,
     level_sum_compare,
-    subadditive_value,
     support_value_table,
 )
 from efxcheck.core import (
@@ -34,6 +30,11 @@ from efxcheck.core import (
     permutation_power,
 )
 from efxcheck.ordinal import builtin_profile
+from efxcheck.verify import builtin
+
+
+def _coverage_tables() -> tuple[tuple[int, ...], ...]:
+    return builtin("coverage").coverage.value_tables
 
 
 # --- level values -----------------------------------------------------------
@@ -53,10 +54,10 @@ def test_level_value_ordering():
 
 
 def test_subadditive_value_examples():
-    profile = builtin_profile()
-    assert subadditive_value(0, 0, profile) == LevelValue.zero()
-    assert subadditive_value(0, bundle_of((0, 1, 2)), profile) == LevelValue.power(0)
-    assert subadditive_value(0, bundle_of((5,)), profile) == LevelValue.power(6)
+    sub = build_subadditive(builtin_profile())
+    assert sub.value(0, 0) == LevelValue.zero()
+    assert sub.value(0, bundle_of((0, 1, 2))) == LevelValue.power(0)
+    assert sub.value(0, bundle_of((5,))) == LevelValue.power(6)
 
 
 def test_nonempty_values_lie_between_half_and_one():
@@ -185,33 +186,31 @@ def test_atom_list_shape():
 
 
 def test_coverage_value_examples():
-    assert coverage_value(0, 0) == 0
-    assert coverage_value(0, bundle_of((0, 1))) == 36
-    assert coverage_value(0, bundle_of((6,))) == 21
-    assert coverage_value(0, FULL_BUNDLE) == 49
+    values = _coverage_tables()[0]
+    assert values[0] == 0
+    assert values[bundle_of((0, 1))] == 36
+    assert values[bundle_of((6,))] == 21
+    assert values[FULL_BUNDLE] == 49
 
 
 def test_coverage_matches_naive_oracle_everywhere():
-    for agent in range(N_AGENTS):
+    for agent, values in enumerate(_coverage_tables()):
         for bundle in ALL_BUNDLES:
-            assert coverage_value(agent, bundle) == naive_coverage_for_agent(
-                agent, frozenset(members(bundle))
-            )
+            assert values[bundle] == naive_coverage_for_agent(agent, frozenset(members(bundle)))
 
 
 def test_coverage_range_is_21_to_49_for_nonempty():
-    values = [coverage_value(0, bundle) for bundle in ALL_BUNDLES[1:]]
+    values = _coverage_tables()[0][1:]
     assert min(values) == 21
     assert max(values) == 49
 
 
 def test_relabeling_identity_for_coverage():
-    coverage = builtin_coverage()
-    for agent in range(N_AGENTS):
+    for agent, values in enumerate(_coverage_tables()):
         perm = permutation_power(RELABELING, agent)
         for bundle in ALL_BUNDLES:
             image = apply_permutation(perm, bundle)
-            assert coverage.value(agent, bundle) == naive_coverage(frozenset(members(image)))
+            assert values[bundle] == naive_coverage(frozenset(members(image)))
 
 
 def test_relabeling_identity_for_level_values():
@@ -228,7 +227,7 @@ def test_relabeling_identity_for_level_values():
 def test_strict_rank_separation_for_coverage():
     profile = builtin_profile()
     ranks = profile.rank_tables[0]
-    values = builtin_coverage().value_tables[0]
+    values = _coverage_tables()[0]
     for s in ALL_BUNDLES:
         for t in ALL_BUNDLES:
             if ranks[s] > ranks[t]:
@@ -267,27 +266,27 @@ def test_one_rank_gap_scales_by_the_base_exactly():
 
 
 def test_support_value_table_rows():
-    table = support_value_table()
+    coverage = builtin("coverage")
+    table = support_value_table(coverage.ordinal, coverage.coverage)
     assert len(table) == 32
     assert table["BC"] == (5, 46)
     assert table["∅"] == (0, 0)
     assert table["ABCxy"] == (7, 49)
 
 
-def test_support_value_table_rejects_a_split_support(monkeypatch):
+def test_support_value_table_rejects_a_split_support():
     # Good 3 shares type A with good 0; valuing {3} apart splits support A.
-    coverage = builtin_coverage()
+    profile, coverage = builtin_profile(), builtin("coverage").coverage
     doctored = coverage.replace(value_tables=(
         tuple(v + (bundle == bundle_of((3,))) for bundle, v in enumerate(coverage.value_tables[0])),
     ) + coverage.value_tables[1:])
-    monkeypatch.setattr(cardinal, "builtin_coverage", lambda: doctored)
     expected = coverage.value_tables[0][bundle_of((0,))]
     with pytest.raises(SupportCollapseError, match=rf"support A: bundle \(3,\) gives \(1, {expected + 1}\), expected \(1, {expected}\)"):
-        support_value_table()
+        support_value_table(profile, doctored)
 
 
 def test_coverage_total_weight_hit_by_full_bundle():
-    assert coverage_value(0, FULL_BUNDLE) == sum(a.weight for a in BASE_COVERAGE_ATOMS)
+    assert _coverage_tables()[0][FULL_BUNDLE] == sum(a.weight for a in BASE_COVERAGE_ATOMS)
 
 
 def test_agent_atoms_are_relabeled_base_atoms():

@@ -297,16 +297,15 @@ def test_missing_command_exits_two():
     assert code == 2
 
 
-# The public names of efxcheck/__init__; none may disappear.
+# The public names of efxcheck/__init__, exactly: adding or removing one is
+# a deliberate change to this list.
 PUBLIC_NAMES = (
     "AlgebraicValue", "Allocation", "ApproxFactor", "Bundle", "CoverageAtom", "CoverageProfile",
     "DeficitProfile", "InstanceTemplate", "LevelValue", "OrdinalProfile", "Profile",
     "SubadditiveProfile", "TemplateError", "VerdictReport", "Witness", "allocation_from_counter",
-    "apply_permutation", "base_pair_rank", "builtin", "builtin_profile", "bundle_of", "cardinal",
-    "compare_scaled", "compute_deficit_profile", "core", "coverage_value", "efx_feasible",
-    "enumerate_allocations", "is_efx", "is_exceptional", "level_sum_compare", "load_template",
-    "load_template_file", "members", "ordinal", "rank0", "rank_for_agent", "rotate_allocation",
-    "strong_envy_witness", "subadditive_value", "support_of", "support_value_table", "type_of",
+    "apply_permutation", "builtin", "builtin_profile", "bundle_of", "cardinal", "compare_scaled",
+    "compute_deficit_profile", "core", "is_efx", "level_sum_compare", "load_template",
+    "load_template_file", "members", "ordinal", "strong_envy_witness", "support_value_table",
     "verify", "verify_cyclic_symmetry", "verify_lemma_first_pair", "verify_no_alpha_efx",
     "verify_no_efx", "verify_size_pattern_props", "verify_transfer",
 )
@@ -315,8 +314,8 @@ PUBLIC_NAMES = (
 def test_public_import_surface():
     import efxcheck
 
-    missing = [name for name in PUBLIC_NAMES if name not in efxcheck.__all__ or not hasattr(efxcheck, name)]
-    assert missing == []
+    assert sorted(efxcheck.__all__) == sorted(PUBLIC_NAMES)
+    assert [name for name in PUBLIC_NAMES if not hasattr(efxcheck, name)] == []
 
 
 def test_non_utf8_template_exits_two_naming_the_path(tmp_path):
@@ -328,6 +327,15 @@ def test_non_utf8_template_exits_two_naming_the_path(tmp_path):
     assert "template error" in err
     assert str(path) in err
     assert "UTF-8" in err
+
+
+def test_json_syntax_error_exits_two_naming_the_path(tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"types": ', encoding="utf-8")
+    code, out, err = run_cli(["template", str(path), "verify"])
+    assert code == 2
+    assert out == ""
+    assert f"template error at {path}, line 1, column" in err
 
 
 def test_oversized_template_exits_two_naming_the_path(tmp_path):

@@ -21,21 +21,19 @@ from efxcheck.core import (
     GOODS,
     N_ALLOCATIONS,
     Record,
+    all_allocations,
     allocation_from_counter,
     apply_permutation,
     bundle_of,
     code_sizes,
-    counter_of_allocation,
-    enumerate_allocations,
     invert_permutation,
-    is_allocation,
     members,
     nonempty_mask,
     permutation_power,
     rotation_column,
     size_codes,
 )
-from efxcheck.ordinal import builtin_profile, rotate_allocation, support_of, type_of
+from efxcheck.ordinal import builtin_profile, builtin_template
 from efxcheck.verify import Profile, builtin, profile_value_keys
 
 
@@ -43,40 +41,50 @@ def _sizes(allocation):
     return tuple(bundle.bit_count() for bundle in allocation)
 
 
+def _types(bundle) -> set[str]:
+    """The types in a bundle, read from its support label: the built-in
+    type names are single characters, and "∅" labels no type."""
+    label = builtin_profile().support_labels[bundle]
+    return set() if label == "∅" else set(label)
+
+
+def _rotation() -> tuple[int, ...]:
+    """The built-in relabeling's rotation column."""
+    return tuple(rotation_column(builtin_profile().bundle_images[1]))
+
+
 def test_type_partition():
-    assert type_of(0) == "A"
-    assert type_of(6) == "x"
-    assert type_of(7) == "y"
+    type_of_good = builtin_template().type_of_good()
+    assert (type_of_good[0], type_of_good[6], type_of_good[7]) == ("A", "x", "y")
     groups = {}
     for g in GOODS:
-        groups.setdefault(type_of(g), set()).add(g)
+        groups.setdefault(type_of_good[g], set()).add(g)
     assert groups == {"A": {0, 3}, "B": {1, 4}, "C": {2, 5}, "x": {6}, "y": {7}}
 
 
-def test_support_of_examples():
-    assert support_of(bundle_of((0, 3, 1, 4))) == {"A", "B"}
-    assert support_of(0) == frozenset()
-    assert support_of(bundle_of((0, 2, 6))) == {"A", "C", "x"}
+def test_support_label_examples():
+    labels = builtin_profile().support_labels
+    assert labels[bundle_of((0, 3, 1, 4))] == "AB"
+    assert labels[0] == "∅"
+    assert labels[bundle_of((0, 2, 6))] == "ACx"
 
 
 def test_builtin_template_reads_match_oracle_data():
-    import efxcheck
-
-    assert tuple(efxcheck.type_of(g) for g in GOODS) == tuple(TYPE_BY_GOOD[g] for g in GOODS)
+    assert builtin_template().type_of_good() == tuple(TYPE_BY_GOOD[g] for g in GOODS)
     for bundle in ALL_BUNDLES:
-        assert efxcheck.support_of(bundle) == {TYPE_BY_GOOD[g] for g in members(bundle)}
-
-    def relabel(bundle):
-        return bundle_of(SIGMA[g] for g in members(bundle))
-
-    for x0, x1, x2 in enumerate_allocations():
-        assert efxcheck.rotate_allocation((x0, x1, x2)) == (relabel(x1), relabel(x2), relabel(x0))
+        assert _types(bundle) == {TYPE_BY_GOOD[g] for g in members(bundle)}
+    for agent, images in enumerate(builtin_profile().bundle_images):
+        for bundle in ALL_BUNDLES:
+            image = oracles.unmask(bundle)
+            for _ in range(agent):
+                image = {SIGMA[g] for g in image}
+            assert images[bundle] == oracles.mask(image)
 
 
 def test_support_union_homomorphism():
     for s in ALL_BUNDLES:
         for t in (0, 1, 0b10101010, FULL_BUNDLE, s >> 1):
-            assert support_of(s | t) == support_of(s) | support_of(t)
+            assert _types(s | t) == _types(s) | _types(t)
 
 
 def test_relabeling_examples():
@@ -97,37 +105,28 @@ def test_permutation_invertible():
         assert apply_permutation(inverse, apply_permutation(RELABELING, bundle)) == bundle
 
 
-def test_rotate_allocation_sizes_and_identity():
-    allocation = (bundle_of((0, 1)), bundle_of((2, 3)), bundle_of((4, 5, 6, 7)))
-    assert _sizes(allocation) == (2, 2, 4)
-    assert _sizes(rotate_allocation(allocation)) == (2, 4, 2)
-    rotated = rotate_allocation(rotate_allocation(rotate_allocation(allocation)))
-    assert rotated == allocation
+def test_rotation_sizes_and_identity():
+    rotation, allocations = _rotation(), all_allocations()
+    counter = oracles.counter_of(((0, 1), (2, 3), (4, 5, 6, 7)))
+    assert _sizes(allocations[counter]) == (2, 2, 4)
+    assert _sizes(allocations[rotation[counter]]) == (2, 4, 2)
+    assert rotation[rotation[rotation[counter]]] == counter
 
 
 def test_rotate_empty_full():
-    assert rotate_allocation((0, FULL_BUNDLE, 0)) == (FULL_BUNDLE, 0, 0)
+    assert _rotation()[oracles.counter_of(((), GOODS, ()))] == oracles.counter_of((GOODS, (), ()))
 
 
 def test_rotate_is_bijection():
-    seen = set()
-    for allocation in enumerate_allocations():
-        image = rotate_allocation(allocation)
-        assert is_allocation(image)
-        seen.add(image)
-    assert len(seen) == N_ALLOCATIONS
+    assert sorted(_rotation()) == list(range(N_ALLOCATIONS))
 
 
 def test_enumeration_count_and_validity():
-    count = 0
-    seen = set()
-    for allocation in enumerate_allocations():
-        assert is_allocation(allocation)
-        assert sum(_sizes(allocation)) == 8
-        seen.add(allocation)
-        count += 1
-    assert count == N_ALLOCATIONS == 6561
-    assert len(seen) == count
+    allocations = all_allocations()
+    assert len(allocations) == N_ALLOCATIONS == 6561
+    for counter, allocation in enumerate(allocations):
+        # counter_of refuses bundles that do not partition the goods.
+        assert oracles.counter_of(tuple(map(oracles.unmask, allocation))) == counter
 
 
 def test_enumeration_counter_zero_gives_everything_to_agent_zero():
@@ -135,23 +134,24 @@ def test_enumeration_counter_zero_gives_everything_to_agent_zero():
 
 
 def test_enumeration_pattern_count_matches_multinomial():
-    observed = sum(1 for a in enumerate_allocations() if _sizes(a) == (2, 3, 3))
+    observed = sum(1 for a in all_allocations() if _sizes(a) == (2, 3, 3))
     expected = math.factorial(8) // (math.factorial(2) * math.factorial(3) * math.factorial(3))
     assert observed == expected == 560
 
 
 def test_counter_roundtrip():
     for counter in range(N_ALLOCATIONS):
-        assert counter_of_allocation(allocation_from_counter(counter)) == counter
+        bundles = tuple(map(oracles.unmask, allocation_from_counter(counter)))
+        assert oracles.counter_of(bundles) == counter
 
 
 def test_decode_matches_the_literal_decode():
-    # The one place core's decode, and the universe columns beside it,
-    # meet the oracle's counter // 3**g % 3.
+    # Core's decode, and the universe columns beside it, against
+    # the oracle's literal decode, counter // 3**g % 3.
     allocations = [bundles for bundles, _ in oracles.universe()]
     literal = [tuple(map(oracles.mask, allocation)) for allocation in allocations]
     assert [allocation_from_counter(counter) for counter in range(N_ALLOCATIONS)] == literal
-    assert list(enumerate_allocations()) == literal
+    assert list(all_allocations()) == literal
     for counter in (-1, N_ALLOCATIONS):
         with pytest.raises(ValueError):
             allocation_from_counter(counter)
@@ -204,8 +204,6 @@ def test_bundle_helpers():
     assert bundle.bit_count() == 3
     with pytest.raises(ValueError):
         bundle_of((8,))
-    with pytest.raises(ValueError):
-        counter_of_allocation((1, 1, FULL_BUNDLE))
 
 
 def test_members_iteration_deterministic():
@@ -216,7 +214,7 @@ def test_members_iteration_deterministic():
 
 
 def test_all_pairs_disjoint_cover():
-    for allocation in enumerate_allocations():
+    for allocation in all_allocations():
         x0, x1, x2 = allocation
         for a, b in combinations((x0, x1, x2), 2):
             assert a & b == 0

@@ -2,10 +2,11 @@
 
 from itertools import combinations
 
-import pytest
-
 from oracles import (
     RELABELING,
+    TYPE_BY_GOOD,
+    agent_feasible,
+    counter_of,
     envious,
     first_witness,
     keyed,
@@ -13,6 +14,7 @@ from oracles import (
     naive_is_exceptional,
     naive_rank,
     naive_rank_for_agent,
+    rotated_counter,
     triples_of,
     universe,
     unmask,
@@ -23,53 +25,50 @@ from efxcheck.core import (
     FULL_BUNDLE,
     GOODS,
     N_AGENTS,
+    all_allocations,
     apply_permutation,
     bundle_of,
-    enumerate_allocations,
     members,
 )
-from efxcheck.ordinal import (
-    UndefinedPairRank,
-    base_pair_rank,
-    builtin_profile,
-    is_exceptional,
-    rank0,
-    rank_for_agent,
-    rotate_allocation,
-    support_of,
-    type_of,
-)
-from efxcheck.verify import efx_feasible, is_efx, strong_envy_witness
+from efxcheck.ordinal import builtin_profile
+from efxcheck.verify import _status_column, is_efx, strong_envy_witness
 from efxcheck.tables import EXPECTED_PAIR_RANKS
 
 
-def test_base_pair_rank_cells():
-    assert base_pair_rank("A", "x") == 4
-    assert base_pair_rank("B", "C") == 5
-    assert base_pair_rank("A", "A") == 1
-    assert base_pair_rank("x", "A") == 4  # symmetric lookup
-    with pytest.raises(UndefinedPairRank):
-        base_pair_rank("x", "x")
-    with pytest.raises(UndefinedPairRank):
-        base_pair_rank("y", "y")
+def _ranks(agent: int = 0) -> tuple[int, ...]:
+    return builtin_profile().rank_tables[agent]
 
 
-def test_is_exceptional_examples():
-    assert is_exceptional(bundle_of((1, 2, 6)))
-    assert is_exceptional(bundle_of((0, 1, 2)))
-    assert not is_exceptional(bundle_of((0, 1, 7)))
-    assert not is_exceptional(bundle_of((0, 1)))
+def _top_rank_triples() -> list[int]:
+    return [b for b in ALL_BUNDLES if b.bit_count() == 3 and _ranks()[b] == builtin_profile().top_rank]
 
 
-def test_is_exceptional_matches_oracle_everywhere():
+def test_pair_rank_cells():
+    ranks = _ranks()
+    assert ranks[bundle_of((0, 6))] == 4  # A x
+    assert ranks[bundle_of((1, 2))] == 5  # B C
+    assert ranks[bundle_of((0, 3))] == 1  # A A
+    assert ranks[bundle_of((6, 3))] == 4  # x A, in either order
+    # Only one good has type x and one type y: no pair is (x, x) or (y, y).
+    pair_map = builtin_profile().template.pair_rank_map()
+    assert ("x", "x") not in pair_map and ("y", "y") not in pair_map
+
+
+def test_top_rank_triple_examples():
+    top = _top_rank_triples()
+    assert bundle_of((1, 2, 6)) in top
+    assert bundle_of((0, 1, 2)) in top
+    assert bundle_of((0, 1, 7)) not in top
+
+
+def test_top_rank_triples_match_oracle_everywhere():
+    top = set(_top_rank_triples())
     for bundle in ALL_BUNDLES:
-        assert is_exceptional(bundle) == naive_is_exceptional(frozenset(members(bundle)))
+        assert (bundle in top) == naive_is_exceptional(frozenset(members(bundle)))
 
 
 def test_exactly_twelve_exceptional_triples():
-    words = sorted(
-        "".join(map(str, members(b))) for b in ALL_BUNDLES if is_exceptional(b)
-    )
+    words = sorted("".join(map(str, members(b))) for b in _top_rank_triples())
     assert words == [
         "012", "015", "024", "045", "123", "126",
         "135", "156", "234", "246", "345", "456",
@@ -77,40 +76,39 @@ def test_exactly_twelve_exceptional_triples():
 
 
 def test_rank0_examples():
-    assert rank0(bundle_of((6, 7))) == 1
-    assert rank0(bundle_of((0, 3, 1, 4))) == 2
-    assert rank0(bundle_of((1, 4, 2, 5, 6))) == 7
+    ranks = _ranks()
+    assert ranks[bundle_of((6, 7))] == 1
+    assert ranks[bundle_of((0, 3, 1, 4))] == 2
+    assert ranks[bundle_of((1, 4, 2, 5, 6))] == 7
 
 
 def test_rank0_big_bundle_matches_triple_max_oracle():
     bundle = bundle_of((1, 4, 2, 5, 6))
     best = max(naive_rank(frozenset(t)) for t in combinations(members(bundle), 3))
-    assert rank0(bundle) == best == 7
+    assert _ranks()[bundle] == best == 7
 
 
 def test_rank0_matches_naive_oracle_everywhere():
+    ranks = _ranks()
     for bundle in ALL_BUNDLES:
-        assert rank0(bundle) == naive_rank(frozenset(members(bundle)))
+        assert ranks[bundle] == naive_rank(frozenset(members(bundle)))
 
 
 def test_rank_for_agent_examples():
-    assert rank_for_agent(1, bundle_of((0, 1))) == 5
-    assert rank_for_agent(2, bundle_of((1, 6))) == 4
-    for bundle in ALL_BUNDLES:
-        assert rank_for_agent(0, bundle) == rank0(bundle)
+    assert _ranks(1)[bundle_of((0, 1))] == 5
+    assert _ranks(2)[bundle_of((1, 6))] == 4
 
 
 def test_rank_for_agent_matches_naive_oracle_everywhere():
     for agent in range(N_AGENTS):
+        ranks = _ranks(agent)
         for bundle in ALL_BUNDLES:
-            assert rank_for_agent(agent, bundle) == naive_rank_for_agent(
-                agent, frozenset(members(bundle))
-            )
+            assert ranks[bundle] == naive_rank_for_agent(agent, frozenset(members(bundle)))
 
 
 def test_rank_range_and_small_cases():
     for bundle in ALL_BUNDLES:
-        r = rank0(bundle)
+        r = _ranks()[bundle]
         assert 0 <= r <= 7
         if bundle == 0:
             assert r == 0
@@ -129,10 +127,13 @@ def test_monotone_everywhere_all_agents():
 
 
 def test_rank_depends_only_on_support():
+    profile = builtin_profile()
     by_support = {}
     for bundle in ALL_BUNDLES:
-        key = support_of(bundle)
-        by_support.setdefault(key, set()).add(rank0(bundle))
+        types = {TYPE_BY_GOOD[g] for g in members(bundle)}
+        label = "".join(name for name in "ABCxy" if name in types) or "∅"
+        assert profile.support_labels[bundle] == label
+        by_support.setdefault(label, set()).add(profile.rank_tables[0][bundle])
     assert len(by_support) == 32
     assert all(len(values) == 1 for values in by_support.values())
 
@@ -147,35 +148,40 @@ def test_shift_identity():
 
 
 def test_top_rank_characterization():
-    exceptional = [b for b in ALL_BUNDLES if is_exceptional(b)]
+    exceptional = [b for b in ALL_BUNDLES if naive_is_exceptional(unmask(b))]
     for bundle in ALL_BUNDLES:
-        contains = any(mask & bundle == mask for mask in exceptional)
-        assert (rank0(bundle) == 7) == contains
+        contains = any(triple & bundle == triple for triple in exceptional)
+        assert (_ranks()[bundle] == 7) == contains
 
 
 def test_agent_pair_tables_match_expected_cells():
     for agent in range(N_AGENTS):
         expected = EXPECTED_PAIR_RANKS[agent]
         for g1, g2 in combinations(GOODS, 2):
-            key = tuple(sorted((type_of(g1), type_of(g2))))
-            assert rank_for_agent(agent, bundle_of((g1, g2))) == expected[key]
+            key = tuple(sorted((TYPE_BY_GOOD[g1], TYPE_BY_GOOD[g2])))
+            assert _ranks(agent)[bundle_of((g1, g2))] == expected[key]
 
 
-def test_efx_feasible_examples():
-    profile = builtin_profile()
-    assert efx_feasible(0, (FULL_BUNDLE, 0, 0), profile)
-    rest = FULL_BUNDLE ^ bundle_of((6, 7))
-    assert not efx_feasible(0, (0, bundle_of((6, 7)), rest), profile)
+def _agent0_feasible(bundles) -> bool:
+    """Whether agent 0 envies no other bundle up to one good, read from
+    the status column (status 0 is exactly agent 0 envying)."""
+    return _status_column(builtin_profile().rank_tables)[counter_of(bundles)] != 0
+
+
+def test_status_column_agent0_matches_oracle():
+    assert _agent0_feasible((GOODS, (), ()))
+    rest = [g for g in GOODS if g not in (6, 7)]
+    assert not _agent0_feasible(((), (6, 7), rest))
+    feasible = agent_feasible(keyed(builtin_profile().rank_tables), 0)
+    assert [status != 0 for status in _status_column(builtin_profile().rank_tables)] == feasible
 
 
 def test_first_pair_xy_never_feasible_for_agent_zero():
-    profile = builtin_profile()
-    first = bundle_of((6, 7))
-    others = [g for g in GOODS if g not in (6, 7)]
+    first = (6, 7)
+    others = [g for g in GOODS if g not in first]
     for second in combinations(others, 3):
-        second_mask = bundle_of(second)
-        third_mask = FULL_BUNDLE ^ first ^ second_mask
-        assert not efx_feasible(0, (first, second_mask, third_mask), profile)
+        third = [g for g in others if g not in second]
+        assert not _agent0_feasible((first, second, third))
 
 
 def test_strong_envy_witness_examples():
@@ -190,21 +196,21 @@ def test_strong_envy_witness_examples():
     assert witness == (1, 2, 0)
     i, j, g = witness
     reduced = allocation[j] ^ (1 << g)
-    assert rank_for_agent(i, reduced) == 2
-    assert rank_for_agent(i, allocation[i]) == 1
+    assert _ranks(i)[reduced] == 2
+    assert _ranks(i)[allocation[i]] == 1
 
 
 def test_strong_envy_witness_is_lexicographically_first():
     profile = builtin_profile()
     allocation = (bundle_of((1, 7)), bundle_of((4, 6)), bundle_of((0, 2, 3, 5)))
-    first = first_witness(keyed(rank_for_agent), triples_of(tuple(map(unmask, allocation))))
+    first = first_witness(keyed(profile.rank_tables), triples_of(tuple(map(unmask, allocation))))
     assert first is not None
     assert first == strong_envy_witness(allocation, profile)
 
 
 def test_empty_bundle_agent_always_strongly_envies():
     profile = builtin_profile()
-    ranks = keyed(rank_for_agent)
+    ranks = keyed(profile.rank_tables)
     for counter, (bundles, triples) in enumerate(universe()):
         if counter % 7:  # thin the scan; the full EFX theorems cover the rest
             continue
@@ -222,12 +228,14 @@ def test_empty_bundle_agent_always_strongly_envies():
 
 def test_witness_none_iff_efx():
     profile = builtin_profile()
-    for allocation in enumerate_allocations():
+    for allocation in all_allocations():
         witness = strong_envy_witness(allocation, profile)
         assert (witness is None) == is_efx(allocation, profile)
 
 
 def test_efx_invariant_under_rotation():
     profile = builtin_profile()
-    for allocation in enumerate_allocations():
-        assert is_efx(allocation, profile) == is_efx(rotate_allocation(allocation), profile)
+    allocations = all_allocations()
+    for allocation, (bundles, _) in zip(allocations, universe()):
+        image = allocations[rotated_counter(bundles, RELABELING)]
+        assert is_efx(allocation, profile) == is_efx(image, profile)

@@ -1,4 +1,4 @@
-"""Template documents: round-trips, validation errors, and mutations."""
+"""Template documents: the bundled instance, validation errors, and mutations."""
 
 import json
 
@@ -11,22 +11,15 @@ from efxcheck.core import ALL_BUNDLES
 from efxcheck.ordinal import (
     TemplateError,
     builtin_profile,
-    builtin_template,
     bundled_instance_text,
     load_template,
     parse_template,
-    serialize_template,
 )
 from efxcheck.verify import Profile, verify_no_efx
 
 
 def _base_doc() -> dict:
-    return json.loads(serialize_template(builtin_template()))
-
-
-def test_serialize_parse_roundtrip():
-    template = builtin_template()
-    assert parse_template(serialize_template(template)) == template
+    return json.loads(bundled_instance_text())
 
 
 def test_bundled_document_reproduces_builtin_ranks():

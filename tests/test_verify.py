@@ -15,6 +15,7 @@ from oracles import (
     first_witness,
     keyed,
     mask,
+    rotated_counter,
     transfer,
     triples_of,
     universe,
@@ -24,7 +25,7 @@ from oracles import (
 
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled, level_sum_compare
 from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, N_ALLOCATIONS, allocation_from_counter, bundle_of
-from efxcheck.ordinal import builtin_profile, load_template, rotate_allocation
+from efxcheck.ordinal import builtin_profile, load_template
 from efxcheck.verify import (
     GOLDEN_D_STAR,
     GOLDEN_D_STAR_ARGMIN_COUNT,
@@ -336,10 +337,10 @@ def test_cyclic_symmetry_builtins_and_template():
 
 def test_identical_template_efx_set_closed_under_rotation():
     _, profile = load_template(identical_agents_doc())
-    efx_set = {tuple(map(mask, universe()[c][0])) for c in efx_counters(keyed(profile.rank_tables))}
+    efx_set = set(efx_counters(keyed(profile.rank_tables)))
     assert efx_set
-    for allocation in efx_set:
-        assert rotate_allocation(allocation, profile.permutation) in efx_set
+    for counter in efx_set:
+        assert rotated_counter(universe()[counter][0], profile.permutation) in efx_set
 
 
 def test_transfer_passes_for_both_realizations():
