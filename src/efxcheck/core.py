@@ -6,15 +6,25 @@ the whole bundle space is the range 0..255.  An allocation is an ordered
 triple of pairwise-disjoint bundles covering all eight goods; the
 3^8 = 6561 complete allocations are enumerated in base-3 counter order so
 every scan is reproducible run to run.  all_allocations() decodes them
-once, and every counter lookup and scan reads that decode.  Beside it sit
-the universe columns, the facts that depend on the universe and a
-relabeling alone, never on a valuation: each allocation's bundle sizes
-as one size code, the mask of allocations with no empty bundle, and,
-per relabeling, each allocation's rotated counter.  Each is built on
-first use, never at import, and claims read them with bytes.translate,
-compress and Counter instead of recounting per allocation.  Which goods
-share a type, and which permutation relabels them, is a template's to say
-(efxcheck.ordinal).
+once into bundle triples, for counter lookups, witnesses and the scans
+that walk allocations one at a time.  Beside it sit the universe
+columns, the facts that depend on the universe and a relabeling alone,
+never on a valuation: each allocation's bundle sizes as one size code,
+the mask of allocations with no empty bundle, each bundle as a lane
+column, and, per relabeling, each allocation's rotated counter.  Each is
+built on first use, never at import, and claims read them with
+bytes.translate, compress, Counter and whole-column integer arithmetic
+instead of recounting per allocation.
+
+A lane column holds one byte per allocation (or per bundle) in the low
+byte of a big-endian 16-bit lane, over a zero pad byte.  Translated
+through a 256-entry byte table and read by int.from_bytes, it becomes one
+integer whose lanes a single addition or subtraction updates at once: as
+long as every lane's result stays in [0, 65535], no carry or borrow
+crosses into the next lane.  bundle_lanes() gives X0, X1 and X2 in that
+form; efxcheck.verify builds the EFX status column on it.  Which goods
+share a type, and which permutation relabels them, is a template's to
+say (efxcheck.ordinal).
 
 All values here are immutable, and Record is the base of every value
 type the other modules define.
@@ -169,8 +179,8 @@ def is_permutation(perm: tuple[int, ...]) -> bool:
 def all_allocations() -> tuple[Allocation, ...]:
     """All 6561 allocations in counter order, decoded once, digit by digit
     (good 7 is the most significant base-3 digit).  This is the only
-    counter-to-allocation decode; it is built on first use, never at
-    import."""
+    decode into bundle triples (bundle_lanes() lays the same bundles out
+    as byte columns); it is built on first use, never at import."""
     allocations = [(0, 0, 0)]
     for g in reversed(GOODS):
         bit = 1 << g
@@ -209,12 +219,12 @@ def size_code_table(rule: Callable[[int, int, int], int]) -> bytes:
 def size_codes() -> bytes:
     """Each allocation's bundle sizes as one byte, in counter order: the
     size code 9·|X0| + |X1|, so |X2| = 8 − |X0| − |X1|.  Built digit by
-    digit like all_allocations(): a good adds 9, 1 or 0 as it goes to
-    agent 0, 1 or 2."""
-    codes = [0]
+    digit like bundle_lanes(): a good adds 9, 1 or 0 as it goes to agent
+    0, 1 or 2, and no code exceeds 72, so adding is a translate."""
+    codes = b"\0"
     for _ in GOODS:
-        codes = [code + step for code in codes for step in (N_GOODS + 1, 1, 0)]
-    return bytes(codes)
+        codes = b"".join(codes.translate(bytes(range(step, 256)) + bytes(step)) for step in (N_GOODS + 1, 1, 0))
+    return codes
 
 
 @lru_cache(maxsize=1)
@@ -222,6 +232,33 @@ def nonempty_mask() -> bytes:
     """1 for each allocation with no empty bundle, else 0, in counter
     order."""
     return size_codes().translate(size_code_table(lambda *sizes: int(all(sizes))))
+
+
+def lane_column(column: bytes) -> bytes:
+    """A byte column widened to big-endian 16-bit lanes: each byte in the
+    low byte of its lane, a zero pad byte above it."""
+    lanes = bytearray(2 * len(column))
+    lanes[1::2] = column
+    return bytes(lanes)
+
+
+@lru_cache(maxsize=1)
+def bundle_lanes() -> tuple[bytes, bytes, bytes]:
+    """The bundles X0, X1 and X2 of every allocation, in counter order, as
+    three lane columns (see lane_column) of 2 · 6561 bytes each.  Built
+    digit by digit like size_codes(): good g sets bit g in the column of
+    the agent it goes to, and its digit is the most significant so far,
+    so the column grows to three copies of itself, one with the bit."""
+    columns = []
+    for agent in range(N_AGENTS):
+        column = b"\0"
+        for g in GOODS:
+            bit = 1 << g
+            # Every byte so far is below bit, so adding bit is a translate.
+            with_good = column.translate(bytes(range(bit, 256)) + bytes(bit))
+            column = b"".join(with_good if owner == agent else column for owner in range(N_AGENTS))
+        columns.append(lane_column(column))
+    return tuple(columns)
 
 
 @lru_cache(maxsize=2)

@@ -390,9 +390,10 @@ def load_template_file(path: str) -> tuple[InstanceTemplate, OrdinalProfile]:
     try:
         return load_template(text)
     except TemplateError as exc:
-        # A JSON syntax error is placed by line and column alone; name the
-        # file too.  Every other error names a field of the document.
-        if not exc.location.startswith("line "):
+        # A JSON syntax error is placed by line and column alone, and an
+        # error in the document as a whole at its root, $; name the file
+        # too.  Every other error names a field of the document.
+        if not (exc.location.startswith("line ") or exc.location == "$"):
             raise
         raise TemplateError(exc.message, f"{path}, {exc.location}") from None
 

@@ -2,22 +2,37 @@
 
 Every checker decides a claim over a whole finite universe (the 6561
 allocations, the 256 bundles, or pairs thereof) and returns a
-VerdictReport whose witnesses a caller can re-evaluate standalone.
+VerdictReport whose witnesses a caller can re-evaluate standalone.  A
+witness limit below zero gives no witnesses, as zero does.
+
 Every allocation claim reads columns in counter order.  Two belong to a
-key table and are cached per table, each built in one pass over core's
-decode of the universe through per-agent tables of reduction maxima: the
-status column (each allocation's EFX status as one byte) and the deficit
-kernel (its largest envy gap).  The others are core's universe columns,
-which no valuation changes: size codes, the nonempty mask and the
+key table and are cached per table, both built from per-agent tables of
+reduction maxima W_i[B], the largest key of a one-good reduction of B.
+The status column (each allocation's EFX status as one byte) is built on
+dense keys, each key replaced by its index among the table's distinct
+keys, which is one byte and keeps their order.  core's bundle columns
+X0, X1 and X2 are lane columns: a bundle in the low byte of each
+big-endian 16-bit lane, over a zero pad byte.  Translated through an
+agent's dense keys or maxima and read as integers, they give the lane
+integers K_i[X_i] and W_i[X_j]; with LOW holding 0x00FF in every lane,
+each lane of W_i[X_j] + LOW - K_i[X_i] lies in [0, 510], so no borrow
+crosses a lane and bit 8 of the lane is exactly K_i[X_i] < W_i[X_j].
+The maxima come the same way, folding the 8 one-good reductions of the
+256 bundles lane by lane, so neither runs Python code per allocation
+or per bundle.  The deficit kernel (an allocation's largest envy gap, which
+needs real key differences) is one pass over core's decode of the
+universe.  The others are core's universe columns, which no valuation
+changes: size codes, the nonempty mask, the bundle lanes and the
 rotation column.  Claims read them with C-level operations: no-EFX
-counts size codes under the status column, size patterns count a class
-column translated from the size codes, the first pair reads a cached
-candidate list, cyclic symmetry checks that the rotation column sends
-every EFX counter to an EFX counter, and alpha-star and the scaled scan
-read the deficit kernel under the nonempty mask.  A 6561-allocation
-universe gains nothing from a process pool.  This module owns every EFX read: the
-scans, and is_efx and strong_envy_witness for one allocation, all go
-through the reduction-maxima tables.
+counts status bytes and the size codes left once those of agent-0
+infeasible allocations are deleted, size patterns count a class column
+translated from the size codes, the first pair reads a cached candidate
+list, cyclic symmetry checks that the rotation column sends every EFX
+counter to an EFX counter, and alpha-star and the scaled scan read the
+deficit kernel under the nonempty mask.  A 6561-allocation universe
+gains nothing from a process pool.  This module owns every EFX read:
+the scans, and is_efx and strong_envy_witness for one allocation, all
+go through the reduction-maxima tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
@@ -68,10 +83,11 @@ from .core import (
     Record,
     all_allocations,
     allocation_from_counter,
+    bundle_lanes,
     code_sizes,
+    lane_column,
     members,
     nonempty_mask,
-    one_good_reductions,
     rotation_column,
     size_code_table,
     size_codes,
@@ -277,9 +293,11 @@ def _pattern_breakdown(prefix: str, codes: Iterable[int]) -> dict[str, int]:
 #
 # Agent i is content toward another bundle B, up to any one good, exactly
 # when key_i[X_i] >= W_i[B], where W_i[B] is the largest key of a one-good
-# reduction of B.  One pass over core's decode of the universe turns
-# these 256-entry tables into a status column or a deficit kernel, which
-# every scan reads.
+# reduction of B.  The status column and the maxima are computed on
+# dense keys in lane columns, as the module docstring sets out.  The
+# maxima fold two lane integers with HIGH, holding 0x0100 in every lane:
+# for lane bytes a and b, a + HIGH - b lies in [1, 511], so no borrow
+# crosses a lane, and bit 8 of the lane is exactly a >= b.
 
 # The other agents of agent 0, 1 and 2, in ascending order.
 _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
@@ -287,6 +305,24 @@ _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
 # A bytes.translate table: a status byte to 1 exactly when the allocation
 # is EFX.
 _EFX = bytes(status == 2 for status in range(256))
+
+# A bytes.translate table from a lane's envy code (2 when agent 0 envies,
+# plus 1 when agent 1 or 2 does) to the status byte.
+_STATUS = bytes((2, 1, 0, 0)) + bytes(252)
+
+# Status 0 to the flag 0x80, which no size code reaches, and the flagged
+# bytes, for deleting the allocations that agent 0 finds infeasible.
+_INFEASIBLE0 = b"\x80" + bytes(255)
+_FLAGGED = bytes(range(0x80, 0x100))
+
+
+# The bits of one block of the reduction columns: a lane per bundle.
+_BLOCK_BITS = 16 * len(ALL_BUNDLES)
+
+
+def _lanes(pattern: bytes, count: int) -> int:
+    """The lane integer of a pattern of bytes repeated count times."""
+    return int.from_bytes(pattern * count, "big")
 
 
 @lru_cache(maxsize=1)
@@ -297,9 +333,54 @@ def _disjoint_pairs() -> tuple[tuple[Bundle, ...], tuple[Bundle, ...], bytes]:
     return firsts, seconds, size_codes().translate(size_code_table(lambda first, second, third: third))
 
 
+def _dense_keys(table: tuple[int, ...]) -> tuple[list[int], bytes]:
+    """(the table's distinct keys in ascending order, each bundle's key as
+    its index there)."""
+    values = sorted(set(table))
+    return values, bytes(map(dict(zip(values, range(len(values)))).__getitem__, table))
+
+
+@lru_cache(maxsize=1)
+def _reduction_columns() -> tuple[bytes, int]:
+    """The one-good reductions of the 256 bundles as one lane column of
+    8 blocks of 256 lanes, good 0's first, where lane B of good g's block
+    holds B - g; and a mask with 0x00FF in the lanes whose bundle holds g,
+    0 in the others."""
+    identity = int.from_bytes(lane_column(bytes(ALL_BUNDLES)), "big")
+    index, members = b"", 0
+    for g in GOODS:
+        bit = 1 << g
+        # Lane B is 1 when B holds g: runs of bit bundles without g, then
+        # bit bundles with it.
+        holds = _lanes(b"\0\0" * bit + b"\0\1" * bit, len(ALL_BUNDLES) // (2 * bit))
+        index += (identity - bit * holds).to_bytes(_BLOCK_BITS // 8, "big")
+        members = members << _BLOCK_BITS | holds * 0xFF
+    return index, members
+
+
+def _dense_maxima(dense: bytes) -> bytes:
+    """Each bundle's largest dense key over its one-good reductions, and
+    0, the least, for the empty bundle.  One translate reads every
+    reduction's key; the mask clears each block's lanes whose bundle lacks
+    the good (and the pad bytes); three halvings then fold the 8 blocks
+    lane by lane, keeping the larger lane of each pair."""
+    index, members = _reduction_columns()
+    lanes = int.from_bytes(index.translate(dense), "big") & members
+    # Lanes past the narrower operands of the later halvings are 0 in both
+    # halves, and stay 0.
+    high = _lanes(b"\1\0", 4 * len(ALL_BUNDLES))
+    for blocks in (4, 2, 1):
+        width = blocks * _BLOCK_BITS
+        first, second = lanes >> width, lanes & ((1 << width) - 1)
+        first_wins = ((first + high - second) & high) >> 8
+        lanes = second ^ ((first ^ second) & first_wins * 0xFF)
+    return lanes.to_bytes(_BLOCK_BITS // 8, "big")[1::2]
+
+
 @lru_cache(maxsize=4)
 def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """W_i[B] = max over goods g in B of keys[i][B - g], per agent.
+    """W_i[B] = max over goods g in B of keys[i][B - g], per agent, read
+    back from the dense maxima.
 
     The empty bundle has no reduction; its entry is the table's minimum,
     which never blocks.  The cache is small and bounded: a template run
@@ -307,10 +388,8 @@ def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     """
     maxima = []
     for table in keys:
-        floor = min(table)
-        maxima.append(
-            tuple(max(map(table.__getitem__, reduced), default=floor) for reduced in one_good_reductions())
-        )
+        values, dense = _dense_keys(table)
+        maxima.append(tuple(map(values.__getitem__, _dense_maxima(dense))))
     return tuple(maxima)
 
 
@@ -319,20 +398,25 @@ def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
     """Each allocation's EFX status under the key tables as one byte, in
     counter order: 0 when agent 0 envies another bundle up to one good, 1
     when only agent 1 or 2 does, and 2 when nobody does.  The cache holds
-    the columns of the three built-in kinds."""
-    (k0, k1, k2), (w0, w1, w2) = keys, _reduction_maxima(keys)
+    the columns of the three built-in kinds.
 
-    def status(x0: int, x1: int, x2: int) -> int:
-        own = k0[x0]
-        if own < w0[x1] or own < w0[x2]:
-            return 0
-        own = k1[x1]
-        if own < w1[x0] or own < w1[x2]:
-            return 1
-        own = k2[x2]
-        return 1 if own < w2[x0] or own < w2[x1] else 2
-
-    return bytes(starmap(status, all_allocations()))
+    Per agent i, the lane integer LOW - key_i[X_i] plus W_i[X_j] has bit 8
+    set in a lane exactly when key_i[X_i] < W_i[X_j], all on dense keys.
+    The pad bytes translate to the dense key of the empty bundle, which
+    the AND with LOW clears, and to its dense maximum, 0."""
+    lanes = bundle_lanes()
+    low, high = _lanes(b"\0\xff", N_ALLOCATIONS), _lanes(b"\1\0", N_ALLOCATIONS)
+    envy = []
+    for agent, table in enumerate(keys):
+        dense = _dense_keys(table)[1]
+        maxima = _dense_maxima(dense)
+        slack = low - (int.from_bytes(lanes[agent].translate(dense), "big") & low)
+        bits = 0
+        for other in _OTHER_AGENTS[agent]:
+            bits |= int.from_bytes(lanes[other].translate(maxima), "big") + slack
+        envy.append(bits & high)
+    code = envy[0] >> 7 | (envy[1] | envy[2]) >> 8
+    return code.to_bytes(2 * N_ALLOCATIONS, "big")[1::2].translate(_STATUS)
 
 
 @lru_cache(maxsize=2)
@@ -386,8 +470,8 @@ def strong_envy_witness(
 
 
 def _allocation_witnesses(counters: Iterable[int]) -> tuple[Witness, ...]:
-    universe = all_allocations()
-    return tuple(Witness(allocation=_allocation_goods(universe[c])) for c in counters)
+    # The decode is built only once a witness needs it.
+    return tuple(Witness(allocation=_allocation_goods(all_allocations()[c])) for c in counters)
 
 
 # --- no-EFX ----------------------------------------------------------------
@@ -398,20 +482,22 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
 
     A witness is an EFX allocation (a counterexample to the claim).  The
     breakdown counts allocations feasible for agent 0 by size pattern and
-    records the total EFX count.
+    records the total EFX count.  Both are read off the status column:
+    the size codes of the infeasible allocations are flagged and deleted
+    in one translate, and Counter tallies the rest.
     """
     column = _status_column(profile_value_keys(profile))
-    efx = list(compress(range(N_ALLOCATIONS), column.translate(_EFX)))
+    efx_count = column.count(2)
+    efx = compress(range(N_ALLOCATIONS), column.translate(_EFX))
+    flagged = int.from_bytes(size_codes(), "big") | int.from_bytes(column.translate(_INFEASIBLE0), "big")
+    feasible0 = flagged.to_bytes(N_ALLOCATIONS, "big").translate(None, _FLAGGED)
     return _report(
         claim=f"no_efx_{profile.kind}",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
-        passed=not efx,
-        witnesses=_allocation_witnesses(efx[:witness_limit]),
-        breakdown={
-            "efx_allocations": len(efx),
-            **_pattern_breakdown("feasible0", compress(size_codes(), column)),
-        },
+        passed=not efx_count,
+        witnesses=_allocation_witnesses(islice(efx, max(witness_limit, 0))),
+        breakdown={"efx_allocations": efx_count, **_pattern_breakdown("feasible0", feasible0)},
     )
 
 
@@ -463,7 +549,7 @@ def verify_no_alpha_efx(
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
         passed=not holds,
-        witnesses=_allocation_witnesses(holds[:witness_limit]),
+        witnesses=_allocation_witnesses(holds[: max(witness_limit, 0)]),
         breakdown={
             "alpha_efx_allocations": len(holds),
             **_pattern_breakdown("alpha_efx", map(size_codes().__getitem__, holds)),
@@ -511,7 +597,7 @@ def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> Deficit
     argmin = list(compress(range(N_ALLOCATIONS), map(eq, deficits, repeat(d_star))))
     return DeficitProfile(
         d_star=d_star,
-        argmin_counters=tuple(argmin[:argmin_limit]),
+        argmin_counters=tuple(argmin[: max(argmin_limit, 0)]),
         argmin_count=len(argmin),
         min_deficit_all_nonempty=min(compress(deficits, nonempty_mask())),
         histogram=tuple(sorted(Counter(deficits).items())),
@@ -831,7 +917,7 @@ def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> Verdic
         universe=len(counters),
         checked=len(counters),
         passed=not violations,
-        witnesses=_allocation_witnesses(violations[:witness_limit]),
+        witnesses=_allocation_witnesses(violations[: max(witness_limit, 0)]),
         breakdown={f"feasible_first_pair[{label}]": n for label, n in label_counts.items()},
     )
 
@@ -926,7 +1012,7 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
             mismatches = list(compress(range(N_ALLOCATIONS), map(ne, efx, map(efx.__getitem__, rotation))))
     universe = all_allocations()
     witnesses = []
-    for c in mismatches[:witness_limit]:
+    for c in mismatches[: max(witness_limit, 0)]:
         lhs, rhs = ("EFX", "not EFX after rotation") if efx[c] else ("not EFX", "EFX after rotation")
         witnesses.append(Witness(allocation=_allocation_goods(universe[c]), lhs=lhs, rhs=rhs))
     return _report(

@@ -208,7 +208,7 @@ def test_unparseable_template_exits_two_at_document_root(tmp_path, text, message
     code, out, err = run_cli(["template", str(path), "verify"])
     assert code == 2
     assert out == ""
-    assert "template error at $" in err
+    assert f"template error at {path}, $: " in err
     assert message in err
 
 
@@ -392,7 +392,8 @@ def test_cli_import_builds_no_universe_column():
     probe = (
         "import efxcheck.cli; from efxcheck import core, verify; "
         "print([f.__name__ for f in (core.all_allocations, core.size_codes, core.nonempty_mask, "
-        "core.rotation_column, verify._disjoint_pairs, verify._first_pair_candidates) if f.cache_info().currsize])"
+        "core.bundle_lanes, core.rotation_column, verify._disjoint_pairs, verify._reduction_columns, "
+        "verify._first_pair_candidates) if f.cache_info().currsize])"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from helpers import identical_agents_doc
+from helpers import identical_agents_doc, random_template_doc
 from oracles import (
     agent_feasible,
     counter_of,
@@ -417,6 +417,33 @@ def test_witness_limit_respected():
     assert not report.passed
     assert report.witnesses == ()
     assert dict(report.breakdown)["efx_allocations"] == 5796
+
+
+def test_negative_witness_limit_gives_no_witnesses_in_every_claim():
+    template_doc = random_template_doc(0)
+    _, ordinal = load_template(template_doc)
+    template = Profile(kind="ordinal", ordinal=ordinal)
+    relabeled = json.loads(template_doc)
+    relabeled["permutation"] = [2, 0, 1, 5, 3, 4, 6, 7]
+    _, other = load_template(json.dumps(relabeled))
+    # The template's ranks checked against another relabeling: its EFX
+    # set is not closed under that rotation.
+    mismatched = Profile(kind="ordinal", ordinal=ordinal.replace(bundle_images=other.bundle_images))
+    half = ApproxFactor.parse("1/2")
+    doctored_monotone = tuple(b.bit_count() % 3 for b in ALL_BUNDLES)
+    claims = {
+        "no_efx": lambda limit: verify_no_efx(template, limit),
+        "no_alpha_efx": lambda limit: verify_no_alpha_efx(builtin("subadditive"), half, limit),
+        "first_pair": lambda limit: verify_lemma_first_pair(template, limit),
+        "size_patterns": lambda limit: verify_size_pattern_props(template, limit),
+        "cyclic": lambda limit: verify_cyclic_symmetry(mismatched, limit),
+        "monotone": lambda limit: check_monotone(doctored_monotone, "doctored", witness_limit=limit),
+    }
+    for name, claim in claims.items():
+        assert claim(1).witnesses, name  # the claim has witnesses to withhold
+        assert claim(-1) == claim(0), name
+    assert compute_deficit_profile(template, 1).argmin_counters
+    assert compute_deficit_profile(template, -1) == compute_deficit_profile(template, 0)
 
 
 def test_zero_witness_limit_still_fails_violating_inputs():
