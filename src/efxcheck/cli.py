@@ -69,18 +69,12 @@ EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by
 
 def expected_no_alpha_efx(alpha: ApproxFactor) -> bool:
     """True when the expected outcome is that no scaled-EFX allocation
-    exists: exactly the factors above the level base 2**(-1/6).
-
-    Below the base, existence is expected whenever the factor is at most
-    the base raised to the frozen minimum nonempty deficit; with that
-    minimum equal to 1 the two rules meet at the base itself.
+    exists: exactly the factors above q**m, where q = 2**(-1/6) is the
+    level base and m the frozen minimum nonempty deficit.  A scaled-EFX
+    allocation exists exactly when q**m >= alpha; with m = 1 the cutoff
+    is the base itself.
     """
-    above_base = not compare_scaled(LevelValue.power(1), alpha, LevelValue.power(0))
-    if above_base:
-        return True
-    return not compare_scaled(
-        LevelValue.power(GOLDEN_MIN_DEFICIT_ALL_NONEMPTY), alpha, LevelValue.power(0)
-    )
+    return not compare_scaled(LevelValue.power(GOLDEN_MIN_DEFICIT_ALL_NONEMPTY), alpha, LevelValue.power(0))
 
 
 @lru_cache(maxsize=1)

@@ -5,14 +5,15 @@ so membership, union, and difference are single integer operations and
 the whole bundle space is the range 0..255.  An allocation is an ordered
 triple of pairwise-disjoint bundles covering all eight goods; the
 3^8 = 6561 complete allocations are enumerated in base-3 counter order so
-every scan is reproducible run to run.  all_allocations() decodes them
-once into bundle triples, for counter lookups, witnesses and the scans
-that walk allocations one at a time.  Beside it sit the universe
-columns, the facts that depend on the universe and a relabeling alone,
-never on a valuation: each allocation's bundle sizes as one size code,
-the mask of allocations with no empty bundle, each bundle as a lane
-column, and, per relabeling, each allocation's rotated counter.  Each is
-built on first use, never at import, and claims read them with
+every scan is reproducible run to run.  bundle_columns() decodes them
+once, as three byte columns holding X0, X1 and X2 of every allocation in
+counter order, and a counter's allocation is the three bytes at its
+index.  Every other universe column is derived from those three, and
+depends on the universe and a relabeling alone, never on a valuation:
+each allocation's bundle sizes as one size code, the mask of
+allocations with no empty bundle, each bundle column widened to a lane
+column, and, per relabeling, each allocation's rotated counter.  Each
+is built on first use, never at import, and claims read them with
 bytes.translate, compress, Counter and whole-column integer arithmetic
 instead of recounting per allocation.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable, Iterable
 from functools import lru_cache
+from operator import add
 
 Bundle = int
 Allocation = tuple[int, int, int]
@@ -175,32 +177,39 @@ def is_permutation(perm: tuple[int, ...]) -> bool:
     return len(perm) == N_GOODS and sorted(perm) == list(GOODS)
 
 
+# ---------------------------------------------------------------------------
+# Universe columns
+
+
+# Each bundle's number of goods, as a bytes.translate table.
+BUNDLE_SIZES = bytes(map(int.bit_count, ALL_BUNDLES))
+
+
 @lru_cache(maxsize=1)
-def all_allocations() -> tuple[Allocation, ...]:
-    """All 6561 allocations in counter order, decoded once, digit by digit
-    (good 7 is the most significant base-3 digit).  This is the only
-    decode into bundle triples (bundle_lanes() lays the same bundles out
-    as byte columns); it is built on first use, never at import."""
-    allocations = [(0, 0, 0)]
-    for g in reversed(GOODS):
-        bit = 1 << g
-        allocations = [
-            extended
-            for x0, x1, x2 in allocations
-            for extended in ((x0 | bit, x1, x2), (x0, x1 | bit, x2), (x0, x1, x2 | bit))
-        ]
-    return tuple(allocations)
+def bundle_columns() -> tuple[bytes, bytes, bytes]:
+    """The bundles X0, X1 and X2 of every allocation, in counter order, as
+    three columns of 6561 bytes.  This is the only decode of the
+    universe, built digit by digit: good g sets bit g in the column of
+    the agent it goes to, and its digit is the most significant so far,
+    so each column grows to three copies of itself, one with the bit."""
+    columns = []
+    for agent in range(N_AGENTS):
+        column = b"\0"
+        for g in GOODS:
+            bit = 1 << g
+            # Every byte so far is below bit, so adding bit is a translate.
+            with_good = column.translate(bytes(range(bit, 256)) + bytes(bit))
+            column = b"".join(with_good if owner == agent else column for owner in range(N_AGENTS))
+        columns.append(column)
+    return tuple(columns)
 
 
 def allocation_from_counter(counter: int) -> Allocation:
     """Allocation in which good g goes to the agent named by base-3 digit g."""
     if not 0 <= counter < N_ALLOCATIONS:
         raise ValueError(f"allocation counter out of range: {counter}")
-    return all_allocations()[counter]
-
-
-# ---------------------------------------------------------------------------
-# Universe columns
+    x0, x1, x2 = bundle_columns()
+    return x0[counter], x1[counter], x2[counter]
 
 
 def code_sizes(code: int) -> tuple[int, int, int]:
@@ -218,13 +227,13 @@ def size_code_table(rule: Callable[[int, int, int], int]) -> bytes:
 @lru_cache(maxsize=1)
 def size_codes() -> bytes:
     """Each allocation's bundle sizes as one byte, in counter order: the
-    size code 9·|X0| + |X1|, so |X2| = 8 − |X0| − |X1|.  Built digit by
-    digit like bundle_lanes(): a good adds 9, 1 or 0 as it goes to agent
-    0, 1 or 2, and no code exceeds 72, so adding is a translate."""
-    codes = b"\0"
-    for _ in GOODS:
-        codes = b"".join(codes.translate(bytes(range(step, 256)) + bytes(step)) for step in (N_GOODS + 1, 1, 0))
-    return codes
+    size code 9·|X0| + |X1|, so |X2| = 8 − |X0| − |X1|.  The two terms
+    are at most 72 and 8, so the columns add as integers with no carry
+    from one byte into the next."""
+    x0, x1, _ = bundle_columns()
+    nine_sizes = bytes(map((N_GOODS + 1).__mul__, BUNDLE_SIZES))
+    codes = int.from_bytes(x0.translate(nine_sizes), "big") + int.from_bytes(x1.translate(BUNDLE_SIZES), "big")
+    return codes.to_bytes(N_ALLOCATIONS, "big")
 
 
 @lru_cache(maxsize=1)
@@ -244,21 +253,9 @@ def lane_column(column: bytes) -> bytes:
 
 @lru_cache(maxsize=1)
 def bundle_lanes() -> tuple[bytes, bytes, bytes]:
-    """The bundles X0, X1 and X2 of every allocation, in counter order, as
-    three lane columns (see lane_column) of 2 · 6561 bytes each.  Built
-    digit by digit like size_codes(): good g sets bit g in the column of
-    the agent it goes to, and its digit is the most significant so far,
-    so the column grows to three copies of itself, one with the bit."""
-    columns = []
-    for agent in range(N_AGENTS):
-        column = b"\0"
-        for g in GOODS:
-            bit = 1 << g
-            # Every byte so far is below bit, so adding bit is a translate.
-            with_good = column.translate(bytes(range(bit, 256)) + bytes(bit))
-            column = b"".join(with_good if owner == agent else column for owner in range(N_AGENTS))
-        columns.append(lane_column(column))
-    return tuple(columns)
+    """The bundle columns X0, X1 and X2 as lane columns (see
+    lane_column), 2 · 6561 bytes each."""
+    return tuple(map(lane_column, bundle_columns()))
 
 
 @lru_cache(maxsize=2)
@@ -273,4 +270,6 @@ def rotation_column(images: tuple[Bundle, ...]) -> array:
     shorts, 13 KB a column; the cache holds the two relabelings used
     last."""
     weights = [int(f"{image:b}", 3) for image in images]
-    return array("H", [weights[x2] + 2 * weights[x0] for x0, _, x2 in all_allocations()])
+    doubled = [2 * weight for weight in weights]
+    x0, _, x2 = bundle_columns()
+    return array("H", map(add, map(weights.__getitem__, x2), map(doubled.__getitem__, x0)))

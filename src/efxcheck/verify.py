@@ -10,37 +10,39 @@ key table and are cached per table, both built from per-agent tables of
 reduction maxima W_i[B], the largest key of a one-good reduction of B.
 The status column (each allocation's EFX status as one byte) is built on
 dense keys, each key replaced by its index among the table's distinct
-keys, which is one byte and keeps their order.  core's bundle columns
-X0, X1 and X2 are lane columns: a bundle in the low byte of each
-big-endian 16-bit lane, over a zero pad byte.  Translated through an
-agent's dense keys or maxima and read as integers, they give the lane
-integers K_i[X_i] and W_i[X_j]; with LOW holding 0x00FF in every lane,
-each lane of W_i[X_j] + LOW - K_i[X_i] lies in [0, 510], so no borrow
-crosses a lane and bit 8 of the lane is exactly K_i[X_i] < W_i[X_j].
-The maxima come the same way, folding the 8 one-good reductions of the
-256 bundles lane by lane, so neither runs Python code per allocation
-or per bundle.  The deficit kernel (an allocation's largest envy gap, which
-needs real key differences) is one pass over core's decode of the
-universe.  The others are core's universe columns, which no valuation
-changes: size codes, the nonempty mask, the bundle lanes and the
-rotation column.  Claims read them with C-level operations: no-EFX
+keys, which is one byte and keeps their order.  core's bundle lanes are
+its byte columns X0, X1 and X2 widened to lane columns: a bundle in the
+low byte of each big-endian 16-bit lane, over a zero pad byte.
+Translated through an agent's dense keys or maxima and read as integers,
+they give the lane integers K_i[X_i] and W_i[X_j]; with LOW holding
+0x00FF in every lane, each lane of W_i[X_j] + LOW - K_i[X_i] lies in
+[0, 510], so no borrow crosses a lane and bit 8 of the lane is exactly
+K_i[X_i] < W_i[X_j].  The maxima come the same way, folding the 8
+one-good reductions of the 256 bundles lane by lane, so neither runs
+Python code per allocation or per bundle.  The deficit kernel (an
+allocation's largest envy gap, which needs real key differences) is one
+pass over core's three bundle columns, zipped.  The others are core's
+universe columns, which no valuation changes and which core derives from
+the bundle columns: size codes, the nonempty mask, the bundle lanes and
+the rotation column.  Claims read them with C-level operations: no-EFX
 counts status bytes and the size codes left once those of agent-0
 infeasible allocations are deleted, size patterns count a class column
 translated from the size codes, the first pair reads a cached candidate
 list, cyclic symmetry checks that the rotation column sends every EFX
 counter to an EFX counter, and alpha-star and the scaled scan read the
 deficit kernel under the nonempty mask.  A 6561-allocation universe
-gains nothing from a process pool.  This module owns every EFX read:
-the scans, and is_efx and strong_envy_witness for one allocation, all
-go through the reduction-maxima tables.
+gains nothing from a process pool.  This module owns every EFX read: the
+scans, and is_efx and strong_envy_witness for one allocation, all go
+through the reduction-maxima tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
 settled and the witness list is full.  Their checked field counts the
 whole universe the verdict covers, not the pairs actually visited.
 Strict-order transfer follows the same pattern: an agent whose value
-keys keep strict rank order over all bundles cannot break transfer, and
-only the agents that do not are walked allocation by allocation.  Its
+keys keep strict rank order over all bundles cannot break transfer, so
+only the agents that do not are walked allocation by allocation, and
+the universe is not walked at all when every agent keeps it.  Its
 triple count depends on ranks alone and is summed over the disjoint
 bundle pairs that the universe's first two columns list, weighted by
 the size of the third bundle.
@@ -73,6 +75,7 @@ from .cardinal import (
 )
 from .core import (
     ALL_BUNDLES,
+    BUNDLE_SIZES,
     FULL_BUNDLE,
     GOODS,
     N_AGENTS,
@@ -81,8 +84,8 @@ from .core import (
     Allocation,
     Bundle,
     Record,
-    all_allocations,
     allocation_from_counter,
+    bundle_columns,
     bundle_lanes,
     code_sizes,
     lane_column,
@@ -142,22 +145,27 @@ def builtin(kind: str) -> Profile:
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
+def level_keys(exponent_table: tuple[int | None, ...]) -> tuple[int, ...]:
+    """Exact order keys of a table of level values: each exponent
+    negated, and zero one below the least of those keys."""
+    exponents = set(exponent_table) - {None}
+    key = {e: -e for e in exponents}
+    key[None] = -1 - max(exponents, default=0)
+    return tuple(map(key.__getitem__, exponent_table))
+
+
 def profile_value_keys(profile: Profile) -> tuple[tuple[int, ...], ...]:
     """Per-agent 256-entry tables of exact order keys for the profile's kind.
 
     Keys preserve the exact value order: ranks for ordinal profiles,
-    negated exponents (empty strictly below) for level values, and the
-    integer coverage values themselves.
+    level_keys for level values, and the integer coverage values
+    themselves.
     """
     if profile.kind == "ordinal":
         return profile.ordinal.rank_tables
     if profile.kind == "coverage":
         return profile.coverage.value_tables  # type: ignore[union-attr]
-    bottom = -(profile.ordinal.top_rank + 1)
-    return tuple(
-        tuple(bottom if e is None else -e for e in table)
-        for table in profile.subadditive.exponent_tables  # type: ignore[union-attr]
-    )
+    return tuple(map(level_keys, profile.subadditive.exponent_tables))  # type: ignore[union-attr]
 
 
 def display_value(profile: Profile, agent: int, bundle: Bundle) -> int | str:
@@ -274,8 +282,10 @@ def _report(
     )
 
 
-def _allocation_goods(allocation: Allocation) -> tuple[tuple[int, ...], ...]:
-    return tuple(members(bundle) for bundle in allocation)
+def _allocation_goods(counter: int) -> tuple[tuple[int, ...], ...]:
+    """The goods of each bundle of the allocation with that counter, read
+    off core's bundle columns."""
+    return tuple(members(column[counter]) for column in bundle_columns())
 
 
 def _pattern_key(pattern: tuple[int, int, int]) -> str:
@@ -323,14 +333,6 @@ _BLOCK_BITS = 16 * len(ALL_BUNDLES)
 def _lanes(pattern: bytes, count: int) -> int:
     """The lane integer of a pattern of bytes repeated count times."""
     return int.from_bytes(pattern * count, "big")
-
-
-@lru_cache(maxsize=1)
-def _disjoint_pairs() -> tuple[tuple[Bundle, ...], tuple[Bundle, ...], bytes]:
-    """The universe as columns (X0, X1, |X2|): every ordered pair of
-    disjoint bundles once, with the number of goods outside both."""
-    firsts, seconds, _ = zip(*all_allocations())
-    return firsts, seconds, size_codes().translate(size_code_table(lambda first, second, third: third))
 
 
 def _dense_keys(table: tuple[int, ...]) -> tuple[list[int], bytes]:
@@ -442,7 +444,7 @@ def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             worst = gap
         return worst if worst > 0 else 0
 
-    return tuple(starmap(deficit, all_allocations()))
+    return tuple(starmap(deficit, zip(*bundle_columns())))
 
 
 # --- single allocations ------------------------------------------------------
@@ -470,8 +472,7 @@ def strong_envy_witness(
 
 
 def _allocation_witnesses(counters: Iterable[int]) -> tuple[Witness, ...]:
-    # The decode is built only once a witness needs it.
-    return tuple(Witness(allocation=_allocation_goods(all_allocations()[c])) for c in counters)
+    return tuple(Witness(allocation=_allocation_goods(c)) for c in counters)
 
 
 # --- no-EFX ----------------------------------------------------------------
@@ -688,13 +689,8 @@ def check_subadditive(
     value(S) + m >= U(S) >= value(S union T).  That bound is one exact
     sum per row.  checked counts all 65536 pairs.
     """
-    # Order keys of the values: exponents negated, zero strictly below.
-    bottom = -1 - max((e for e in exponent_table if e is not None), default=0)
-    keys = [bottom if e is None else -e for e in exponent_table]
-
-    def exponent(key: int) -> int | None:
-        return None if key == bottom else -key
-
+    keys = level_keys(exponent_table)
+    exponent = dict(zip(keys, exponent_table)).__getitem__
     least = exponent(min(keys[1:]))
     greatest = _superset_maxima(keys)
 
@@ -894,8 +890,8 @@ def _first_pair_candidates() -> tuple[tuple[int, ...], tuple[Bundle, ...]]:
     """Counters, and first bundles, of the allocations whose first bundle
     is a pair and whose other two bundles hold at least two goods each."""
     shape = size_code_table(lambda first, second, third: first == 2 and second >= 2 and third >= 2)
-    counters = tuple(compress(range(N_ALLOCATIONS), size_codes().translate(shape)))
-    return counters, tuple(all_allocations()[counter][0] for counter in counters)
+    candidates = size_codes().translate(shape)
+    return tuple(compress(range(N_ALLOCATIONS), candidates)), tuple(compress(bundle_columns()[0], candidates))
 
 
 def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> VerdictReport:
@@ -1010,11 +1006,10 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
         rotation = rotation_column(profile.ordinal.bundle_images[1])
         if not all(map(efx.__getitem__, compress(rotation, efx))):
             mismatches = list(compress(range(N_ALLOCATIONS), map(ne, efx, map(efx.__getitem__, rotation))))
-    universe = all_allocations()
     witnesses = []
     for c in mismatches[: max(witness_limit, 0)]:
         lhs, rhs = ("EFX", "not EFX after rotation") if efx[c] else ("not EFX", "EFX after rotation")
-        witnesses.append(Witness(allocation=_allocation_goods(universe[c]), lhs=lhs, rhs=rhs))
+        witnesses.append(Witness(allocation=_allocation_goods(c), lhs=lhs, rhs=rhs))
     return _report(
         claim=f"cyclic_symmetry({profile.kind})",
         universe=N_ALLOCATIONS,
@@ -1040,10 +1035,11 @@ def _ordinal_triples(rank_tables: tuple[tuple[int, ...], ...]) -> int:
     For fixed i and j, an allocation is a disjoint pair (A, B) = (X_i, X_j)
     and a triple is a pair (A, S = B - g) with g outside both, so the
     count is the sum over disjoint (A, S) with rank_i(S) > rank_i(A) of
-    the goods outside A and S.  The universe's (X0, X1, |X2|) columns list
-    exactly those pairs and counts, for either j.
+    the goods outside A and S.  The universe's columns X0, X1 and the size
+    of X2 list exactly those pairs and counts, for either j.
     """
-    firsts, seconds, spare = _disjoint_pairs()
+    firsts, seconds, thirds = bundle_columns()
+    spare = thirds.translate(BUNDLE_SIZES)
     return 2 * sum(
         sum(compress(spare, map(gt, map(table.__getitem__, seconds), map(table.__getitem__, firsts))))
         for table in rank_tables
@@ -1074,7 +1070,7 @@ def verify_transfer(
     breaking = [i for i in range(N_AGENTS) if _strict_order_breaks(ranks[i], keys[i])]
 
     def violations() -> Iterator[Witness]:
-        for allocation in all_allocations():
+        for counter, allocation in enumerate(zip(*bundle_columns())):
             for i in breaking:
                 rank_table, key_table = ranks[i], keys[i]
                 own = allocation[i]
@@ -1084,7 +1080,7 @@ def verify_transfer(
                         reduced = allocation[j] ^ (1 << g)
                         if rank_table[reduced] > own_rank and key_table[reduced] <= own_key:
                             yield Witness(
-                                allocation=_allocation_goods(allocation),
+                                allocation=_allocation_goods(counter),
                                 agent_i=i,
                                 agent_j=j,
                                 good_g=g,
@@ -1092,7 +1088,7 @@ def verify_transfer(
                                 rhs=display_value(cardinal_profile, i, reduced),
                             )
 
-    passed, witnesses = _first_violations(violations(), witness_limit)
+    passed, witnesses = _first_violations(violations(), witness_limit) if breaking else (True, ())
     return _report(
         claim=f"strict_order_transfer({cardinal_profile.kind})",
         universe=N_ALLOCATIONS,

@@ -391,8 +391,8 @@ def test_cli_import_leaves_unneeded_modules_unloaded():
 def test_cli_import_builds_no_universe_column():
     probe = (
         "import efxcheck.cli; from efxcheck import core, verify; "
-        "print([f.__name__ for f in (core.all_allocations, core.size_codes, core.nonempty_mask, "
-        "core.bundle_lanes, core.rotation_column, verify._disjoint_pairs, verify._reduction_columns, "
+        "print([f.__name__ for f in (core.bundle_columns, core.size_codes, core.nonempty_mask, "
+        "core.bundle_lanes, core.rotation_column, verify._reduction_columns, "
         "verify._first_pair_candidates) if f.cache_info().currsize])"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True)

@@ -21,9 +21,9 @@ from efxcheck.core import (
     GOODS,
     N_ALLOCATIONS,
     Record,
-    all_allocations,
     allocation_from_counter,
     apply_permutation,
+    bundle_columns,
     bundle_of,
     code_sizes,
     invert_permutation,
@@ -106,10 +106,10 @@ def test_permutation_invertible():
 
 
 def test_rotation_sizes_and_identity():
-    rotation, allocations = _rotation(), all_allocations()
+    rotation = _rotation()
     counter = oracles.counter_of(((0, 1), (2, 3), (4, 5, 6, 7)))
-    assert _sizes(allocations[counter]) == (2, 2, 4)
-    assert _sizes(allocations[rotation[counter]]) == (2, 4, 2)
+    assert _sizes(allocation_from_counter(counter)) == (2, 2, 4)
+    assert _sizes(allocation_from_counter(rotation[counter])) == (2, 4, 2)
     assert rotation[rotation[rotation[counter]]] == counter
 
 
@@ -122,7 +122,7 @@ def test_rotate_is_bijection():
 
 
 def test_enumeration_count_and_validity():
-    allocations = all_allocations()
+    allocations = list(zip(*bundle_columns()))
     assert len(allocations) == N_ALLOCATIONS == 6561
     for counter, allocation in enumerate(allocations):
         # counter_of refuses bundles that do not partition the goods.
@@ -134,7 +134,7 @@ def test_enumeration_counter_zero_gives_everything_to_agent_zero():
 
 
 def test_enumeration_pattern_count_matches_multinomial():
-    observed = sum(1 for a in all_allocations() if _sizes(a) == (2, 3, 3))
+    observed = sum(1 for a in zip(*bundle_columns()) if _sizes(a) == (2, 3, 3))
     expected = math.factorial(8) // (math.factorial(2) * math.factorial(3) * math.factorial(3))
     assert observed == expected == 560
 
@@ -146,12 +146,12 @@ def test_counter_roundtrip():
 
 
 def test_decode_matches_the_literal_decode():
-    # Core's decode, and the universe columns beside it, against
+    # Core's decode, and the universe columns derived from it, against
     # the oracle's literal decode, counter // 3**g % 3.
     allocations = [bundles for bundles, _ in oracles.universe()]
     literal = [tuple(map(oracles.mask, allocation)) for allocation in allocations]
     assert [allocation_from_counter(counter) for counter in range(N_ALLOCATIONS)] == literal
-    assert list(all_allocations()) == literal
+    assert bundle_columns() == tuple(map(bytes, zip(*literal)))
     for counter in (-1, N_ALLOCATIONS):
         with pytest.raises(ValueError):
             allocation_from_counter(counter)
@@ -214,7 +214,7 @@ def test_members_iteration_deterministic():
 
 
 def test_all_pairs_disjoint_cover():
-    for allocation in all_allocations():
+    for allocation in zip(*bundle_columns()):
         x0, x1, x2 = allocation
         for a, b in combinations((x0, x1, x2), 2):
             assert a & b == 0

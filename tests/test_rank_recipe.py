@@ -62,7 +62,8 @@ from efxcheck.verify import (
 HYPOTHESIS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 # Each example below scans all 6561 allocations twice, once per side.
 HYPOTHESIS_SCANS = settings(derandomize=True, database=None, deadline=None, max_examples=12)
-# Each example below runs the per-allocation transfer loop twice.
+# Each example below checks transfer twice, once per realization; only a
+# realization that breaks strict rank order walks the allocations.
 HYPOTHESIS_TRANSFER = settings(derandomize=True, database=None, deadline=None, max_examples=8)
 
 NAMES = ("A", "B", "C", "x", "y", "Z", "m", "q")

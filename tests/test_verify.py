@@ -224,6 +224,23 @@ def test_property_suites_all_pass():
             assert report.passed, report.claim
 
 
+def test_level_keys_keep_zero_below_an_exponent_past_top_rank():
+    # Agent 0's exponent 6 raised to 9: still a positive value, but past
+    # top_rank, so a bottom key read off top_rank would rank zero above it.
+    base = builtin("subadditive")
+    tables = base.subadditive.exponent_tables
+    raised = tuple(9 if e == 6 else e for e in tables[0])
+    assert 6 in tables[0] and 9 > base.ordinal.top_rank
+    payload = base.replace(subadditive=base.subadditive.replace(exponent_tables=(raised,) + tables[1:]))
+    keys = profile_value_keys(payload)[0]
+    values = [payload.subadditive.value(0, bundle) for bundle in ALL_BUNDLES]
+    for s in ALL_BUNDLES:
+        for t in ALL_BUNDLES:
+            assert (keys[s] < keys[t]) == (values[s] < values[t]), (s, t)
+    reports = {report.claim: report for report in property_reports(payload)}
+    assert reports["monotone(level_value[0])"].passed
+
+
 def test_monotone_adversarial_double_fails():
     table = tuple(b.bit_count() % 3 for b in ALL_BUNDLES)
     report = check_monotone(table, "monotone(doctored)")
