@@ -25,7 +25,6 @@ from .core import (
     Allocation,
     Bundle,
     allocation_from_counter,
-    apply_permutation,
     bundle_of,
     members,
 )

@@ -10,11 +10,11 @@ Two valuation families share the built-in ordinal instance:
   in exact integers, and signed sums of q-powers are decided in the ring
   generated by q (q has degree 6 over the rationals, with q**6 = 1/2).
 
-* weighted coverage: a bundle is worth the total weight of the atoms it
-  intersects, for a fixed eleven-atom list with integer weights summing
-  to 49.  Agents 1 and 2 use atom lists pre-relabeled through the inverse
-  powers of the cyclic relabeling, so evaluation never permutes the
-  queried bundle.
+* weighted coverage: agent 0 values a bundle at the total weight of the
+  atoms it intersects, for a fixed eleven-atom list with integer weights
+  summing to 49.  Agent i values a bundle at agent 0's value of its i-th
+  image, read through the profile's bundle_images exactly as the rank
+  tables are, so the relabeling rule is written once, in efxcheck.ordinal.
 
 Nothing here uses floating point.  fractions is imported where a
 factor is parsed or an exact sign is decided, not with this module: most
@@ -26,17 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache, total_ordering
 
-from .core import (
-    ALL_BUNDLES,
-    N_AGENTS,
-    Bundle,
-    Record,
-    apply_permutation,
-    bundle_of,
-    invert_permutation,
-    members,
-    permutation_power,
-)
+from .core import ALL_BUNDLES, Bundle, Record, bundle_of, members
 from .ordinal import OrdinalProfile, support_representatives
 
 TYPE_CHECKING = False
@@ -169,6 +159,21 @@ def compare_scaled(a: LevelValue, alpha: ApproxFactor, b: LevelValue) -> bool:
             return q**6 >= p**6 << gap
         return q**6 << -gap >= p**6
     return gap <= alpha.level_exponent  # type: ignore[operator]
+
+
+def level_slack(alpha: ApproxFactor) -> int:
+    """Largest integer d >= 0 with q**d >= alpha, where q = 2**(-1/6).
+
+    d = 0 always qualifies because alpha <= 1, and q**d falls as d grows,
+    so compare_scaled(a, alpha, b) holds for nonzero a and b exactly when
+    their exponent gap is at most d.  For alpha = p/r, raising to the
+    sixth power gives 2**d <= r**6 / p**6, and 2**d is an integer, so
+    the largest d is the floor of log2 of r**6 // p**6.  For alpha = q**t
+    it is the floor of t.
+    """
+    if alpha.rational is not None:
+        return (alpha.rational.denominator**6 // alpha.rational.numerator**6).bit_length() - 1
+    return int(alpha.level_exponent)  # type: ignore[arg-type]
 
 
 _ZERO6 = (0,) * 6
@@ -317,7 +322,6 @@ class SubadditiveProfile(Record):
     bundle (value zero).
     """
 
-    ordinal: OrdinalProfile
     exponent_tables: tuple[tuple[int | None, ...], ...]
 
     def value(self, agent: int, bundle: Bundle) -> LevelValue:
@@ -333,7 +337,7 @@ def build_subadditive(profile: OrdinalProfile) -> SubadditiveProfile:
         )
         for ranks in profile.rank_tables
     )
-    return SubadditiveProfile(ordinal=profile, exponent_tables=tables)
+    return SubadditiveProfile(exponent_tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -363,42 +367,28 @@ BASE_COVERAGE_ATOMS: tuple[CoverageAtom, ...] = (
 
 
 class CoverageProfile(Record):
-    """Per-agent atom lists (pre-relabeled) and memoized value tables."""
+    """Memoized per-agent value tables: value_tables[i][bundle]."""
 
-    atoms: tuple[tuple[CoverageAtom, ...], ...]
     value_tables: tuple[tuple[int, ...], ...]
 
     def value(self, agent: int, bundle: Bundle) -> int:
         return self.value_tables[agent][bundle]
 
 
-def _atom_table(atoms: tuple[CoverageAtom, ...]) -> tuple[int, ...]:
-    return tuple(
-        sum(atom.weight for atom in atoms if bundle & atom.covered)
-        for bundle in ALL_BUNDLES
-    )
-
-
 def build_coverage(profile: OrdinalProfile) -> CoverageProfile:
     """Coverage profile realizing the built-in instance.
 
-    Agent i's atoms are the base atoms mapped through the inverse i-th
-    power of the relabeling, which makes agent i's value of a bundle equal
-    to agent 0's value of the bundle's i-th image without permuting at
-    query time (the identity is asserted by the test suite, not assumed).
+    Agent 0's table gives each bundle the total weight of the base atoms
+    it meets.  Agent i's value of a bundle is agent 0's value of the
+    bundle's i-th image, read through profile.bundle_images[i], the same
+    rule that gives the profile's rank tables.
     """
-    atom_lists = []
-    for agent in range(N_AGENTS):
-        inverse = invert_permutation(permutation_power(profile.permutation, agent))
-        atom_lists.append(
-            tuple(
-                CoverageAtom(apply_permutation(inverse, atom.covered), atom.weight)
-                for atom in BASE_COVERAGE_ATOMS
-            )
-        )
+    base = tuple(
+        sum(atom.weight for atom in BASE_COVERAGE_ATOMS if bundle & atom.covered)
+        for bundle in ALL_BUNDLES
+    )
     return CoverageProfile(
-        atoms=tuple(atom_lists),
-        value_tables=tuple(_atom_table(atoms) for atoms in atom_lists),
+        value_tables=tuple(tuple(map(base.__getitem__, images)) for images in profile.bundle_images)
     )
 
 

@@ -36,7 +36,7 @@ import sys
 import time
 from functools import lru_cache
 
-from .cardinal import ApproxFactor, LevelValue, compare_scaled
+from .cardinal import ApproxFactor, level_slack
 from .core import N_ALLOCATIONS, members
 from .ordinal import TemplateError, load_template_file
 from .tables import TableArtifact, generate_all
@@ -71,10 +71,10 @@ def expected_no_alpha_efx(alpha: ApproxFactor) -> bool:
     """True when the expected outcome is that no scaled-EFX allocation
     exists: exactly the factors above q**m, where q = 2**(-1/6) is the
     level base and m the frozen minimum nonempty deficit.  A scaled-EFX
-    allocation exists exactly when q**m >= alpha; with m = 1 the cutoff
-    is the base itself.
+    allocation exists exactly when q**m >= alpha, that is when m is at
+    most level_slack(alpha); with m = 1 the cutoff is the base itself.
     """
-    return not compare_scaled(LevelValue.power(GOLDEN_MIN_DEFICIT_ALL_NONEMPTY), alpha, LevelValue.power(0))
+    return level_slack(alpha) < GOLDEN_MIN_DEFICIT_ALL_NONEMPTY
 
 
 @lru_cache(maxsize=1)

@@ -143,34 +143,11 @@ def one_good_reductions() -> tuple[tuple[Bundle, ...], ...]:
     return tuple(tuple(bundle ^ (1 << g) for g in members(bundle)) for bundle in ALL_BUNDLES)
 
 
-def apply_permutation(perm: tuple[int, ...], bundle: Bundle) -> Bundle:
-    """Elementwise image of a bundle under a permutation of the goods."""
-    image = 0
-    m = bundle
-    while m:
-        low = m & -m
-        image |= 1 << perm[low.bit_length() - 1]
-        m ^= low
-    return image
-
-
-def compose_permutations(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation mapping g to outer[inner[g]]."""
-    return tuple(outer[inner[g]] for g in GOODS)
-
-
 def permutation_power(perm: tuple[int, ...], exponent: int) -> tuple[int, ...]:
     result = IDENTITY_PERMUTATION
     for _ in range(exponent):
-        result = compose_permutations(perm, result)
+        result = tuple(map(perm.__getitem__, result))
     return result
-
-
-def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inverse = [0] * N_GOODS
-    for g, image in enumerate(perm):
-        inverse[image] = g
-    return tuple(inverse)
 
 
 def is_permutation(perm: tuple[int, ...]) -> bool:
@@ -239,8 +216,11 @@ def size_codes() -> bytes:
 @lru_cache(maxsize=1)
 def nonempty_mask() -> bytes:
     """1 for each allocation with no empty bundle, else 0, in counter
-    order."""
-    return size_codes().translate(size_code_table(lambda *sizes: int(all(sizes))))
+    order: each bundle column translated to 1 for a nonempty bundle, the
+    three results ANDed as integers."""
+    nonempty = b"\0" + b"\1" * FULL_BUNDLE
+    x0, x1, x2 = (int.from_bytes(column.translate(nonempty), "big") for column in bundle_columns())
+    return (x0 & x1 & x2).to_bytes(N_ALLOCATIONS, "big")
 
 
 def lane_column(column: bytes) -> bytes:

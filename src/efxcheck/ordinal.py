@@ -21,10 +21,14 @@ and B C x as exceptional, so its exceptional triples hold one good from A
 or x, one B-good and one C-good.
 
 Agents 1 and 2 rank a bundle by applying the relabeling once or twice and
-asking agent 0.  The built-in instance is read from its shipped template
-document, paper_instance.json, through the same loader and validation as
-user templates; that document is the only place the built-in partition
-and relabeling are written down.
+asking agent 0.  A profile's bundle_images hold those images, and every
+realization reads agent i through them: efxcheck.cardinal's coverage
+tables follow the same rule as the rank tables.  The built-in instance is
+read from its shipped template document, paper_instance.json, through the
+same loader and validation as user templates; that document is the only
+place the built-in relabeling is written down.  The built-in partition
+has one more copy: efxcheck.cardinal.BASE_COVERAGE_ATOMS names its goods
+by index.
 
 This module builds and loads profiles and nothing else.  A profile's
 tables are the only reads of its ranks, support labels and relabeled

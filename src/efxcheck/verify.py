@@ -69,8 +69,8 @@ from .cardinal import (
     SubadditiveProfile,
     build_coverage,
     build_subadditive,
-    compare_scaled,
     level_power_decimal,
+    level_slack,
     level_sum_compare,
 )
 from .core import (
@@ -505,19 +505,6 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
 # --- no scaled-EFX ----------------------------------------------------------
 
 
-def _scale_slack(alpha: ApproxFactor, top_rank: int) -> int:
-    """Largest exponent gap d <= top_rank with q**d >= alpha.
-
-    d = 0 always qualifies because alpha <= 1, and the verdict is monotone
-    in d, so an agent meets the scaled condition exactly when every gap
-    it faces is at most the slack.  No reachable gap exceeds top_rank.
-    """
-    slack = 0
-    while slack < top_rank and compare_scaled(LevelValue.power(slack + 1), alpha, LevelValue.power(0)):
-        slack += 1
-    return slack
-
-
 def verify_no_alpha_efx(
     profile: Profile, alpha: ApproxFactor, witness_limit: int = 10
 ) -> VerdictReport:
@@ -525,9 +512,10 @@ def verify_no_alpha_efx(
     value(own) >= alpha * value(other minus any one good), decided exactly.
 
     The allocations that satisfy it are those with no empty bundle whose
-    deficit under the level keys is at most the slack of alpha.  Keys are
-    negated exponents, so one rank step is one power of the base: an
-    agent holding a nonempty bundle meets the condition against a nonempty
+    deficit under the level keys is at most level_slack(alpha), the
+    largest exponent gap d with q**d >= alpha.  Keys are negated
+    exponents, so one rank step is one power of the base: an agent
+    holding a nonempty bundle meets the condition against a nonempty
     reduction exactly when the key gap is at most the slack, and always
     against the empty reduction, whose key is the lowest.  An agent
     holding the empty bundle, worth nothing, meets it only when every
@@ -541,7 +529,7 @@ def verify_no_alpha_efx(
         raise ValueError(f"scaled verification needs a subadditive profile, got {profile.kind}")
     if any(None in table[1:] for table in profile.subadditive.exponent_tables):  # type: ignore[union-attr]
         raise ValueError("scaled verification needs a positive level value on every nonempty bundle")
-    slack = _scale_slack(alpha, profile.ordinal.top_rank)
+    slack = level_slack(alpha)
     nonempty = nonempty_mask()
     within_slack = map(le, compress(_deficits(profile_value_keys(profile)), nonempty), repeat(slack))
     holds = list(compress(compress(range(N_ALLOCATIONS), nonempty), within_slack))

@@ -1,11 +1,13 @@
 """Level values, exact comparisons, and the coverage valuation."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from oracles import LEVEL_BASE, RELABELING, float_level_sum, naive_coverage, naive_coverage_for_agent
+from helpers import random_template_doc
+from oracles import LEVEL_BASE, SIGMA, float_level_sum, mask, naive_coverage, naive_coverage_for_agent, unmask
 
 from efxcheck.cardinal import (
     ApproxFactor,
@@ -17,24 +19,24 @@ from efxcheck.cardinal import (
     build_subadditive,
     compare_scaled,
     level_power_decimal,
+    level_slack,
     level_sum_compare,
     support_value_table,
 )
-from efxcheck.core import (
-    ALL_BUNDLES,
-    FULL_BUNDLE,
-    N_AGENTS,
-    apply_permutation,
-    bundle_of,
-    members,
-    permutation_power,
-)
-from efxcheck.ordinal import builtin_profile
+from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, N_AGENTS, bundle_of, members
+from efxcheck.ordinal import builtin_profile, load_template
 from efxcheck.verify import builtin
 
 
 def _coverage_tables() -> tuple[tuple[int, ...], ...]:
     return builtin("coverage").coverage.value_tables
+
+
+def _image(goods: frozenset[int], permutation, agent: int) -> frozenset[int]:
+    """The goods' image under the agent-th power of a relabeling."""
+    for _ in range(agent):
+        goods = frozenset(permutation[g] for g in goods)
+    return goods
 
 
 # --- level values -----------------------------------------------------------
@@ -80,6 +82,21 @@ def test_compare_scaled_spec_examples():
     # reflexivity at factor 1
     value = LevelValue.power(3)
     assert compare_scaled(value, ApproxFactor.parse("1"), value)
+
+
+def test_level_slack_is_the_largest_gap_compare_scaled_admits():
+    # perfbench's nine deck factors, then a factor with no power of two in
+    # its denominator, a tiny one and a fractional level exponent.
+    factors = (
+        "9/10", "0.95", "1", "lambda^1/2", "0.8909", "lambda^1", "1/2", "0.8908", "lambda^2",
+        "1/3", "1e-50", "lambda^100/7",
+    )
+    one = LevelValue.power(0)
+    for text in factors:
+        alpha = ApproxFactor.parse(text)
+        slack = level_slack(alpha)
+        assert compare_scaled(LevelValue.power(slack), alpha, one), text
+        assert not compare_scaled(LevelValue.power(slack + 1), alpha, one), text
 
 
 def test_compare_scaled_zero_conventions():
@@ -207,20 +224,31 @@ def test_coverage_range_is_21_to_49_for_nonempty():
 
 def test_relabeling_identity_for_coverage():
     for agent, values in enumerate(_coverage_tables()):
-        perm = permutation_power(RELABELING, agent)
         for bundle in ALL_BUNDLES:
-            image = apply_permutation(perm, bundle)
-            assert values[bundle] == naive_coverage(frozenset(members(image)))
+            assert values[bundle] == naive_coverage(_image(unmask(bundle), SIGMA, agent))
+
+
+def test_coverage_follows_each_template_relabeling():
+    # The seeds draw all three relabelings: identity, the built-in one
+    # and its inverse.
+    seen = set()
+    for seed in range(30):
+        doc = random_template_doc(seed)
+        permutation = json.loads(doc)["permutation"]
+        seen.add(tuple(permutation))
+        _, profile = load_template(doc)
+        for agent, values in enumerate(build_coverage(profile).value_tables):
+            for bundle in ALL_BUNDLES:
+                assert values[bundle] == naive_coverage(_image(unmask(bundle), permutation, agent)), (seed, agent)
+    assert len(seen) == 3
 
 
 def test_relabeling_identity_for_level_values():
     profile = builtin_profile()
     sub = build_subadditive(profile)
     for agent in range(N_AGENTS):
-        perm = permutation_power(RELABELING, agent)
         for bundle in ALL_BUNDLES[1:]:
-            image = apply_permutation(perm, bundle)
-            expected = 7 - profile.rank_tables[0][image]
+            expected = 7 - profile.rank_tables[0][mask(_image(unmask(bundle), SIGMA, agent))]
             assert sub.exponent_tables[agent][bundle] == expected
 
 
@@ -288,14 +316,3 @@ def test_support_value_table_rejects_a_split_support():
 def test_coverage_total_weight_hit_by_full_bundle():
     assert _coverage_tables()[0][FULL_BUNDLE] == sum(a.weight for a in BASE_COVERAGE_ATOMS)
 
-
-def test_agent_atoms_are_relabeled_base_atoms():
-    coverage = build_coverage(builtin_profile())
-    for agent in range(N_AGENTS):
-        inverse = permutation_power(RELABELING, (3 - agent) % 3)
-        expected = {
-            (apply_permutation(inverse, atom.covered), atom.weight)
-            for atom in BASE_COVERAGE_ATOMS
-        }
-        actual = {(atom.covered, atom.weight) for atom in coverage.atoms[agent]}
-        assert actual == expected

@@ -303,7 +303,7 @@ PUBLIC_NAMES = (
     "AlgebraicValue", "Allocation", "ApproxFactor", "Bundle", "CoverageAtom", "CoverageProfile",
     "DeficitProfile", "InstanceTemplate", "LevelValue", "OrdinalProfile", "Profile",
     "SubadditiveProfile", "TemplateError", "VerdictReport", "Witness", "allocation_from_counter",
-    "apply_permutation", "builtin", "builtin_profile", "bundle_of", "cardinal", "compare_scaled",
+    "builtin", "builtin_profile", "bundle_of", "cardinal", "compare_scaled",
     "compute_deficit_profile", "core", "is_efx", "level_sum_compare", "load_template",
     "load_template_file", "members", "ordinal", "strong_envy_witness", "support_value_table",
     "verify", "verify_cyclic_symmetry", "verify_lemma_first_pair", "verify_no_alpha_efx",

@@ -22,11 +22,9 @@ from efxcheck.core import (
     N_ALLOCATIONS,
     Record,
     allocation_from_counter,
-    apply_permutation,
     bundle_columns,
     bundle_of,
     code_sizes,
-    invert_permutation,
     members,
     nonempty_mask,
     permutation_power,
@@ -88,21 +86,14 @@ def test_support_union_homomorphism():
 
 
 def test_relabeling_examples():
-    assert apply_permutation(RELABELING, bundle_of((2, 5))) == bundle_of((0, 3))
-    assert apply_permutation(RELABELING, 0) == 0
+    once = builtin_profile().bundle_images[1]
+    assert once[bundle_of((2, 5))] == bundle_of((0, 3))
+    assert once[0] == 0
     cube = permutation_power(RELABELING, 3)
     assert cube == tuple(GOODS)
     for bundle in ALL_BUNDLES:
-        once = apply_permutation(RELABELING, bundle)
-        assert once.bit_count() == bundle.bit_count()
-        thrice = apply_permutation(RELABELING, apply_permutation(RELABELING, once))
-        assert thrice == bundle
-
-
-def test_permutation_invertible():
-    inverse = invert_permutation(RELABELING)
-    for bundle in ALL_BUNDLES:
-        assert apply_permutation(inverse, apply_permutation(RELABELING, bundle)) == bundle
+        assert once[bundle].bit_count() == bundle.bit_count()
+        assert once[once[once[bundle]]] == bundle
 
 
 def test_rotation_sizes_and_identity():

@@ -16,6 +16,8 @@ from oracles import (
     keyed,
     mask,
     rotated_counter,
+    scaled_efx_counters,
+    scaled_pair_groups,
     transfer,
     triples_of,
     universe,
@@ -224,14 +226,19 @@ def test_property_suites_all_pass():
             assert report.passed, report.claim
 
 
-def test_level_keys_keep_zero_below_an_exponent_past_top_rank():
-    # Agent 0's exponent 6 raised to 9: still a positive value, but past
-    # top_rank, so a bottom key read off top_rank would rank zero above it.
+def _raised_payload() -> Profile:
+    """Built-in subadditive with agent 0's exponent 6 raised to 9: still a
+    positive value, but past top_rank."""
     base = builtin("subadditive")
     tables = base.subadditive.exponent_tables
     raised = tuple(9 if e == 6 else e for e in tables[0])
     assert 6 in tables[0] and 9 > base.ordinal.top_rank
-    payload = base.replace(subadditive=base.subadditive.replace(exponent_tables=(raised,) + tables[1:]))
+    return base.replace(subadditive=base.subadditive.replace(exponent_tables=(raised,) + tables[1:]))
+
+
+def test_level_keys_keep_zero_below_an_exponent_past_top_rank():
+    # A bottom key read off top_rank would rank zero above exponent 9.
+    payload = _raised_payload()
     keys = profile_value_keys(payload)[0]
     values = [payload.subadditive.value(0, bundle) for bundle in ALL_BUNDLES]
     for s in ALL_BUNDLES:
@@ -239,6 +246,23 @@ def test_level_keys_keep_zero_below_an_exponent_past_top_rank():
             assert (keys[s] < keys[t]) == (values[s] < values[t]), (s, t)
     reports = {report.claim: report for report in property_reports(payload)}
     assert reports["monotone(level_value[0])"].passed
+
+
+def test_alpha_scan_admits_gaps_past_top_rank():
+    # The raised payload has exponent gaps of 8 and 9; a factor whose
+    # slack reaches them admits the allocations that face them.
+    payload = _raised_payload()
+    groups = scaled_pair_groups(keyed(payload.subadditive.exponent_tables))
+
+    def level(exponent):
+        return LevelValue.zero() if exponent is None else LevelValue.power(exponent)
+
+    def oracle_count(alpha):
+        return len(scaled_efx_counters(groups, lambda own, reduced: compare_scaled(level(own), alpha, level(reduced))))
+
+    alphas = [ApproxFactor.parse(text) for text in ("lambda^8", "lambda^9", "1/8", "1/1000")]
+    counts = [dict(verify_no_alpha_efx(payload, alpha).breakdown)["alpha_efx_allocations"] for alpha in alphas]
+    assert counts == list(map(oracle_count, alphas)) == [4980, 5796, 5796, 5796]
 
 
 def test_monotone_adversarial_double_fails():
