@@ -11,21 +11,31 @@ counter order, and a counter's allocation is the three bytes at its
 index.  Every other universe column is derived from those three, and
 depends on the universe and a relabeling alone, never on a valuation:
 each allocation's bundle sizes as one size code, the mask of
-allocations with no empty bundle, each bundle column widened to a lane
-column, and, per relabeling, each allocation's rotated counter.  Each
+allocations with no empty bundle, and, per relabeling, each
+allocation's rotated counter.  Each
 is built on first use, never at import, and claims read them with
 bytes.translate, compress, Counter and whole-column integer arithmetic
 instead of recounting per allocation.
 
 A lane column holds one byte per allocation (or per bundle) in the low
-byte of a big-endian 16-bit lane, over a zero pad byte.  Translated
-through a 256-entry byte table and read by int.from_bytes, it becomes one
-integer whose lanes a single addition or subtraction updates at once: as
-long as every lane's result stays in [0, 65535], no carry or borrow
-crosses into the next lane.  bundle_lanes() gives X0, X1 and X2 in that
-form; efxcheck.verify builds the EFX status column on it.  Which goods
-share a type, and which permutation relabels them, is a template's to
-say (efxcheck.ordinal).
+byte of a big-endian lane of one or two bytes, over zero pad bytes.  Read
+by int.from_bytes, it becomes one integer whose lanes a single addition or
+subtraction updates at once: as long as every lane's result stays in
+[0, 2^(8·width) − 1], no carry or borrow crosses into the next lane.
+Keys are compared as dense indices (each key's position among its
+table's distinct keys), which keep the order and are below 0x80 for every
+table of at most 128 distinct keys.  Those take one-byte lanes: for lane
+values a and b below 0x80, a + 0x80 − b lies in [1, 255], so bit 7 of
+the lane is exactly a >= b, and b + 0x7F − a lies in [0, 254], so bit 7
+is exactly b > a.  Wider tables, up to 256 distinct keys, take two-byte
+lanes, where the top bit is bit 15 and the same bounds hold with 0x8000
+and 0x7FFF.  lane_max keeps the larger lane of two lane integers that
+way; efxcheck.ordinal folds its rank recipe with it and efxcheck.verify
+its reduction maxima, and verify's EFX status column compares lanes the
+same way.  reduction_index() lists the one-good reductions of every
+bundle as a byte column, which one translate reads through a table of
+dense keys.  Which goods share a type, and which permutation relabels
+them, is a template's to say (efxcheck.ordinal).
 
 All values here are immutable, and Record is the base of every value
 type the other modules define.
@@ -137,12 +147,6 @@ def members(bundle: Bundle) -> tuple[int, ...]:
     return tuple(g for g in GOODS if bundle >> g & 1)
 
 
-@lru_cache(maxsize=1)
-def one_good_reductions() -> tuple[tuple[Bundle, ...], ...]:
-    """The one-good reductions of every bundle, goods in ascending order."""
-    return tuple(tuple(bundle ^ (1 << g) for g in members(bundle)) for bundle in ALL_BUNDLES)
-
-
 def permutation_power(perm: tuple[int, ...], exponent: int) -> tuple[int, ...]:
     result = IDENTITY_PERMUTATION
     for _ in range(exponent):
@@ -223,19 +227,45 @@ def nonempty_mask() -> bytes:
     return (x0 & x1 & x2).to_bytes(N_ALLOCATIONS, "big")
 
 
-def lane_column(column: bytes) -> bytes:
-    """A byte column widened to big-endian 16-bit lanes: each byte in the
-    low byte of its lane, a zero pad byte above it."""
-    lanes = bytearray(2 * len(column))
-    lanes[1::2] = column
+def lane_column(column: bytes, width: int) -> bytes:
+    """A byte column widened to big-endian lanes of width bytes: each byte
+    in the low byte of its lane, zero pad bytes above it."""
+    if width == 1:
+        return column
+    lanes = bytearray(width * len(column))
+    lanes[width - 1 :: width] = column
     return bytes(lanes)
 
 
+def lane_flags(count: int, width: int) -> int:
+    """The lane integer of count lanes of width bytes, each holding only
+    its top bit."""
+    return int.from_bytes((b"\x80" + bytes(width - 1)) * count, "big")
+
+
+def lane_max(first: int, second: int, flags: int, width: int) -> int:
+    """Lane by lane, the larger of two lane integers whose lanes of width
+    bytes hold values below their top bit; flags is lane_flags over at
+    least as many lanes.  first + flags − second keeps every lane in
+    [1, 2 · top − 1], so no borrow crosses a lane and the lane's top bit
+    is exactly first >= second.  Lanes past both operands stay 0."""
+    first_wins = ((first + flags - second) & flags) >> (8 * width - 1)
+    return second ^ ((first ^ second) & first_wins * ((1 << 8 * width) - 1))
+
+
 @lru_cache(maxsize=1)
-def bundle_lanes() -> tuple[bytes, bytes, bytes]:
-    """The bundle columns X0, X1 and X2 as lane columns (see
-    lane_column), 2 · 6561 bytes each."""
-    return tuple(map(lane_column, bundle_columns()))
+def holds_columns() -> tuple[bytes, ...]:
+    """Per good g, a byte per bundle in integer order: 1 when the bundle
+    holds g, else 0.  Runs of 2^g bundles without g and 2^g with it."""
+    return tuple((bytes(1 << g) + b"\1" * (1 << g)) * (128 >> g) for g in GOODS)
+
+
+@lru_cache(maxsize=1)
+def reduction_index() -> bytes:
+    """The one-good reductions of the 256 bundles as 8 blocks of 256
+    bytes, good 0's first: byte B of good g's block is B − g, or B itself
+    when B does not hold g."""
+    return b"".join(bytes(bundle & ~(1 << g) for bundle in ALL_BUNDLES) for g in GOODS)
 
 
 @lru_cache(maxsize=2)

@@ -20,6 +20,17 @@ largest rank of a triple inside it.  The built-in instance lists A B C
 and B C x as exceptional, so its exceptional triples hold one good from A
 or x, one B-good and one C-good.
 
+build_profile computes the recipe as one subset-max fold.  It seeds each
+bundle with the rank the first three rules give it, and every other
+bundle with 0; a bundle's rank is then the largest seed of a bundle inside
+it.  By induction on the size: a bundle that a rule ranks has a seed at
+least every seed inside it, since pair ranks are at least 1, a
+singleton's rank, and top_rank is at least every pair rank; every other
+bundle has seed 0, so its largest seed inside is the largest over its
+one-good reductions, which are their ranks.  The fold runs on dense ranks
+(each rank's index among the template's distinct ranks), one byte a
+bundle, so a step over one good is one translate and one core.lane_max.
+
 Agents 1 and 2 rank a bundle by applying the relabeling once or twice and
 asking agent 0.  A profile's bundle_images hold those images, and every
 realization reads agent i through them: efxcheck.cardinal's coverage
@@ -41,19 +52,22 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .core import (
     ALL_BUNDLES,
+    BUNDLE_SIZES,
     GOODS,
     N_AGENTS,
     N_GOODS,
     Bundle,
     Record,
+    holds_columns,
     is_permutation,
-    members,
-    one_good_reductions,
+    lane_flags,
+    lane_max,
     permutation_power,
+    reduction_index,
 )
 
 # Longest template document read from a file, in characters.  The shipped
@@ -139,63 +153,79 @@ def _type_set_labels(names: tuple[str, ...]) -> list[str]:
 def support_representatives(support_labels: tuple[str, ...]) -> tuple[Bundle, ...]:
     """For every bundle, the first bundle in integer order with the same
     support label: the representative of its support class."""
-    first: dict[str, Bundle] = {}
-    return tuple(first.setdefault(label, bundle) for bundle, label in enumerate(support_labels))
+    # Read backwards, a label's first bundle is the last one written.
+    first = dict(zip(reversed(support_labels), reversed(ALL_BUNDLES)))
+    return tuple(map(first.__getitem__, support_labels))
 
 
-def _exceptional_bundles(template: InstanceTemplate) -> frozenset[Bundle]:
-    """The triples whose type multiset the template lists as exceptional."""
-    type_of_good = template.type_of_good()
-    listed = set(template.exceptional)
-    return frozenset(
-        bundle
-        for bundle in ALL_BUNDLES
-        if bundle.bit_count() == 3 and tuple(sorted(type_of_good[g] for g in members(bundle))) in listed
-    )
+# Translate tables on a bundle's size: all ones for a pair, else 0; and
+# 1, a singleton's rank and dense rank, for a singleton, else 0.
+_ON_PAIRS = b"\0\0\xff" + bytes(253)
+_SINGLETON_SEEDS = b"\0\1" + bytes(254)
 
 
 def build_profile(template: InstanceTemplate) -> OrdinalProfile:
     """Materialize the three agents' rank tables from a template.
 
-    One pass over the bundles in increasing order: a bundle's entries
-    follow from those of the bundle without its lowest good, and from its
-    one-good reductions, all of which are smaller integers.
+    The type masks and the relabeled bundles are ORs of core's holds
+    columns, one per good, scaled by the good's type bit or image bit.
+    Agent 0's dense ranks are seeded (singletons 1, pairs their type
+    pair's rank read off the type mask, exceptional triples top_rank) and
+    folded over the goods: after good g's step, a bundle holds the largest
+    seed of a bundle it gives by dropping some of the goods 0..g, so after
+    the last, the largest seed inside it, which is the recipe's largest
+    rank of its one-good reductions (see the module docstring).  Dense
+    ranks stay below 0x80 for every template: at most 28 type-pair ranks
+    (eight one-good types), 0, 1 and top_rank.
     """
-    type_of_good = template.type_of_good()
+    n_bundles = len(ALL_BUNDLES)
     names = template.type_names()
     type_bit = {name: 1 << index for index, name in enumerate(names)}
-    pair_map = template.pair_rank_map()
-    exceptional = _exceptional_bundles(template)
+    goods_of = dict(template.type_goods)
     top_rank = template.top_rank
-    perms = [permutation_power(template.permutation, agent) for agent in range(N_AGENTS)]
-    reductions = one_good_reductions()
+    perms = [permutation_power(template.permutation, agent) for agent in range(1, N_AGENTS)]
 
-    base = [0] * len(ALL_BUNDLES)
-    images = [[0] * len(ALL_BUNDLES) for _ in perms]
-    type_masks = [0] * len(ALL_BUNDLES)
-    for bundle in ALL_BUNDLES[1:]:
-        low = bundle & -bundle
-        rest = bundle ^ low
-        good = low.bit_length() - 1
-        for image, perm in zip(images, perms):
-            image[bundle] = image[rest] | 1 << perm[good]
-        type_masks[bundle] = type_masks[rest] | type_bit[type_of_good[good]]
-        size = bundle.bit_count()
-        if size == 1:
-            base[bundle] = 1
-        elif size == 2:
-            other = rest.bit_length() - 1
-            base[bundle] = pair_map[_sorted_pair(type_of_good[good], type_of_good[other])]
-        elif bundle in exceptional:
-            base[bundle] = top_rank
-        else:
-            base[bundle] = max(map(base.__getitem__, reductions[bundle]))
+    values = sorted({0, 1, top_rank, *template.pair_rank_map().values()})
+    dense = dict(zip(values, range(len(values))))
+    holds = [int.from_bytes(column, "big") for column in holds_columns()]
+    type_masks = 0
+    for good, name in enumerate(template.type_of_good()):
+        type_masks |= holds[good] * type_bit[name]
+    type_masks = type_masks.to_bytes(n_bundles, "big")
+    images = [bytes(ALL_BUNDLES)]
+    for perm in perms:
+        image = 0
+        for good, target in enumerate(perm):
+            image |= holds[good] << target
+        images.append(image.to_bytes(n_bundles, "big"))
+
+    # One or two type bits name a pair's unordered type pair; the size
+    # tables keep those seeds on the pairs alone and seed the singletons.
+    pair_seeds = bytearray(n_bundles)
+    for (first, second), rank in template.pair_ranks:
+        pair_seeds[type_bit[first] | type_bit[second]] = dense[rank]
+    on_pairs = int.from_bytes(BUNDLE_SIZES.translate(_ON_PAIRS), "big")
+    singletons = int.from_bytes(BUNDLE_SIZES.translate(_SINGLETON_SEEDS), "big")
+    seeded = int.from_bytes(type_masks.translate(pair_seeds), "big") & on_pairs | singletons
+    seeds = bytearray(seeded.to_bytes(n_bundles, "big"))
+    for triple in template.exceptional:
+        for goods in product(*map(goods_of.__getitem__, triple)):
+            bundle = 1 << goods[0] | 1 << goods[1] | 1 << goods[2]
+            if bundle.bit_count() == 3:
+                seeds[bundle] = dense[top_rank]
+
+    ranks = bytes(seeds)
+    index, flags = reduction_index(), lane_flags(n_bundles, 1)
+    for start in range(0, len(index), n_bundles):
+        reduced = index[start : start + n_bundles].translate(ranks)
+        folded = lane_max(int.from_bytes(ranks, "big"), int.from_bytes(reduced, "big"), flags, 1)
+        ranks = folded.to_bytes(n_bundles, "big")
 
     labels = _type_set_labels(names)
     return OrdinalProfile(
         template=template,
-        rank_tables=tuple(tuple(map(base.__getitem__, image)) for image in images),
-        bundle_images=tuple(tuple(image) for image in images),
+        rank_tables=tuple(tuple(map(values.__getitem__, image.translate(ranks))) for image in images),
+        bundle_images=tuple(map(tuple, images)),
         support_labels=tuple(map(labels.__getitem__, type_masks)),
         top_rank=top_rank,
     )

@@ -10,28 +10,30 @@ key table and are cached per table, both built from per-agent tables of
 reduction maxima W_i[B], the largest key of a one-good reduction of B.
 The status column (each allocation's EFX status as one byte) is built on
 dense keys, each key replaced by its index among the table's distinct
-keys, which is one byte and keeps their order.  core's bundle lanes are
-its byte columns X0, X1 and X2 widened to lane columns: a bundle in the
-low byte of each big-endian 16-bit lane, over a zero pad byte.
-Translated through an agent's dense keys or maxima and read as integers,
-they give the lane integers K_i[X_i] and W_i[X_j]; with LOW holding
-0x00FF in every lane, each lane of W_i[X_j] + LOW - K_i[X_i] lies in
-[0, 510], so no borrow crosses a lane and bit 8 of the lane is exactly
-K_i[X_i] < W_i[X_j].  The maxima come the same way, folding the 8
-one-good reductions of the 256 bundles lane by lane, so neither runs
+keys, which is one byte and keeps their order.  core's byte columns X0,
+X1 and X2, translated through an agent's dense keys or maxima and read as
+integers, give the lane integers K_i[X_i] and W_i[X_j].  The lanes are
+one byte wide when every dense key is below 0x80, that is for tables of
+at most 128 distinct keys, which every template gives; then with LOW
+holding 0x7F in every lane, each lane of W_i[X_j] + LOW - K_i[X_i] lies
+in [0, 254], so no borrow crosses a lane and bit 7 of the lane is
+exactly K_i[X_i] < W_i[X_j].  Wider tables take two-byte lanes, each
+byte column widened over a zero pad byte, with LOW 0x7FFF and bit 15.
+The maxima come the same way, core's reduction index translated once and
+its 8 blocks folded lane by lane with core's lane_max, so neither runs
 Python code per allocation or per bundle.  The deficit kernel (an
 allocation's largest envy gap, which needs real key differences) is one
 pass over core's three bundle columns, zipped.  The others are core's
 universe columns, which no valuation changes and which core derives from
-the bundle columns: size codes, the nonempty mask, the bundle lanes and
-the rotation column.  Claims read them with C-level operations: no-EFX
-counts status bytes and the size codes left once those of agent-0
-infeasible allocations are deleted, size patterns count a class column
-translated from the size codes, the first pair reads a cached candidate
-list, cyclic symmetry checks that the rotation column sends every EFX
-counter to an EFX counter, and alpha-star and the scaled scan read the
-deficit kernel under the nonempty mask.  A 6561-allocation universe
-gains nothing from a process pool.  This module owns every EFX read: the
+the bundle columns: size codes, the nonempty mask and the rotation
+column.  Claims read them with C-level operations: no-EFX counts status
+bytes and the size codes left once those of agent-0 infeasible
+allocations are deleted, size patterns count a class column translated
+from the size codes, the first pair reads a cached candidate list,
+cyclic symmetry checks that the rotation column sends every EFX counter
+to an EFX counter, and alpha-star and the scaled scan read the deficit
+kernel under the nonempty mask.  A 6561-allocation universe gains
+nothing from a process pool.  This module owns every EFX read: the
 scans, and is_efx and strong_envy_witness for one allocation, all go
 through the reduction-maxima tables.
 
@@ -39,6 +41,11 @@ The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
 settled and the witness list is full.  Their checked field counts the
 whole universe the verdict covers, not the pairs actually visited.
+Monotonicity and support collapse follow the same rule: one whole-table
+comparison decides a passing table (every bundle's dense key against its
+dense reduction maximum, in lanes, or the table against itself read at
+each support class's representative), and only a failing table is
+walked, for its witnesses in scan order.
 Strict-order transfer follows the same pattern: an agent whose value
 keys keep strict rank order over all bundles cannot break transfer, so
 only the agents that do not are walked allocation by allocation, and
@@ -86,11 +93,14 @@ from .core import (
     Record,
     allocation_from_counter,
     bundle_columns,
-    bundle_lanes,
     code_sizes,
+    holds_columns,
     lane_column,
+    lane_flags,
+    lane_max,
     members,
     nonempty_mask,
+    reduction_index,
     rotation_column,
     size_code_table,
     size_codes,
@@ -282,20 +292,34 @@ def _report(
     )
 
 
+@lru_cache(maxsize=1)
+def _bundle_members() -> tuple[tuple[int, ...], ...]:
+    """The goods of every bundle, in ascending order."""
+    return tuple(map(members, ALL_BUNDLES))
+
+
 def _allocation_goods(counter: int) -> tuple[tuple[int, ...], ...]:
     """The goods of each bundle of the allocation with that counter, read
     off core's bundle columns."""
-    return tuple(members(column[counter]) for column in bundle_columns())
+    goods = _bundle_members()
+    return tuple(goods[column[counter]] for column in bundle_columns())
 
 
 def _pattern_key(pattern: tuple[int, int, int]) -> str:
     return f"({pattern[0]},{pattern[1]},{pattern[2]})"
 
 
+@lru_cache(maxsize=2)
+def _pattern_keys(prefix: str) -> tuple[str, ...]:
+    """The breakdown key of every size code: the prefix, then the sizes."""
+    return tuple(prefix + _pattern_key(code_sizes(code)) for code in range((N_GOODS + 1) ** 2))
+
+
 def _pattern_breakdown(prefix: str, codes: Iterable[int]) -> dict[str, int]:
     """Allocations counted by their bundle sizes, given as size codes, as
     breakdown entries."""
-    return {f"{prefix}{_pattern_key(code_sizes(code))}": n for code, n in Counter(codes).items()}
+    counts = Counter(codes)
+    return dict(zip(map(_pattern_keys(prefix).__getitem__, counts), counts.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +328,7 @@ def _pattern_breakdown(prefix: str, codes: Iterable[int]) -> dict[str, int]:
 # Agent i is content toward another bundle B, up to any one good, exactly
 # when key_i[X_i] >= W_i[B], where W_i[B] is the largest key of a one-good
 # reduction of B.  The status column and the maxima are computed on
-# dense keys in lane columns, as the module docstring sets out.  The
-# maxima fold two lane integers with HIGH, holding 0x0100 in every lane:
-# for lane bytes a and b, a + HIGH - b lies in [1, 511], so no borrow
-# crosses a lane, and bit 8 of the lane is exactly a >= b.
+# dense keys in lane columns, as the module docstring sets out.
 
 # The other agents of agent 0, 1 and 2, in ascending order.
 _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
@@ -326,15 +347,6 @@ _INFEASIBLE0 = b"\x80" + bytes(255)
 _FLAGGED = bytes(range(0x80, 0x100))
 
 
-# The bits of one block of the reduction columns: a lane per bundle.
-_BLOCK_BITS = 16 * len(ALL_BUNDLES)
-
-
-def _lanes(pattern: bytes, count: int) -> int:
-    """The lane integer of a pattern of bytes repeated count times."""
-    return int.from_bytes(pattern * count, "big")
-
-
 def _dense_keys(table: tuple[int, ...]) -> tuple[list[int], bytes]:
     """(the table's distinct keys in ascending order, each bundle's key as
     its index there)."""
@@ -342,41 +354,35 @@ def _dense_keys(table: tuple[int, ...]) -> tuple[list[int], bytes]:
     return values, bytes(map(dict(zip(values, range(len(values)))).__getitem__, table))
 
 
-@lru_cache(maxsize=1)
-def _reduction_columns() -> tuple[bytes, int]:
-    """The one-good reductions of the 256 bundles as one lane column of
-    8 blocks of 256 lanes, good 0's first, where lane B of good g's block
-    holds B - g; and a mask with 0x00FF in the lanes whose bundle holds g,
-    0 in the others."""
-    identity = int.from_bytes(lane_column(bytes(ALL_BUNDLES)), "big")
-    index, members = b"", 0
-    for g in GOODS:
-        bit = 1 << g
-        # Lane B is 1 when B holds g: runs of bit bundles without g, then
-        # bit bundles with it.
-        holds = _lanes(b"\0\0" * bit + b"\0\1" * bit, len(ALL_BUNDLES) // (2 * bit))
-        index += (identity - bit * holds).to_bytes(_BLOCK_BITS // 8, "big")
-        members = members << _BLOCK_BITS | holds * 0xFF
-    return index, members
+def _lane_width(dense: bytes) -> int:
+    """The lane width of a dense key table: one byte when every key is
+    below 0x80, the top bit of a byte lane, else two bytes."""
+    return 1 if max(dense) < 0x80 else 2
 
 
-def _dense_maxima(dense: bytes) -> bytes:
+@lru_cache(maxsize=2)
+def _reduction_columns(width: int) -> tuple[bytes, int]:
+    """core's reduction index, 8 blocks of 256 bundles; and a lane integer
+    over the same lanes, each lane of width bytes, with every bit set in
+    the lanes whose bundle holds the block's good and 0 in the others."""
+    holds = int.from_bytes(lane_column(b"".join(holds_columns()), width), "big")
+    return reduction_index(), holds * ((1 << 8 * width) - 1)
+
+
+def _dense_maxima(dense: bytes, width: int) -> bytes:
     """Each bundle's largest dense key over its one-good reductions, and
     0, the least, for the empty bundle.  One translate reads every
     reduction's key; the mask clears each block's lanes whose bundle lacks
-    the good (and the pad bytes); three halvings then fold the 8 blocks
-    lane by lane, keeping the larger lane of each pair."""
-    index, members = _reduction_columns()
-    lanes = int.from_bytes(index.translate(dense), "big") & members
+    the good; three halvings then fold the 8 blocks with core's lane_max."""
+    index, holds = _reduction_columns(width)
+    lanes = int.from_bytes(lane_column(index.translate(dense), width), "big") & holds
     # Lanes past the narrower operands of the later halvings are 0 in both
     # halves, and stay 0.
-    high = _lanes(b"\1\0", 4 * len(ALL_BUNDLES))
+    flags = lane_flags(4 * len(ALL_BUNDLES), width)
     for blocks in (4, 2, 1):
-        width = blocks * _BLOCK_BITS
-        first, second = lanes >> width, lanes & ((1 << width) - 1)
-        first_wins = ((first + high - second) & high) >> 8
-        lanes = second ^ ((first ^ second) & first_wins * 0xFF)
-    return lanes.to_bytes(_BLOCK_BITS // 8, "big")[1::2]
+        shift = blocks * len(ALL_BUNDLES) * 8 * width
+        lanes = lane_max(lanes >> shift, lanes & ((1 << shift) - 1), flags, width)
+    return lanes.to_bytes(len(ALL_BUNDLES) * width, "big")[width - 1 :: width]
 
 
 @lru_cache(maxsize=4)
@@ -391,7 +397,7 @@ def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...
     maxima = []
     for table in keys:
         values, dense = _dense_keys(table)
-        maxima.append(tuple(map(values.__getitem__, _dense_maxima(dense))))
+        maxima.append(tuple(map(values.__getitem__, _dense_maxima(dense, _lane_width(dense)))))
     return tuple(maxima)
 
 
@@ -402,23 +408,26 @@ def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
     when only agent 1 or 2 does, and 2 when nobody does.  The cache holds
     the columns of the three built-in kinds.
 
-    Per agent i, the lane integer LOW - key_i[X_i] plus W_i[X_j] has bit 8
-    set in a lane exactly when key_i[X_i] < W_i[X_j], all on dense keys.
-    The pad bytes translate to the dense key of the empty bundle, which
-    the AND with LOW clears, and to its dense maximum, 0."""
-    lanes = bundle_lanes()
-    low, high = _lanes(b"\0\xff", N_ALLOCATIONS), _lanes(b"\1\0", N_ALLOCATIONS)
+    The three agents share one lane width, the widest their dense keys
+    need.  Per agent i, the lane integer LOW - key_i[X_i] plus W_i[X_j],
+    LOW holding the top bit less one in every lane, has the top bit set
+    in a lane exactly when key_i[X_i] < W_i[X_j], all on dense keys."""
+    columns = bundle_columns()
+    denses = [_dense_keys(table)[1] for table in keys]
+    width = max(map(_lane_width, denses))
+    top = 8 * width - 1
+    flags = lane_flags(N_ALLOCATIONS, width)
+    low = flags - (flags >> top)
     envy = []
-    for agent, table in enumerate(keys):
-        dense = _dense_keys(table)[1]
-        maxima = _dense_maxima(dense)
-        slack = low - (int.from_bytes(lanes[agent].translate(dense), "big") & low)
+    for agent, dense in enumerate(denses):
+        maxima = _dense_maxima(dense, width)
+        slack = low - int.from_bytes(lane_column(columns[agent].translate(dense), width), "big")
         bits = 0
         for other in _OTHER_AGENTS[agent]:
-            bits |= int.from_bytes(lanes[other].translate(maxima), "big") + slack
-        envy.append(bits & high)
-    code = envy[0] >> 7 | (envy[1] | envy[2]) >> 8
-    return code.to_bytes(2 * N_ALLOCATIONS, "big")[1::2].translate(_STATUS)
+            bits |= int.from_bytes(lane_column(columns[other].translate(maxima), width), "big") + slack
+        envy.append(bits & flags)
+    code = envy[0] >> top - 1 | (envy[1] | envy[2]) >> top
+    return code.to_bytes(width * N_ALLOCATIONS, "big")[width - 1 :: width].translate(_STATUS)
 
 
 @lru_cache(maxsize=2)
@@ -616,6 +625,19 @@ def _first_violations(violations: Iterator[Witness], witness_limit: int) -> tupl
     return False, tuple(islice(chain((first,), violations), max(witness_limit, 0)))
 
 
+def _monotone(key_table: tuple[int, ...]) -> bool:
+    """Whether no one-good extension has a lower key, that is whether
+    every bundle's dense key is at least its dense reduction maximum: one
+    lane comparison, as core sets out (own + flags - maximum has every
+    top bit set exactly when every own >= maximum)."""
+    dense = _dense_keys(key_table)[1]
+    width = _lane_width(dense)
+    own = int.from_bytes(lane_column(dense, width), "big")
+    maxima = int.from_bytes(lane_column(_dense_maxima(dense, width), width), "big")
+    flags = lane_flags(len(ALL_BUNDLES), width)
+    return (own + flags - maxima) & flags == flags
+
+
 def check_monotone(
     key_table: tuple[int, ...],
     claim: str,
@@ -625,7 +647,9 @@ def check_monotone(
     """Adding any good never lowers the value (checked on order keys).
 
     display gives a bundle's value as a witness shows it; by default the
-    key itself.  checked counts every (bundle, good) pair.
+    key itself.  One lane comparison decides a passing table; a failing
+    one is walked pair by pair for its witnesses in scan order.  checked
+    counts every (bundle, good) pair.
     """
     show = display or key_table.__getitem__
 
@@ -637,7 +661,10 @@ def check_monotone(
                 if key_table[extended] < base:
                     yield Witness(bundle_s=members(bundle), good_g=g, lhs=show(extended), rhs=show(bundle))
 
-    passed, witnesses = _first_violations(violations(), witness_limit)
+    if _monotone(key_table):
+        passed, witnesses = True, ()
+    else:
+        passed, witnesses = _first_violations(violations(), witness_limit)
     return _report(claim, N_MONOTONE_PAIRS, N_MONOTONE_PAIRS, passed, witnesses, {})
 
 
@@ -810,7 +837,9 @@ def check_support_collapse(
     witness_limit: int = 10,
 ) -> VerdictReport:
     """The value of a bundle depends only on its type support: each
-    bundle is compared with its support class's representative."""
+    bundle is compared with its support class's representative.  The
+    table read at the representatives decides a passing table; a failing
+    one is walked bundle by bundle for its witnesses in scan order."""
     representatives = support_representatives(support_labels)
 
     def violations() -> Iterator[Witness]:
@@ -823,7 +852,10 @@ def check_support_collapse(
                     rhs=value_table[bundle],
                 )
 
-    passed, witnesses = _first_violations(violations(), witness_limit)
+    if tuple(map(value_table.__getitem__, representatives)) == value_table:
+        passed, witnesses = True, ()
+    else:
+        passed, witnesses = _first_violations(violations(), witness_limit)
     breakdown = {"support_classes": len(set(representatives))}
     return _report(claim, len(ALL_BUNDLES), len(ALL_BUNDLES), passed, witnesses, breakdown)
 

@@ -392,7 +392,8 @@ def test_cli_import_builds_no_universe_column():
     probe = (
         "import efxcheck.cli; from efxcheck import core, verify; "
         "print([f.__name__ for f in (core.bundle_columns, core.size_codes, core.nonempty_mask, "
-        "core.bundle_lanes, core.rotation_column, verify._reduction_columns, "
+        "core.rotation_column, core.holds_columns, core.reduction_index, verify._reduction_columns, "
+        "verify._bundle_members, verify._pattern_keys, "
         "verify._first_pair_candidates) if f.cache_info().currsize])"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True)

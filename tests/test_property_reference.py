@@ -7,14 +7,20 @@ runs once at the largest witness limit; its report at a smaller limit is
 the same report with the witness list cut to that limit, because the loops
 record witnesses in scan order.  Reports are compared whole.
 
+Support collapse is checked against classes of frozensets of type names,
+with each good's type read off the template document itself.
+
 Subjects: the built-in tables, seeded random tables (many of which fail,
 with None exponents on nonempty bundles, a non-None exponent on the empty
-bundle, rank ties and perturbed coverage tables), and tables generated by
-Hypothesis with a fixed seed and no example database.
+bundle, rank ties and perturbed coverage tables), doctored monotone and
+support tables (a single violation in the last lane, more than 128
+distinct keys), and tables generated by Hypothesis with a fixed seed and
+no example database.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from functools import lru_cache, partial
 
@@ -26,7 +32,7 @@ from helpers import random_template_doc
 
 from efxcheck.cardinal import LevelValue, build_coverage, build_subadditive, level_sum_compare
 from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, GOODS, members
-from efxcheck.ordinal import load_template
+from efxcheck.ordinal import bundled_instance_text, load_template
 from efxcheck.verify import (
     Profile,
     VerdictReport,
@@ -162,11 +168,54 @@ def reference_strict_consistency(rank_table, key_table, claim, display=None, wit
     return _verdict(claim, checked, violations, witnesses)
 
 
-def reference_suite(profile: Profile, witness_limit: int) -> list[VerdictReport]:
-    """property_reports for a subadditive or coverage profile, with every
-    report that walks bundle pairs taken from the loops above."""
+def document_types(doc: str) -> dict[int, str]:
+    """Each good's type name, read off a template document's types and
+    special goods."""
+    data = json.loads(doc)
+    types = {g: entry["name"] for entry in data["types"] for g in entry["goods"]}
+    types.update({g: name for name, g in data["special_goods"].items()})
+    return types
+
+
+def reference_support_collapse(value_table, types, claim, witness_limit=10):
+    """Each bundle against the first bundle whose goods have the same set
+    of type names."""
+    first: dict[frozenset[str], int] = {}
+    witnesses, violations = [], 0
+    for bundle in ALL_BUNDLES:
+        support = frozenset(types[g] for g in frozenset(members(bundle)))
+        representative = first.setdefault(support, bundle)
+        if value_table[bundle] != value_table[representative]:
+            violations += 1
+            if len(witnesses) < witness_limit:
+                witnesses.append(
+                    Witness(
+                        bundle_s=members(representative),
+                        bundle_t=members(bundle),
+                        lhs=value_table[representative],
+                        rhs=value_table[bundle],
+                    )
+                )
+    report = _verdict(claim, len(ALL_BUNDLES), violations, witnesses)
+    return report.replace(breakdown=(("support_classes", len(first)),))
+
+
+def reference_suite(profile: Profile, types: dict[int, str], witness_limit: int) -> list[VerdictReport]:
+    """property_reports for a profile, with every report that walks
+    bundles or bundle pairs taken from the loops above; types gives each
+    good's type name."""
     ordinal = profile.ordinal
     reports = []
+    if profile.kind == "ordinal":
+        reports += [
+            reference_monotone(table, f"monotone(rank[{agent}])", witness_limit=witness_limit)
+            for agent, table in enumerate(ordinal.rank_tables)
+        ]
+        reports += [
+            reference_support_collapse(table, types, f"support_collapse(rank[{agent}])", witness_limit)
+            for agent, table in enumerate(ordinal.rank_tables)
+        ]
+        return reports
     if profile.kind == "subadditive":
         keys = profile_value_keys(profile)
         for agent in range(3):
@@ -197,12 +246,7 @@ def reference_suite(profile: Profile, witness_limit: int) -> list[VerdictReport]
                 witness_limit=witness_limit,
             ),
             check_normalized_ints(table, f"normalized(coverage[{agent}])"),
-            check_support_collapse(
-                table,
-                ordinal.support_labels,
-                f"support_collapse(coverage[{agent}])",
-                witness_limit=witness_limit,
-            ),
+            reference_support_collapse(table, types, f"support_collapse(coverage[{agent}])", witness_limit),
         ]
     return reports
 
@@ -231,12 +275,16 @@ def assert_strict_matches(ranks, keys):
 # --- subjects ------------------------------------------------------------------
 
 
-def template_profiles() -> list[Profile]:
+def template_subjects() -> list[tuple[dict[int, str], Profile]]:
+    """(each good's type name, profile) for every seeded template and kind."""
     found = []
     for seed in TEMPLATE_SEEDS:
-        _, ordinal = load_template(random_template_doc(seed))
-        found.append(Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal)))
-        found.append(Profile(kind="coverage", ordinal=ordinal, coverage=build_coverage(ordinal)))
+        doc = random_template_doc(seed)
+        types = document_types(doc)
+        _, ordinal = load_template(doc)
+        found.append((types, Profile(kind="ordinal", ordinal=ordinal)))
+        found.append((types, Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal))))
+        found.append((types, Profile(kind="coverage", ordinal=ordinal, coverage=build_coverage(ordinal))))
     return found
 
 
@@ -338,10 +386,64 @@ def test_random_tables_cover_both_verdicts():
 
 @pytest.mark.parametrize("limit", WITNESS_LIMITS)
 @pytest.mark.parametrize(
-    "profile", template_profiles(), ids=[f"seed{s}-{k}" for s in TEMPLATE_SEEDS for k in ("sub", "cov")]
+    "subject", template_subjects(), ids=[f"seed{s}-{k}" for s in TEMPLATE_SEEDS for k in ("ord", "sub", "cov")]
 )
-def test_template_suites_match_reference(profile, limit):
-    assert property_reports(profile, witness_limit=limit) == reference_suite(profile, limit)
+def test_template_suites_match_reference(subject, limit):
+    types, profile = subject
+    assert property_reports(profile, witness_limit=limit) == reference_suite(profile, types, limit)
+
+
+def test_template_suites_cover_both_verdicts():
+    verdicts = {
+        report.verdict
+        for _, profile in template_subjects()
+        for report in property_reports(profile)
+        if report.claim.startswith("support_collapse")
+    }
+    assert verdicts == {"pass", "fail"}
+
+
+def _doctored_monotone_tables() -> dict[str, tuple[int, ...]]:
+    rng = random.Random(25)
+    sizes = [bundle.bit_count() for bundle in ALL_BUNDLES]
+    shuffled = list(ALL_BUNDLES)
+    rng.shuffle(shuffled)
+    return {
+        # 254 holds every good but good 0, the last (bundle, good) pair in
+        # scan order that can break monotonicity; 127 holds every good but
+        # good 7, the last lane of the extension blocks that can.
+        "last-pair-in-scan": tuple(17 if bundle == 254 else 2 * size for bundle, size in enumerate(sizes)),
+        "last-lane-in-blocks": tuple(17 if bundle == 127 else 2 * size for bundle, size in enumerate(sizes)),
+        # 256 distinct keys: the bundles themselves, which grow with every
+        # added good, then with one key lowered, then shuffled.
+        "distinct-monotone": tuple(ALL_BUNDLES),
+        "distinct-one-drop": tuple(-1 if bundle == FULL_BUNDLE else bundle for bundle in ALL_BUNDLES),
+        "distinct-shuffled": tuple(shuffled),
+        "distinct-129": tuple(min(bundle, 128) * 10**9 for bundle in ALL_BUNDLES),
+    }
+
+
+@pytest.mark.parametrize("limit", (0, 1, 10))
+@pytest.mark.parametrize("name", _doctored_monotone_tables())
+def test_doctored_monotone_tables_match_reference(name, limit):
+    table = _doctored_monotone_tables()[name]
+    full = reference_monotone(table, "claim", witness_limit=10)
+    assert check_monotone(table, "claim", witness_limit=limit) == full.replace(witnesses=full.witnesses[:limit])
+    if name.startswith("last"):
+        assert len(full.witnesses) == 1
+
+
+@pytest.mark.parametrize("limit", (0, 1, 10))
+def test_doctored_support_collapse_matches_reference(limit):
+    doc = bundled_instance_text()
+    labels = load_template(doc)[1].support_labels
+    types = document_types(doc)
+    ranks = builtin("ordinal").ordinal.rank_tables[0]
+    coverage = builtin("coverage").coverage.value_tables[0]
+    for table in (coverage, coverage[:-1] + (coverage[-1] + 1,), ranks, tuple(range(256))):
+        full = reference_support_collapse(table, types, "claim", witness_limit=10)
+        expected = full.replace(witnesses=full.witnesses[:limit])
+        assert check_support_collapse(table, labels, "claim", witness_limit=limit) == expected
 
 
 # --- generated tables ------------------------------------------------------------
