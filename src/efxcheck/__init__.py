@@ -12,7 +12,6 @@ instance's reference tables.
 
 from .cardinal import (
     ApproxFactor,
-    AlgebraicValue,
     CoverageAtom,
     CoverageProfile,
     LevelValue,

@@ -17,14 +17,13 @@ Two valuation families share the built-in ordinal instance:
   tables are, so the relabeling rule is written once, in efxcheck.ordinal.
 
 Nothing here uses floating point.  fractions is imported where a
-factor is parsed or an exact sign is decided, not with this module: most
-commands need neither.
+factor is parsed, not with this module: most commands parse none.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 
 from .core import ALL_BUNDLES, Bundle, Record, bundle_of, members
 from .ordinal import OrdinalProfile, support_representatives
@@ -176,114 +175,43 @@ def level_slack(alpha: ApproxFactor) -> int:
     return int(alpha.level_exponent)  # type: ignore[arg-type]
 
 
-_ZERO6 = (0,) * 6
-
-
-@lru_cache(maxsize=1)
-def _level_base_bracket() -> tuple[Fraction, Fraction, Fraction]:
-    """A dyadic bracket (low, high) for the level base q = 2**(-1/6), and
-    q**6 = 1/2, used to seed the certified interval refinement in
-    AlgebraicValue.sign."""
-    from fractions import Fraction
-
-    low, high, half = Fraction(89, 100), Fraction(8_909_830_057, 10_000_000_000), Fraction(1, 2)
-    assert low**6 < half < high**6
-    return low, high, half
-
-
-class AlgebraicValue(Record):
-    """Element of the ring generated by q = 2**(-1/6) over the rationals.
-
-    Stored as rational coefficients (c0, ..., c5) of 1, q, ..., q**5 after
-    reduction by q**6 = 1/2; a zero coefficient may be the int 0.  The
-    representation is canonical (q has degree 6), so equality is
-    coefficient-wise.
-    """
-
-    coeffs: tuple[Fraction | int, ...] = _ZERO6
-
-    @classmethod
-    def zero(cls) -> "AlgebraicValue":
-        return cls(_ZERO6)
-
-    @classmethod
-    def from_level_exponent(cls, exponent: int) -> "AlgebraicValue":
-        if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
-        from fractions import Fraction
-
-        whole, rest = divmod(exponent, 6)
-        coeffs: list[Fraction | int] = [0] * 6
-        coeffs[rest] = Fraction(1, 2**whole)
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def from_level(cls, value: LevelValue) -> "AlgebraicValue":
-        if value.is_zero:
-            return cls.zero()
-        return cls.from_level_exponent(value.exponent)  # type: ignore[arg-type]
-
-    def __add__(self, other: "AlgebraicValue") -> "AlgebraicValue":
-        return AlgebraicValue(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "AlgebraicValue") -> "AlgebraicValue":
-        return AlgebraicValue(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def sign(self) -> int:
-        """Sign of the value, decided exactly.
-
-        Zero is recognized from the coefficients alone.  Otherwise the
-        polynomial is evaluated over a shrinking rational interval that
-        certifiably encloses q: each coefficient contributes its worst
-        endpoint, giving rigorous lower and upper bounds, and the interval
-        is halved (choosing the half containing q via an exact sixth-power
-        test) until the bounds exclude zero.  A nonzero element of a
-        degree-6 field stays nonzero, so the loop terminates.
-        """
-        if self.is_zero:
-            return 0
-        low, high, half = _level_base_bracket()
-        for _ in range(10_000):
-            low_powers = _endpoint_powers(low)
-            high_powers = _endpoint_powers(high)
-            lower = sum(
-                c * (low_powers[i] if c > 0 else high_powers[i])
-                for i, c in enumerate(self.coeffs)
-            )
-            if lower > 0:
-                return 1
-            upper = sum(
-                c * (high_powers[i] if c > 0 else low_powers[i])
-                for i, c in enumerate(self.coeffs)
-            )
-            if upper < 0:
-                return -1
-            mid = (low + high) / 2
-            if mid**6 > half:
-                high = mid
-            else:
-                low = mid
-        raise RuntimeError("interval refinement failed to resolve a nonzero sign")
-
-
-def _endpoint_powers(point: Fraction) -> tuple[Fraction | int, ...]:
-    powers: list[Fraction | int] = [1]
-    for _ in range(5):
-        powers.append(powers[-1] * point)
-    return tuple(powers)
+# With 1 <= d <= e, q**d + q**e >= 1 exactly when e <= _PAIR_GAP_LIMIT[d]:
+# the largest e with 2**e <= (1 - q**d)**-6.  No e qualifies once d > 6,
+# since then q**d + q**e <= 2 q**7 = q < 1.
+_PAIR_GAP_LIMIT = {1: 19, 2: 13, 3: 10, 4: 8, 5: 7, 6: 6}
 
 
 def level_sum_compare(values: Iterable[LevelValue], target: LevelValue) -> int:
-    """Sign of (sum of values) - target, decided exactly."""
-    total = AlgebraicValue.zero()
-    for value in values:
-        total = total + AlgebraicValue.from_level(value)
-    total = total - AlgebraicValue.from_level(target)
-    return total.sign()
+    """Sign of (sum of values) - target, decided exactly, for at most two values.
+
+    Dividing by a nonzero target q**c leaves q**d + q**e with the gaps
+    d <= e of the nonzero summands' exponents over c.  If d < 0 the sum
+    is larger.  If d = 0 it is equal alone and larger with a second
+    summand.  If d > 0 it is smaller alone, and with a second summand it
+    reaches the target as _PAIR_GAP_LIMIT says.  Only integer gaps are
+    formed, however large the exponents.  q has degree 6 over the
+    rationals (1/q is a root of x**6 - 2, Eisenstein at 2), so
+    q**d + q**e = 1 has no solution but d = e = 6.
+    """
+    values = list(values)
+    if len(values) > 2:
+        raise ValueError(f"at most two summands are compared, got {len(values)}")
+    exponents = sorted(value.exponent for value in values if not value.is_zero)
+    if target.is_zero:
+        return 1 if exponents else 0
+    if not exponents:
+        return -1
+    d = exponents[0] - target.exponent  # type: ignore[operator]
+    if d < 0:
+        return 1
+    if d == 0:
+        return 1 if len(exponents) == 2 else 0
+    if len(exponents) == 1:
+        return -1
+    e = exponents[1] - target.exponent  # type: ignore[operator]
+    if d > 6 or e > _PAIR_GAP_LIMIT[d]:
+        return -1
+    return 0 if d == e == 6 else 1
 
 
 def level_power_decimal(exponent: Fraction | int, digits: int = 10) -> str:

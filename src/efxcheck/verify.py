@@ -695,7 +695,7 @@ def check_subadditive(
     witness_limit: int = 10,
 ) -> VerdictReport:
     """value(S) + value(T) >= value(S union T) over all 65536 bundle pairs,
-    decided by exact algebraic sums of level values.
+    each decided exactly from the three exponents by level_sum_compare.
 
     A pair with an empty side never violates, since values are never
     negative.  Row S is scanned only when value(S) + m < U(S), where m is

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from efxcheck.cli import main
 from efxcheck.ordinal import bundled_instance_text
@@ -17,6 +19,12 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def source_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports efxcheck from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def identical_agents_doc() -> str:

@@ -14,10 +14,15 @@ goods.  The readers below take a value table, one mapping per agent
 from frozenset bundles to comparable values (see keyed()), and answer
 EFX, agent feasibility, deficits, first witnesses, transfer and scaled
 exponent pairs from those triples.
+
+Sums of level values q**e, q = 2**(-1/6), are signed exactly in the ring
+generated by q (ring_power, ring_sign, exact_level_sign), the reference
+for efxcheck's gap table.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -165,6 +170,64 @@ def float_level_sum(exponents: list[int | None], target: int | None) -> float:
     total = sum(0.0 if e is None else LEVEL_BASE**e for e in exponents)
     total -= 0.0 if target is None else LEVEL_BASE**target
     return total
+
+
+def ring_power(exponent: int) -> tuple[Fraction, ...]:
+    """base**exponent as rational coefficients of 1, base, ..., base**5,
+    reduced by base**6 = 1/2.  2 x**6 - 1 is irreducible, so these six
+    powers are independent and an element is zero exactly when every
+    coefficient is."""
+    whole, rest = divmod(exponent, 6)
+    return tuple(Fraction(1, 2**whole) if i == rest else Fraction(0) for i in range(6))
+
+
+def _floor_sixth_root(n: int) -> int:
+    low, high = 0, 1 << (n.bit_length() // 6 + 1)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if mid**6 <= n:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def ring_sign(coeffs: tuple[Fraction, ...]) -> int:
+    """Certified sign of sum(c_i base**i).
+
+    base lies strictly between m / 2**k and (m + 1) / 2**k with m the
+    floor of the sixth root of 2**(6k - 1).  Each coefficient takes the
+    endpoint that makes its term least (or greatest), bounding the value
+    from both sides; k doubles until the bounds share a sign, which a
+    nonzero element reaches since its value is nonzero.
+    """
+    if not any(coeffs):
+        return 0
+    for k in (8 << doubling for doubling in range(12)):
+        low, high = _bracket_powers(k)
+        least = sum(c * (low[i] if c > 0 else high[i]) for i, c in enumerate(coeffs))
+        greatest = sum(c * (high[i] if c > 0 else low[i]) for i, c in enumerate(coeffs))
+        if least > 0:
+            return 1
+        if greatest < 0:
+            return -1
+    raise AssertionError(f"no certified sign for {coeffs}")
+
+
+@lru_cache(maxsize=None)
+def _bracket_powers(k: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    m = _floor_sixth_root(1 << (6 * k - 1))
+    return tuple(tuple(Fraction(end, 1 << k) ** i for i in range(6)) for end in (m, m + 1))
+
+
+def exact_level_sign(exponents: list[int | None], target: int | None) -> int:
+    """Sign of (sum of base**e) - base**target in exact ring arithmetic;
+    None stands for the value zero."""
+    total = [Fraction(0)] * 6
+    for exponent, weight in [(e, 1) for e in exponents] + [(target, -1)]:
+        if exponent is not None:
+            total = [t + weight * c for t, c in zip(total, ring_power(exponent))]
+    return ring_sign(tuple(total))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,21 @@ from itertools import product
 import pytest
 
 from helpers import random_template_doc
-from oracles import LEVEL_BASE, SIGMA, float_level_sum, mask, naive_coverage, naive_coverage_for_agent, unmask
+from oracles import (
+    LEVEL_BASE,
+    SIGMA,
+    exact_level_sign,
+    float_level_sum,
+    mask,
+    naive_coverage,
+    naive_coverage_for_agent,
+    ring_power,
+    unmask,
+)
 
 from efxcheck.cardinal import (
+    _PAIR_GAP_LIMIT,
     ApproxFactor,
-    AlgebraicValue,
     BASE_COVERAGE_ATOMS,
     LevelValue,
     SupportCollapseError,
@@ -149,11 +159,52 @@ def test_level_sum_compare_examples():
 
 
 def test_algebraic_reduction_by_sixth_power():
-    value = AlgebraicValue.from_level_exponent(6)
-    assert value.coeffs[0] == Fraction(1, 2)
-    assert all(c == 0 for c in value.coeffs[1:])
-    value = AlgebraicValue.from_level_exponent(13)  # q**13 = (1/4) q
-    assert value.coeffs[1] == Fraction(1, 4)
+    value = ring_power(6)
+    assert value[0] == Fraction(1, 2)
+    assert all(c == 0 for c in value[1:])
+    value = ring_power(13)  # q**13 = (1/4) q
+    assert value[1] == Fraction(1, 4)
+
+
+def _level(exponent):
+    return LevelValue.zero() if exponent is None else LevelValue.power(exponent)
+
+
+def _up_to_two(exponents):
+    return [summands for count in range(3) for summands in product(exponents, repeat=count)]
+
+
+def test_pair_gap_table_is_the_exact_ring_threshold():
+    # For gaps 1 <= d <= e the sum q**d + q**e reaches 1 exactly for
+    # e <= T[d], and for no e once d > 6.  e = 26 lies past every entry.
+    derived = {}
+    for d in range(1, 8):
+        reaching = [e for e in range(d, 27) if exact_level_sign([d, e], 0) >= 0]
+        assert reaching == list(range(d, d + len(reaching)))
+        if reaching:
+            derived[d] = reaching[-1]
+    assert derived == _PAIR_GAP_LIMIT
+
+
+def test_level_sum_compare_matches_exact_ring_sign_on_every_gap():
+    # Target zero or q**0 with summands in {0, q**0, ..., q**26}; a target
+    # q**6 with summands up to q**12 adds the summands larger than it.
+    exponents = [None, *range(27)]
+    cases = [(summands, target) for target in (None, 0) for summands in _up_to_two(exponents)]
+    cases += [(summands, 6) for summands in _up_to_two(exponents[:14])]
+    for summands, target in cases:
+        sign = level_sum_compare(map(_level, summands), _level(target))
+        assert sign == exact_level_sign(list(summands), target), (summands, target)
+        # The rule reads exponent gaps only, so a shift of 10**30 keeps it.
+        shifted = [None if e is None else e + 10**30 for e in (*summands, target)]
+        assert level_sum_compare(map(_level, shifted[:-1]), _level(shifted[-1])) == sign
+
+
+def test_level_sum_compare_refuses_three_summands():
+    with pytest.raises(ValueError):
+        level_sum_compare([LevelValue.power(1)] * 3, LevelValue.power(0))
+    with pytest.raises(ValueError):
+        level_sum_compare([LevelValue.zero()] * 3, LevelValue.zero())
 
 
 def test_level_sum_sign_matches_float_oracle_with_margin():

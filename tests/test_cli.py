@@ -3,26 +3,18 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from helpers import identical_agents_doc, run_cli
+from helpers import identical_agents_doc, run_cli, source_env
 
 from efxcheck import cli
 from efxcheck.cli import expected_no_alpha_efx
 from efxcheck.cardinal import ApproxFactor
 from efxcheck.ordinal import bundled_instance_text
 from efxcheck.verify import VerdictReport
-
-
-def _source_env() -> dict[str, str]:
-    """Environment for a fresh interpreter that imports efxcheck from src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_verify_ordinal_exits_zero_and_reports_count():
@@ -229,7 +221,7 @@ def test_closed_stdout_exits_quietly(tmp_path):
     path = tmp_path / "identical.json"
     path.write_text(identical_agents_doc(), encoding="utf-8")
     argv = [sys.executable, "-m", "efxcheck.cli", "template", str(path), "verify", "--format", "json", "--witnesses", "6561"]
-    with subprocess.Popen(argv, env=_source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(argv, env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         head = proc.stdout.read(16)
         proc.stdout.close()
         err = proc.stderr.read()
@@ -300,7 +292,7 @@ def test_missing_command_exits_two():
 # The public names of efxcheck/__init__, exactly: adding or removing one is
 # a deliberate change to this list.
 PUBLIC_NAMES = (
-    "AlgebraicValue", "Allocation", "ApproxFactor", "Bundle", "CoverageAtom", "CoverageProfile",
+    "Allocation", "ApproxFactor", "Bundle", "CoverageAtom", "CoverageProfile",
     "DeficitProfile", "InstanceTemplate", "LevelValue", "OrdinalProfile", "Profile",
     "SubadditiveProfile", "TemplateError", "VerdictReport", "Witness", "allocation_from_counter",
     "builtin", "builtin_profile", "bundle_of", "cardinal", "compare_scaled",
@@ -374,7 +366,7 @@ def test_cli_import_loads_no_process_pool():
         "import sys, efxcheck.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
-    done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
@@ -383,9 +375,23 @@ def test_cli_import_leaves_unneeded_modules_unloaded():
     unneeded = ("dataclasses", "inspect", "csv", "importlib.resources", "typing", "fractions")
     probe = f"import sys, efxcheck.cli; print([m for m in {unneeded!r} if m in sys.modules])"
     done = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=_source_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe], env=source_env(), capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_subadditive_properties_leave_fractions_unloaded():
+    # The level sums are read off integer exponent gaps, so no exact
+    # rational arithmetic is loaded to check subadditivity.
+    probe = (
+        "import io, sys; from contextlib import redirect_stdout; from efxcheck import cli\n"
+        "with redirect_stdout(io.StringIO()): code = cli.main(['properties', 'subadditive'])\n"
+        "print(code, 'fractions' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=source_env(), capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_cli_import_builds_no_universe_column():
@@ -396,7 +402,7 @@ def test_cli_import_builds_no_universe_column():
         "verify._bundle_members, verify._pattern_keys, "
         "verify._first_pair_candidates) if f.cache_info().currsize])"
     )
-    done = subprocess.run([sys.executable, "-c", probe], env=_source_env(), capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
@@ -408,7 +414,7 @@ def test_parser_is_built_once_and_keeps_no_option_between_requests():
     served = [run_cli(argv)[:2] for argv in requests]
     for argv, (code, out) in zip(requests, served):
         fresh = subprocess.run(
-            [sys.executable, "-m", "efxcheck.cli", *argv], env=_source_env(), capture_output=True, text=True
+            [sys.executable, "-m", "efxcheck.cli", *argv], env=source_env(), capture_output=True, text=True
         )
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
     assert "no_alpha_efx" in served[0][1] and "no_alpha_efx" not in served[1][1]

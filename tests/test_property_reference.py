@@ -7,8 +7,10 @@ runs once at the largest witness limit; its report at a smaller limit is
 the same report with the witness list cut to that limit, because the loops
 record witnesses in scan order.  Reports are compared whole.
 
-Support collapse is checked against classes of frozensets of type names,
-with each good's type read off the template document itself.
+Subadditivity sums are signed by the exact ring arithmetic in oracles,
+not by efxcheck's level_sum_compare.  Support collapse is checked against
+classes of frozensets of type names, with each good's type read off the
+template document itself.
 
 Subjects: the built-in tables, seeded random tables (many of which fail,
 with None exponents on nonempty bundles, a non-None exponent on the empty
@@ -29,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_template_doc
+from oracles import exact_level_sign
 
-from efxcheck.cardinal import LevelValue, build_coverage, build_subadditive, level_sum_compare
+from efxcheck.cardinal import build_coverage, build_subadditive
 from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, GOODS, members
 from efxcheck.ordinal import bundled_instance_text, load_template
 from efxcheck.verify import (
@@ -74,8 +77,7 @@ def _level_str(exponent: int | None) -> str:
 
 @lru_cache(maxsize=None)
 def _sum_sign(e_first: int | None, e_second: int | None, e_union: int | None) -> int:
-    level = [LevelValue.zero() if e is None else LevelValue.power(e) for e in (e_first, e_second, e_union)]
-    return level_sum_compare(level[:2], level[2])
+    return exact_level_sign([e_first, e_second], e_union)
 
 
 def reference_monotone(key_table, claim, display=None, witness_limit=10):

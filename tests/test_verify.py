@@ -2,16 +2,19 @@
 re-verifiable witnesses, and reports merge deterministically."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from helpers import identical_agents_doc, random_template_doc
+from helpers import identical_agents_doc, random_template_doc, source_env
 from oracles import (
     agent_feasible,
     counter_of,
     deficit,
     deficits,
     efx_counters,
+    exact_level_sign,
     first_witness,
     keyed,
     mask,
@@ -25,9 +28,9 @@ from oracles import (
     value_pairs,
 )
 
-from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled, level_sum_compare
+from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled
 from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, N_ALLOCATIONS, allocation_from_counter, bundle_of
-from efxcheck.ordinal import builtin_profile, load_template
+from efxcheck.ordinal import builtin_profile, bundled_instance_text, load_template
 from efxcheck.verify import (
     GOLDEN_D_STAR,
     GOLDEN_D_STAR_ARGMIN_COUNT,
@@ -282,8 +285,59 @@ def test_subadditive_adversarial_double_fails():
     assert not report.passed
     witness = report.witnesses[0]
     s, t = bundle_of(witness.bundle_s), bundle_of(witness.bundle_t)
-    values = [LevelValue.power(table[s]), LevelValue.power(table[t])]
-    assert level_sum_compare(values, LevelValue.power(table[s | t])) < 0
+    assert exact_level_sign([table[s], table[t]], table[s | t]) < 0
+
+
+# The subadditive suite of the shipped instance with a given top_rank, in a
+# child process whose address space is capped at 1 GiB, so a check that
+# expands the powers of the level base fails there instead of exhausting
+# the machine's memory.
+_SUBADDITIVE_AT_TOP_RANK = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from efxcheck.cardinal import build_subadditive
+from efxcheck.ordinal import bundled_instance_text, load_template
+from efxcheck.verify import check_subadditive
+doc = json.loads(bundled_instance_text())
+doc["top_rank"] = int(sys.argv[1])
+started = time.perf_counter()
+_, profile = load_template(json.dumps(doc))
+tables = build_subadditive(profile).exponent_tables
+reports = [check_subadditive(table, f"subadditive(level_value[{i}])") for i, table in enumerate(tables)]
+print(json.dumps({
+    "seconds": time.perf_counter() - started,
+    "verdicts": [report.verdict for report in reports],
+    "bundles": [[[w.bundle_s, w.bundle_t] for w in report.witnesses] for report in reports],
+}))
+"""
+
+
+def test_subadditive_suite_at_a_huge_top_rank_matches_top_rank_30():
+    # From top_rank 14 on, the sign pattern does not depend on top_rank, so
+    # 10**30 fails with the witnesses of 30, which the exact ring oracle
+    # re-verifies.
+    doc = json.loads(bundled_instance_text())
+    doc["top_rank"] = 30
+    _, profile = load_template(json.dumps(doc))
+    expected = []
+    for table in build_subadditive(profile).exponent_tables:
+        report = check_subadditive(table, "subadditive(top_rank 30)")
+        assert not report.passed
+        pairs = [[list(w.bundle_s), list(w.bundle_t)] for w in report.witnesses]
+        for first, second in pairs:
+            s, t = bundle_of(first), bundle_of(second)
+            assert exact_level_sign([table[s], table[t]], table[s | t]) < 0
+        expected.append(pairs)
+
+    done = subprocess.run(
+        [sys.executable, "-c", _SUBADDITIVE_AT_TOP_RANK, str(10**30)],
+        env=source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["seconds"] < 5
+    assert result["verdicts"] == ["fail"] * 3
+    assert result["bundles"] == expected
 
 
 def test_submodular_adversarial_double_fails():
@@ -538,8 +592,7 @@ def test_every_witness_in_a_battery_reverifies():
     report = check_subadditive(doctored_sub, "doctored", witness_limit=8)
     for witness in report.witnesses:
         s, t = bundle_of(witness.bundle_s), bundle_of(witness.bundle_t)
-        values = [LevelValue.power(doctored_sub[s]), LevelValue.power(doctored_sub[t])]
-        assert level_sum_compare(values, LevelValue.power(doctored_sub[s | t])) < 0
+        assert exact_level_sign([doctored_sub[s], doctored_sub[t]], doctored_sub[s | t]) < 0
 
     report = check_submodular(doctored_submod, "doctored", witness_limit=8)
     for witness in report.witnesses:
