@@ -46,6 +46,7 @@ from .verify import (
     GOLDEN_D_STAR_ARGMIN_COUNT,
     GOLDEN_D_STAR_ARGMIN_COUNTER,
     GOLDEN_MIN_DEFICIT_ALL_NONEMPTY,
+    N_BUNDLE_PAIRS,
     PROFILE_KINDS,
     Profile,
     VerdictReport,
@@ -115,10 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: list[str] | None) -> argparse.Namespace:
-    """Parsed arguments, with --witnesses clamped at 0 and --alpha parsed
-    into an ApproxFactor."""
+    """Parsed arguments, with --witnesses clamped to [0, N_BUNDLE_PAIRS],
+    the largest universe any report covers, and --alpha parsed into an
+    ApproxFactor."""
     args = build_parser().parse_args(argv)
-    args.witnesses = max(0, args.witnesses)
+    args.witnesses = min(max(0, args.witnesses), N_BUNDLE_PAIRS)
     if args.command == "verify" and args.alpha is not None:
         try:
             args.alpha = ApproxFactor.parse(args.alpha)

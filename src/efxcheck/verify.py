@@ -6,36 +6,38 @@ VerdictReport whose witnesses a caller can re-evaluate standalone.  A
 witness limit below zero gives no witnesses, as zero does.
 
 Every allocation claim reads columns in counter order.  Two belong to a
-key table and are cached per table, both built from per-agent tables of
+set of key tables and are cached per set, both built from per-agent
 reduction maxima W_i[B], the largest key of a one-good reduction of B.
-The status column (each allocation's EFX status as one byte) is built on
-dense keys, each key replaced by its index among the table's distinct
-keys, which is one byte and keeps their order.  core's byte columns X0,
-X1 and X2, translated through an agent's dense keys or maxima and read as
-integers, give the lane integers K_i[X_i] and W_i[X_j].  The lanes are
-one byte wide when every dense key is below 0x80, that is for tables of
-at most 128 distinct keys, which every template gives; then with LOW
-holding 0x7F in every lane, each lane of W_i[X_j] + LOW - K_i[X_i] lies
-in [0, 254], so no borrow crosses a lane and bit 7 of the lane is
-exactly K_i[X_i] < W_i[X_j].  Wider tables take two-byte lanes, each
-byte column widened over a zero pad byte, with LOW 0x7FFF and bit 15.
-The maxima come the same way, core's reduction index translated once and
-its 8 blocks folded lane by lane with core's lane_max, so neither runs
-Python code per allocation or per bundle.  The deficit kernel (an
-allocation's largest envy gap, which needs real key differences) is one
-pass over core's three bundle columns, zipped.  The others are core's
-universe columns, which no valuation changes and which core derives from
-the bundle columns: size codes, the nonempty mask and the rotation
-column.  Claims read them with C-level operations: no-EFX counts status
-bytes and the size codes left once those of agent-0 infeasible
-allocations are deleted, size patterns count a class column translated
-from the size codes, the first pair reads a cached candidate list,
-cyclic symmetry checks that the rotation column sends every EFX counter
-to an EFX counter, and alpha-star and the scaled scan read the deficit
-kernel under the nonempty mask.  A 6561-allocation universe gains
-nothing from a process pool.  This module owns every EFX read: the
-scans, and is_efx and strong_envy_witness for one allocation, all go
-through the reduction-maxima tables.
+Each 256-entry table is reduced once, into a cached record: its distinct
+keys, its dense keys (each key's index among the distinct keys, one byte
+that keeps their order) and its dense maxima.  The status column (each
+allocation's EFX status as one byte) is built on dense keys: core's byte
+columns X0, X1 and X2, translated through an agent's dense keys or
+maxima and read as integers, give the lane integers K_i[X_i] and
+W_i[X_j].  The lanes are one byte wide when every dense key is below
+0x80, that is for tables of at most 128 distinct keys, which every
+template gives; then with LOW holding 0x7F in every lane, each lane of
+W_i[X_j] + LOW - K_i[X_i] lies in [0, 254], so no borrow crosses a lane
+and bit 7 of the lane is exactly K_i[X_i] < W_i[X_j].  Wider tables take
+two-byte lanes, each byte column widened over a zero pad byte, with LOW
+0x7FFF and bit 15.  The maxima come the same way, core's reduction index
+translated once and its 8 blocks folded lane by lane with core's
+lane_max, so neither runs Python code per allocation or per bundle.  The
+deficit kernel (an allocation's largest envy gap, which needs real key
+differences) is one pass over core's three bundle columns, zipped.
+Level keys are anchored at zero, so a derived subadditive profile reads
+the ordinal kind's columns.  The others are core's universe columns,
+which no valuation changes: size codes, the nonempty mask and the
+rotation column.  Claims read them with C-level operations: no-EFX
+counts status bytes and the size codes left once those of agent-0
+infeasible allocations are deleted, size patterns count a class column
+translated from the size codes, the first pair reads a cached candidate
+list, cyclic symmetry checks that the rotation column sends every EFX
+counter to an EFX counter, and alpha-star and the scaled scan read the
+deficit kernel under the nonempty mask.  A 6561-allocation universe
+gains nothing from a process pool.  This module owns every EFX read: the
+scans, and is_efx and strong_envy_witness, which walk one allocation's
+triples on the rank tables.
 
 The bundle-pair property checks skip a row of pairs only when an exact
 bound rules out every violation in it, and stop once the verdict is
@@ -156,11 +158,14 @@ def builtin(kind: str) -> Profile:
 
 
 def level_keys(exponent_table: tuple[int | None, ...]) -> tuple[int, ...]:
-    """Exact order keys of a table of level values: each exponent
-    negated, and zero one below the least of those keys."""
+    """Exact order keys of a table of level values, anchored at zero: zero
+    gets 0 and q**e gets 1 + max_e - e, so one key step is one power of
+    the base.  For exponents top_rank - rank with least nonempty rank 1,
+    as build_subadditive derives them, the keys are the ranks."""
     exponents = set(exponent_table) - {None}
-    key = {e: -e for e in exponents}
-    key[None] = -1 - max(exponents, default=0)
+    top = max(exponents, default=0)
+    key = {e: 1 + top - e for e in exponents}
+    key[None] = 0
     return tuple(map(key.__getitem__, exponent_table))
 
 
@@ -169,7 +174,8 @@ def profile_value_keys(profile: Profile) -> tuple[tuple[int, ...], ...]:
 
     Keys preserve the exact value order: ranks for ordinal profiles,
     level_keys for level values, and the integer coverage values
-    themselves.
+    themselves.  A derived subadditive profile's keys equal its rank
+    tables, so every column cached per key table serves both kinds.
     """
     if profile.kind == "ordinal":
         return profile.ordinal.rank_tables
@@ -347,13 +353,6 @@ _INFEASIBLE0 = b"\x80" + bytes(255)
 _FLAGGED = bytes(range(0x80, 0x100))
 
 
-def _dense_keys(table: tuple[int, ...]) -> tuple[list[int], bytes]:
-    """(the table's distinct keys in ascending order, each bundle's key as
-    its index there)."""
-    values = sorted(set(table))
-    return values, bytes(map(dict(zip(values, range(len(values)))).__getitem__, table))
-
-
 def _lane_width(dense: bytes) -> int:
     """The lane width of a dense key table: one byte when every key is
     below 0x80, the top bit of a byte lane, else two bytes."""
@@ -369,11 +368,20 @@ def _reduction_columns(width: int) -> tuple[bytes, int]:
     return reduction_index(), holds * ((1 << 8 * width) - 1)
 
 
-def _dense_maxima(dense: bytes, width: int) -> bytes:
-    """Each bundle's largest dense key over its one-good reductions, and
-    0, the least, for the empty bundle.  One translate reads every
+@lru_cache(maxsize=6)
+def _key_reduction(table: tuple[int, ...]) -> tuple[tuple[int, ...], bytes, bytes]:
+    """(the table's distinct keys in ascending order, each bundle's key as
+    its index there, each bundle's largest dense key over its one-good
+    reductions, 0 for the empty bundle).  One translate reads every
     reduction's key; the mask clears each block's lanes whose bundle lacks
-    the good; three halvings then fold the 8 blocks with core's lane_max."""
+    the good; three halvings then fold the 8 blocks with core's lane_max,
+    at the table's own lane width.  A dense key is below 256, so the
+    maxima bytes are the same at any width.  The cache holds the six
+    tables of the built-in kinds: the ranks, which level keys equal, and
+    the coverage values."""
+    values = tuple(sorted(set(table)))
+    dense = bytes(map(dict(zip(values, range(len(values)))).__getitem__, table))
+    width = _lane_width(dense)
     index, holds = _reduction_columns(width)
     lanes = int.from_bytes(lane_column(index.translate(dense), width), "big") & holds
     # Lanes past the narrower operands of the later halvings are 0 in both
@@ -382,45 +390,29 @@ def _dense_maxima(dense: bytes, width: int) -> bytes:
     for blocks in (4, 2, 1):
         shift = blocks * len(ALL_BUNDLES) * 8 * width
         lanes = lane_max(lanes >> shift, lanes & ((1 << shift) - 1), flags, width)
-    return lanes.to_bytes(len(ALL_BUNDLES) * width, "big")[width - 1 :: width]
+    return values, dense, lanes.to_bytes(len(ALL_BUNDLES) * width, "big")[width - 1 :: width]
 
 
-@lru_cache(maxsize=4)
-def _reduction_maxima(keys: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """W_i[B] = max over goods g in B of keys[i][B - g], per agent, read
-    back from the dense maxima.
-
-    The empty bundle has no reduction; its entry is the table's minimum,
-    which never blocks.  The cache is small and bounded: a template run
-    never repeats a profile.
-    """
-    maxima = []
-    for table in keys:
-        values, dense = _dense_keys(table)
-        maxima.append(tuple(map(values.__getitem__, _dense_maxima(dense, _lane_width(dense)))))
-    return tuple(maxima)
-
-
-@lru_cache(maxsize=3)
+@lru_cache(maxsize=2)
 def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
     """Each allocation's EFX status under the key tables as one byte, in
     counter order: 0 when agent 0 envies another bundle up to one good, 1
     when only agent 1 or 2 does, and 2 when nobody does.  The cache holds
-    the columns of the three built-in kinds.
+    the two columns of the built-in kinds: the ranks, which the ordinal
+    and subadditive kinds share, and the coverage values.
 
     The three agents share one lane width, the widest their dense keys
     need.  Per agent i, the lane integer LOW - key_i[X_i] plus W_i[X_j],
     LOW holding the top bit less one in every lane, has the top bit set
     in a lane exactly when key_i[X_i] < W_i[X_j], all on dense keys."""
     columns = bundle_columns()
-    denses = [_dense_keys(table)[1] for table in keys]
-    width = max(map(_lane_width, denses))
+    reductions = list(map(_key_reduction, keys))
+    width = max(_lane_width(dense) for _, dense, _ in reductions)
     top = 8 * width - 1
     flags = lane_flags(N_ALLOCATIONS, width)
     low = flags - (flags >> top)
     envy = []
-    for agent, dense in enumerate(denses):
-        maxima = _dense_maxima(dense, width)
+    for agent, (_, dense, maxima) in enumerate(reductions):
         slack = low - int.from_bytes(lane_column(columns[agent].translate(dense), width), "big")
         bits = 0
         for other in _OTHER_AGENTS[agent]:
@@ -430,15 +422,15 @@ def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
     return code.to_bytes(width * N_ALLOCATIONS, "big")[width - 1 :: width].translate(_STATUS)
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Each allocation's deficit under the key tables, in counter order:
     max(0, max over agents i and bundles j != i of W_i[X_j] - key_i[X_i]),
     the largest key gap by which an agent envies another bundle up to one
     good.  It is 0 exactly when the allocation is EFX.  The cache holds
-    the two tables a process serving the built-ins grades: the ranks,
-    for alpha-star, and the level keys, for the scaled scan."""
-    (k0, k1, k2), (w0, w1, w2) = keys, _reduction_maxima(keys)
+    the ranks, which alpha-star and the scaled scan on level keys read."""
+    k0, k1, k2 = keys
+    w0, w1, w2 = (tuple(map(values.__getitem__, maxima)) for values, _, maxima in map(_key_reduction, keys))
 
     def deficit(x0: int, x1: int, x2: int) -> int:
         a, b = w0[x1], w0[x2]
@@ -468,15 +460,14 @@ def strong_envy_witness(
 ) -> tuple[int, int, int] | None:
     """Lexicographically first (i, j, g) with agent i preferring bundle j
     minus good g over their own bundle; None when the allocation is EFX.
-    The first (i, j) whose reduction maximum beats agent i's own rank
-    holds the witness; its good is then found one at a time."""
-    ranks = profile.rank_tables
-    for i, (table, maxima) in enumerate(zip(ranks, _reduction_maxima(ranks))):
+    The triples are walked in that order on the rank tables."""
+    for i, table in enumerate(profile.rank_tables):
         own = table[allocation[i]]
         for j in _OTHER_AGENTS[i]:
             bundle = allocation[j]
-            if maxima[bundle] > own:
-                return i, j, next(g for g in members(bundle) if table[bundle ^ (1 << g)] > own)
+            for g in members(bundle):
+                if table[bundle ^ (1 << g)] > own:
+                    return i, j, g
     return None
 
 
@@ -522,11 +513,13 @@ def verify_no_alpha_efx(
 
     The allocations that satisfy it are those with no empty bundle whose
     deficit under the level keys is at most level_slack(alpha), the
-    largest exponent gap d with q**d >= alpha.  Keys are negated
-    exponents, so one rank step is one power of the base: an agent
-    holding a nonempty bundle meets the condition against a nonempty
-    reduction exactly when the key gap is at most the slack, and always
-    against the empty reduction, whose key is the lowest.  An agent
+    largest exponent gap d with q**d >= alpha.  A key step is one power
+    of the base, so key gaps are exponent gaps: an agent holding a
+    nonempty bundle meets the condition against a nonempty reduction
+    exactly when the key gap is at most the slack, and always against
+    the empty reduction, whose key is the lowest.  For a derived profile
+    the level keys are the ranks, so this reads alpha-star's deficit
+    column.  An agent
     holding the empty bundle, worth nothing, meets it only when every
     reduction it faces is worth nothing.  But the other two bundles then
     share all 8 goods, so one of them holds at least 4, and each of its
@@ -630,10 +623,10 @@ def _monotone(key_table: tuple[int, ...]) -> bool:
     every bundle's dense key is at least its dense reduction maximum: one
     lane comparison, as core sets out (own + flags - maximum has every
     top bit set exactly when every own >= maximum)."""
-    dense = _dense_keys(key_table)[1]
+    _, dense, dense_maxima = _key_reduction(key_table)
     width = _lane_width(dense)
     own = int.from_bytes(lane_column(dense, width), "big")
-    maxima = int.from_bytes(lane_column(_dense_maxima(dense, width), width), "big")
+    maxima = int.from_bytes(lane_column(dense_maxima, width), "big")
     flags = lane_flags(len(ALL_BUNDLES), width)
     return (own + flags - maxima) & flags == flags
 
@@ -668,7 +661,9 @@ def check_monotone(
     return _report(claim, N_MONOTONE_PAIRS, N_MONOTONE_PAIRS, passed, witnesses, {})
 
 
-@lru_cache(maxsize=None)
+# The built-in subadditive suite reads 7 exponent triples; a level
+# realization of a generated template reads at most 103 (200 seeds).
+@lru_cache(maxsize=128)
 def _pair_sum_sign(e_first: int | None, e_second: int | None, e_union: int | None) -> int:
     values = [
         LevelValue.zero() if e is None else LevelValue.power(e)

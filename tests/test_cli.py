@@ -143,6 +143,17 @@ def test_witness_limit_flag():
     assert len(reports[1]["witnesses"]) == 3
 
 
+def test_witness_limit_past_sys_maxsize_prints_the_universe_limit(tmp_path):
+    # The limit is clamped to the largest universe a report covers, so a
+    # limit no slice accepts prints what 65536 prints.
+    path = tmp_path / "identical.json"
+    path.write_text(identical_agents_doc(), encoding="utf-8")
+    for head in (["verify", "ordinal"], ["template", str(path), "verify"]):
+        huge = run_cli([*head, "--witnesses", str(10**30)])
+        assert huge[0] == 0, head
+        assert huge[:2] == run_cli([*head, "--witnesses", "65536"])[:2], head
+
+
 def test_template_verify_bundled_instance(tmp_path):
     path = tmp_path / "builtin.json"
     path.write_text(bundled_instance_text(), encoding="utf-8")
@@ -399,7 +410,7 @@ def test_cli_import_builds_no_universe_column():
         "import efxcheck.cli; from efxcheck import core, verify; "
         "print([f.__name__ for f in (core.bundle_columns, core.size_codes, core.nonempty_mask, "
         "core.rotation_column, core.holds_columns, core.reduction_index, verify._reduction_columns, "
-        "verify._bundle_members, verify._pattern_keys, "
+        "verify._key_reduction, verify._bundle_members, verify._pattern_keys, "
         "verify._first_pair_candidates) if f.cache_info().currsize])"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from helpers import random_template_doc
+from helpers import random_template_doc, run_cli
 from oracles import (
     RELABELING,
     agent_feasible,
@@ -28,10 +28,20 @@ from oracles import (
     universe,
 )
 
-from efxcheck.cardinal import ApproxFactor, LevelValue, compare_scaled
+from efxcheck import verify
+from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled
 from efxcheck.core import N_ALLOCATIONS
 from efxcheck.ordinal import load_template
-from efxcheck.verify import Profile, builtin, verify_cyclic_symmetry, verify_no_alpha_efx, verify_no_efx
+from efxcheck.verify import (
+    Profile,
+    builtin,
+    check_subadditive,
+    compute_deficit_profile,
+    profile_value_keys,
+    verify_cyclic_symmetry,
+    verify_no_alpha_efx,
+    verify_no_efx,
+)
 
 TEMPLATE_SEED = 0
 OTHER_RELABELINGS = ((2, 0, 1, 5, 3, 4, 6, 7), tuple(range(8)))
@@ -107,3 +117,89 @@ def test_interleaved_subjects_each_read_their_own_columns():
             report = verify_no_alpha_efx(levels, ApproxFactor.parse(text), witness_limit=N_ALLOCATIONS)
             assert counters_of(report) == holds
             assert dict(report.breakdown) == scaled_breakdown
+
+
+def test_level_keys_of_derived_profiles_are_the_rank_tables():
+    for seed in range(20):
+        _, ordinal = load_template(random_template_doc(seed))
+        derived = Profile(kind="subadditive", ordinal=ordinal, subadditive=build_subadditive(ordinal))
+        assert profile_value_keys(derived) == ordinal.rank_tables, seed
+    assert profile_value_keys(builtin("subadditive")) == builtin("ordinal").ordinal.rank_tables
+
+
+def _single_bundle_payload() -> Profile:
+    """Built-in subadditive with agent 0's exponent of {1, 2} raised from
+    2 to 7: its level keys differ from the ranks, and it has EFX
+    allocations where the built-in has none."""
+    base = builtin("subadditive")
+    tables = base.subadditive.exponent_tables
+    assert tables[0][0b110] == 2
+    raised = tables[0][:0b110] + (7,) + tables[0][0b110 + 1 :]
+    return base.replace(subadditive=base.subadditive.replace(exponent_tables=(raised,) + tables[1:]))
+
+
+def test_ordinal_and_subadditive_share_columns_and_a_payload_off_the_ranks_does_not():
+    for cache in (verify._key_reduction, verify._status_column, verify._deficits):
+        cache.cache_clear()
+    ordinal, levels = builtin("ordinal"), builtin("subadditive")
+    verify_no_efx(ordinal)
+    verify_no_efx(levels)
+    verify_no_alpha_efx(levels, ApproxFactor.parse("1/2"))
+    compute_deficit_profile(ordinal)
+    assert verify._status_column.cache_info().misses == 1
+    assert verify._deficits.cache_info().misses == 1
+
+    payload = _single_bundle_payload()
+    assert profile_value_keys(payload) != ordinal.ordinal.rank_tables
+    efx, breakdown = expected_no_efx(keyed(payload.subadditive.value))
+    report = verify_no_efx(payload, witness_limit=N_ALLOCATIONS)
+    assert efx and counters_of(report) == efx
+    assert dict(report.breakdown) == breakdown
+    holds, scaled_breakdown = expected_scaled(payload, "1/2")
+    assert holds != expected_scaled(levels, "1/2")[0]
+    report = verify_no_alpha_efx(payload, ApproxFactor.parse("1/2"), witness_limit=N_ALLOCATIONS)
+    assert counters_of(report) == holds
+    assert dict(report.breakdown) == scaled_breakdown
+
+
+# The built-in command set: verify x3 (one scaled), properties x3, lemmas,
+# alpha-star and tables.
+BUILTIN_ARGV = (
+    ["verify", "ordinal"],
+    ["verify", "coverage"],
+    ["verify", "subadditive", "--alpha", "1/2"],
+    ["properties", "ordinal"],
+    ["properties", "subadditive"],
+    ["properties", "coverage"],
+    ["lemmas"],
+    ["alpha-star"],
+    ["tables"],
+)
+
+
+def test_serving_the_builtin_commands_again_misses_no_cache():
+    caches = (
+        verify._key_reduction,
+        verify._status_column,
+        verify._deficits,
+        verify._reduction_columns,
+        verify._pair_sum_sign,
+    )
+    passes = []
+    for _ in range(2):
+        for argv in BUILTIN_ARGV:
+            assert run_cli(argv)[0] == 0, argv
+        passes.append([cache.cache_info().misses for cache in caches])
+    assert passes[1] == passes[0]
+
+
+def test_pair_sum_cache_stays_bounded_across_top_ranks():
+    # Each top_rank shifts every exponent, so each suite reads exponent
+    # triples that no earlier one did.
+    table = builtin("subadditive").subadditive.exponent_tables[0]
+    before = check_subadditive(table, "subadditive")
+    for shift in range(1, 41):
+        check_subadditive(tuple(None if e is None else e + shift for e in table), "subadditive")
+    info = verify._pair_sum_sign.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert check_subadditive(table, "subadditive") == before

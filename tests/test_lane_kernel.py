@@ -20,7 +20,7 @@ import pytest
 from oracles import AGENTS, N_ALLOCATIONS, agent_feasible, efx_counters, keyed, mask, universe, unmask
 
 from efxcheck.core import bundle_columns, lane_column
-from efxcheck.verify import _dense_keys, _lane_width, _reduction_maxima, _status_column
+from efxcheck.verify import _key_reduction, _lane_width, _status_column
 
 SEED = 21
 
@@ -76,12 +76,13 @@ def test_status_column_matches_oracle(name):
 @pytest.mark.parametrize("name", TABLES)
 def test_reduction_maxima_match_naive_maximum(name):
     keys = TABLES[name]
-    for table, maxima in zip(keys, _reduction_maxima(keys)):
+    for table in keys:
+        values, _, maxima = _key_reduction(table)
         naive = [
             max((table[mask(bundle - {g})] for g in bundle), default=min(table))
             for bundle in map(unmask, range(256))
         ]
-        assert list(maxima) == naive
+        assert [values[m] for m in maxima] == naive
 
 
 def test_doctored_tables_reach_every_status():
@@ -96,7 +97,7 @@ def test_lane_width_switches_above_128_distinct_keys():
     for name, widths in (("distinct-128", {1}), ("distinct-129", {2}), ("distinct-128-128-129", {1, 2})):
         tables = TABLES[name]
         assert {len(set(table)) for table in tables} <= {128, 129}
-        assert {_lane_width(_dense_keys(table)[1]) for table in tables} == widths, name
+        assert {_lane_width(_key_reduction(table)[1]) for table in tables} == widths, name
 
 
 @pytest.mark.parametrize("width", (1, 2))
