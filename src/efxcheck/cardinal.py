@@ -175,10 +175,10 @@ def level_slack(alpha: ApproxFactor) -> int:
     return int(alpha.level_exponent)  # type: ignore[arg-type]
 
 
-# With 1 <= d <= e, q**d + q**e >= 1 exactly when e <= _PAIR_GAP_LIMIT[d]:
+# With 1 <= d <= e, q**d + q**e >= 1 exactly when e <= PAIR_GAP_LIMIT[d]:
 # the largest e with 2**e <= (1 - q**d)**-6.  No e qualifies once d > 6,
 # since then q**d + q**e <= 2 q**7 = q < 1.
-_PAIR_GAP_LIMIT = {1: 19, 2: 13, 3: 10, 4: 8, 5: 7, 6: 6}
+PAIR_GAP_LIMIT = {1: 19, 2: 13, 3: 10, 4: 8, 5: 7, 6: 6}
 
 
 def level_sum_compare(values: Iterable[LevelValue], target: LevelValue) -> int:
@@ -188,7 +188,7 @@ def level_sum_compare(values: Iterable[LevelValue], target: LevelValue) -> int:
     d <= e of the nonzero summands' exponents over c.  If d < 0 the sum
     is larger.  If d = 0 it is equal alone and larger with a second
     summand.  If d > 0 it is smaller alone, and with a second summand it
-    reaches the target as _PAIR_GAP_LIMIT says.  Only integer gaps are
+    reaches the target as PAIR_GAP_LIMIT says.  Only integer gaps are
     formed, however large the exponents.  q has degree 6 over the
     rationals (1/q is a root of x**6 - 2, Eisenstein at 2), so
     q**d + q**e = 1 has no solution but d = e = 6.
@@ -209,7 +209,7 @@ def level_sum_compare(values: Iterable[LevelValue], target: LevelValue) -> int:
     if len(exponents) == 1:
         return -1
     e = exponents[1] - target.exponent  # type: ignore[operator]
-    if d > 6 or e > _PAIR_GAP_LIMIT[d]:
+    if d > 6 or e > PAIR_GAP_LIMIT[d]:
         return -1
     return 0 if d == e == 6 else 1
 

@@ -34,8 +34,21 @@ way; efxcheck.ordinal folds its rank recipe with it and efxcheck.verify
 its reduction maxima, and verify's EFX status column compares lanes the
 same way.  reduction_index() lists the one-good reductions of every
 bundle as a byte column, which one translate reads through a table of
-dense keys.  Which goods share a type, and which permutation relabels
-them, is a template's to say (efxcheck.ordinal).
+dense keys.
+
+Key gaps need real key differences, not dense indices, so the lanes that
+hold them are as wide as the spread R of the values needs:
+sum_lane_width(R) is the least w with 2R < 2^(8w − 1), so a sum of two
+values in [0, R], or such a sum plus the top bit less another, stays
+inside its lane.  Python's big integers let one implementation serve
+every width.  lane_table writes values as lanes, lane_translate reads
+them through a byte column one byte plane at a time, lane_values reads
+the lanes back as ints and lane_tops reads their top bits as bytes.
+superset_max folds each bundle's supersets into its lane, and
+submodular_index() lists the 1792 (S, g, h) triples of the local
+submodularity test as four byte columns.  Which goods share a type, and
+which permutation relabels them, is a template's to say
+(efxcheck.ordinal).
 
 All values here are immutable, and Record is the base of every value
 type the other modules define.
@@ -46,6 +59,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable, Iterable
 from functools import lru_cache
+from itertools import repeat
 from operator import add
 
 Bundle = int
@@ -253,6 +267,52 @@ def lane_max(first: int, second: int, flags: int, width: int) -> int:
     return second ^ ((first ^ second) & first_wins * ((1 << 8 * width) - 1))
 
 
+def sum_lane_width(spread: int) -> int:
+    """The least lane width w with 2 · spread < 2^(8w − 1): lanes that
+    hold a sum of two values in [0, spread], or such a sum plus the top
+    bit less another, with no carry or borrow across a lane.  Spreads up
+    to 63 take one byte."""
+    return ((2 * spread).bit_length() + 8) // 8
+
+
+def lane_table(values: Iterable[int], width: int) -> bytes:
+    """Values below 2^(8 · width) as big-endian lanes of width bytes,
+    padded with zero lanes to 256 entries: a table that lane_translate
+    reads through a byte column."""
+    if width == 1:
+        lanes = bytes(values)
+    else:
+        lanes = b"".join(map(int.to_bytes, values, repeat(width), repeat("big")))
+    return lanes + bytes(256 * width - len(lanes))
+
+
+def lane_translate(column: bytes, table: bytes, width: int) -> int:
+    """The lane integer whose lanes are table's entries at each byte of
+    column: one translate per byte of a lane, interleaved."""
+    if width == 1:
+        return int.from_bytes(column.translate(table), "big")
+    lanes = bytearray(width * len(column))
+    for k in range(width):
+        lanes[k::width] = column.translate(table[k::width])
+    return int.from_bytes(lanes, "big")
+
+
+def lane_values(lanes: int, count: int, width: int) -> tuple[int, ...]:
+    """The count lanes of a lane integer as ints, first lane first: the
+    low bytes, plus each higher byte plane at its scale."""
+    raw = lanes.to_bytes(count * width, "big")
+    values: Iterable[int] = raw[width - 1 :: width]
+    for k in range(width - 1):
+        values = map(add, values, map((1 << 8 * (width - 1 - k)).__mul__, raw[k::width]))
+    return tuple(values)
+
+
+def lane_tops(lanes: int, count: int, width: int) -> bytes:
+    """1 for each of the count lanes whose top bit is set, else 0."""
+    bits = (lanes & lane_flags(count, width)) >> 8 * width - 1
+    return bits.to_bytes(count * width, "big")[width - 1 :: width]
+
+
 @lru_cache(maxsize=1)
 def holds_columns() -> tuple[bytes, ...]:
     """Per good g, a byte per bundle in integer order: 1 when the bundle
@@ -266,6 +326,43 @@ def reduction_index() -> bytes:
     bytes, good 0's first: byte B of good g's block is B − g, or B itself
     when B does not hold g."""
     return b"".join(bytes(bundle & ~(1 << g) for bundle in ALL_BUNDLES) for g in GOODS)
+
+
+@lru_cache(maxsize=4)
+def _lacks_masks(width: int) -> tuple[int, ...]:
+    """Per good g, the lane integer over the 256 bundles, lanes of width
+    bytes, with every bit set in the lanes whose bundle lacks g."""
+    full = (1 << 8 * width) - 1
+    return tuple(
+        int.from_bytes(lane_column(column.translate(b"\1\0" + bytes(254)), width), "big") * full
+        for column in holds_columns()
+    )
+
+
+def superset_max(lanes: int, width: int) -> int:
+    """Lane by lane over the 256 bundles, the largest lane of a superset
+    of the bundle, for lanes below their top bit.  Per good g, the lane
+    of B + g lies 2^g lanes below B's; shifted up onto B's lane and
+    masked to the bundles that lack g, it folds in with lane_max."""
+    flags = lane_flags(len(ALL_BUNDLES), width)
+    for g, lacks in zip(GOODS, _lacks_masks(width)):
+        lanes = lane_max(lanes, lanes << (8 * width << g) & lacks, flags, width)
+    return lanes
+
+
+@lru_cache(maxsize=1)
+def submodular_index() -> tuple[bytes, bytes, bytes, bytes]:
+    """Four byte columns over the 1792 triples (S, g, h) with goods g < h
+    outside S, S ascending and then (g, h) in order: S + g, S + h,
+    S + g + h and S."""
+    triples = [
+        (bundle | 1 << g, bundle | 1 << h, bundle | 1 << g | 1 << h, bundle)
+        for bundle in ALL_BUNDLES
+        for g in GOODS
+        for h in GOODS[g + 1 :]
+        if not bundle >> g & 1 and not bundle >> h & 1
+    ]
+    return tuple(map(bytes, zip(*triples)))  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=2)

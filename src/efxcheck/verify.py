@@ -23,10 +23,13 @@ two-byte lanes, each byte column widened over a zero pad byte, with LOW
 0x7FFF and bit 15.  The maxima come the same way, core's reduction index
 translated once and its 8 blocks folded lane by lane with core's
 lane_max, so neither runs Python code per allocation or per bundle.  The
-deficit kernel (an allocation's largest envy gap, which needs real key
-differences) is one pass over core's three bundle columns, zipped.
-Level keys are anchored at zero, so a derived subadditive profile reads
-the ordinal kind's columns.  The others are core's universe columns,
+deficit column (each allocation's largest envy gap) needs real key
+differences, so it runs in lanes as wide as the key spread needs
+(core's sum_lane_width): six translated terms folded with lane_max.
+Its tuple, histogram, d*, argmin and nonempty minimum are read off it
+once per cached column, and the scaled scan's slack test is one lane
+comparison.  Level keys are anchored at zero, so a derived subadditive
+profile reads the ordinal kind's columns.  The others are core's universe columns,
 which no valuation changes: size codes, the nonempty mask and the
 rotation column.  Claims read them with C-level operations: no-EFX
 counts status bytes and the size codes left once those of agent-0
@@ -39,19 +42,24 @@ gains nothing from a process pool.  This module owns every EFX read: the
 scans, and is_efx and strong_envy_witness, which walk one allocation's
 triples on the rank tables.
 
-The bundle-pair property checks skip a row of pairs only when an exact
-bound rules out every violation in it, and stop once the verdict is
-settled and the witness list is full.  Their checked field counts the
-whole universe the verdict covers, not the pairs actually visited.
-Monotonicity and support collapse follow the same rule: one whole-table
-comparison decides a passing table (every bundle's dense key against its
-dense reduction maximum, in lanes, or the table against itself read at
-each support class's representative), and only a failing table is
-walked, for its witnesses in scan order.
-Strict-order transfer follows the same pattern: an agent whose value
-keys keep strict rank order over all bundles cannot break transfer, so
-only the agents that do not are walked allocation by allocation, and
-the universe is not walked at all when every agent keeps it.  Its
+Every property check decides a passing table by one whole-table
+comparison, and walks only a failing table, for its witnesses in scan
+order: monotonicity compares every bundle's dense key with its dense
+reduction maximum in lanes, support collapse compares the table with
+itself read at each support class's representative, submodularity
+compares both sides of the 1792 local sums in lanes, and strict
+consistency compares the keys of the sorted distinct (rank, key) pairs
+with the table's distinct keys.  Subadditivity decides its exact per-row
+bound for all 255 rows at once in lanes (superset maxima, then one gap
+comparison against the six-entry gap table), so a table whose every row
+the bound skips passes with no pair visited.  The walks stop once the
+verdict is settled and the witness list is full, and a check's checked
+field counts the whole universe the verdict covers, not the pairs
+actually visited.  Strict-order transfer follows the same pattern: an
+agent whose value keys keep strict rank order over all bundles cannot
+break transfer, so only the agents that do not are walked allocation by
+allocation, and the universe is not walked at all when every agent
+keeps it.  Its
 triple count depends on ranks alone and is summed over the disjoint
 bundle pairs that the universe's first two columns list, weighted by
 the size of the third bundle.
@@ -68,10 +76,11 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
-from operator import eq, gt, le, ne
+from itertools import accumulate, chain, compress, islice
+from operator import gt, itemgetter, ne
 
 from .cardinal import (
+    PAIR_GAP_LIMIT,
     ApproxFactor,
     CoverageProfile,
     LevelValue,
@@ -100,12 +109,19 @@ from .core import (
     lane_column,
     lane_flags,
     lane_max,
+    lane_table,
+    lane_tops,
+    lane_translate,
+    lane_values,
     members,
     nonempty_mask,
     reduction_index,
     rotation_column,
     size_code_table,
     size_codes,
+    submodular_index,
+    sum_lane_width,
+    superset_max,
 )
 from .ordinal import OrdinalProfile, builtin_profile, support_representatives
 
@@ -321,10 +337,13 @@ def _pattern_keys(prefix: str) -> tuple[str, ...]:
     return tuple(prefix + _pattern_key(code_sizes(code)) for code in range((N_GOODS + 1) ** 2))
 
 
-def _pattern_breakdown(prefix: str, codes: Iterable[int]) -> dict[str, int]:
-    """Allocations counted by their bundle sizes, given as size codes, as
-    breakdown entries."""
-    counts = Counter(codes)
+def _pattern_breakdown(prefix: str, kept: bytes) -> dict[str, int]:
+    """The allocations whose byte in kept is not 0, counted by their
+    bundle sizes, as breakdown entries: the size codes of the others are
+    flagged with 0x80, which no size code reaches, and deleted in one
+    translate, and Counter tallies the rest."""
+    flagged = int.from_bytes(size_codes(), "big") | int.from_bytes(kept.translate(_FLAG_ZERO), "big")
+    counts = Counter(flagged.to_bytes(N_ALLOCATIONS, "big").translate(None, _FLAGGED))
     return dict(zip(map(_pattern_keys(prefix).__getitem__, counts), counts.values()))
 
 
@@ -347,9 +366,10 @@ _EFX = bytes(status == 2 for status in range(256))
 # plus 1 when agent 1 or 2 does) to the status byte.
 _STATUS = bytes((2, 1, 0, 0)) + bytes(252)
 
-# Status 0 to the flag 0x80, which no size code reaches, and the flagged
-# bytes, for deleting the allocations that agent 0 finds infeasible.
-_INFEASIBLE0 = b"\x80" + bytes(255)
+# Byte 0 to the flag 0x80, which no size code reaches, and the flagged
+# bytes, for deleting the allocations that agent 0 finds infeasible
+# (status 0) or that a mask drops.
+_FLAG_ZERO = b"\x80" + bytes(255)
 _FLAGGED = bytes(range(0x80, 0x100))
 
 
@@ -423,29 +443,47 @@ def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
 
 
 @lru_cache(maxsize=1)
-def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Each allocation's deficit under the key tables, in counter order:
-    max(0, max over agents i and bundles j != i of W_i[X_j] - key_i[X_i]),
-    the largest key gap by which an agent envies another bundle up to one
-    good.  It is 0 exactly when the allocation is EFX.  The cache holds
-    the ranks, which alpha-star and the scaled scan on level keys read."""
-    k0, k1, k2 = keys
-    w0, w1, w2 = (tuple(map(values.__getitem__, maxima)) for values, _, maxima in map(_key_reduction, keys))
+def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """(the lane integer of each allocation's deficit under the key tables,
+    in counter order, and its lane width).  The deficit is max(0, max over
+    agents i and bundles j != i of W_i[X_j] - key_i[X_i]), the largest key
+    gap by which an agent envies another bundle up to one good, and it is
+    0 exactly when the allocation is EFX.  The cache holds the ranks,
+    which alpha-star and the scaled scan on level keys read.
 
-    def deficit(x0: int, x1: int, x2: int) -> int:
-        a, b = w0[x1], w0[x2]
-        worst = (a if a > b else b) - k0[x0]
-        a, b = w1[x0], w1[x2]
-        gap = (a if a > b else b) - k1[x1]
-        if gap > worst:
-            worst = gap
-        a, b = w2[x0], w2[x1]
-        gap = (a if a > b else b) - k2[x2]
-        if gap > worst:
-            worst = gap
-        return worst if worst > 0 else 0
+    Each agent's keys and reduction maxima are shifted by the agent's
+    least key into [0, R], R the largest spread of the three tables, and
+    the lanes are sum_lane_width(R) bytes wide.  The lane integer of
+    W_i[X_j] + (R - key_i[X_i]), a translate of core's bundle columns per
+    term, lies in [0, 2R]; core's lane_max folds the six terms, and the
+    deficit is the fold's max(0, v - R), one more lane_max.  The same code
+    serves every width, from the ranks' one byte to the 13-byte lanes of
+    top_rank 10**30."""
+    columns = bundle_columns()
+    reductions = list(map(_key_reduction, keys))
+    spread = max(values[-1] - values[0] for values, _, _ in reductions)
+    width = sum_lane_width(spread)
+    flags = lane_flags(N_ALLOCATIONS, width)
+    worst = 0
+    for agent, (table, (values, _, maxima)) in enumerate(zip(keys, reductions)):
+        low = values[0]
+        slack = lane_translate(columns[agent], lane_table([spread + low - key for key in table], width), width)
+        reduced = lane_table([values[m] - low for m in maxima], width)
+        for other in _OTHER_AGENTS[agent]:
+            worst = lane_max(worst, lane_translate(columns[other], reduced, width) + slack, flags, width)
+    floor = spread * (flags >> 8 * width - 1)
+    return lane_max(worst, floor, flags, width) - floor, width
 
-    return tuple(starmap(deficit, zip(*bundle_columns())))
+
+def _at_most(lanes: int, width: int, bound: int) -> bytes:
+    """1 for each allocation whose lane of a deficit column is at most
+    bound, else 0: one lane comparison.  A deficit lane lies below half
+    the top bit, so a bound clipped to the top bit less one decides the
+    same."""
+    top = 8 * width - 1
+    flags = lane_flags(N_ALLOCATIONS, width)
+    bound = min(bound, (1 << top) - 1) * (flags >> top)
+    return lane_tops(bound + flags - lanes, N_ALLOCATIONS, width)
 
 
 # --- single allocations ------------------------------------------------------
@@ -490,15 +528,13 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     column = _status_column(profile_value_keys(profile))
     efx_count = column.count(2)
     efx = compress(range(N_ALLOCATIONS), column.translate(_EFX))
-    flagged = int.from_bytes(size_codes(), "big") | int.from_bytes(column.translate(_INFEASIBLE0), "big")
-    feasible0 = flagged.to_bytes(N_ALLOCATIONS, "big").translate(None, _FLAGGED)
     return _report(
         claim=f"no_efx_{profile.kind}",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
         passed=not efx_count,
         witnesses=_allocation_witnesses(islice(efx, max(witness_limit, 0))),
-        breakdown={"efx_allocations": efx_count, **_pattern_breakdown("feasible0", feasible0)},
+        breakdown={"efx_allocations": efx_count, **_pattern_breakdown("feasible0", column)},
     )
 
 
@@ -519,32 +555,33 @@ def verify_no_alpha_efx(
     exactly when the key gap is at most the slack, and always against
     the empty reduction, whose key is the lowest.  For a derived profile
     the level keys are the ranks, so this reads alpha-star's deficit
-    column.  An agent
-    holding the empty bundle, worth nothing, meets it only when every
-    reduction it faces is worth nothing.  But the other two bundles then
-    share all 8 goods, so one of them holds at least 4, and each of its
-    one-good reductions is a nonempty bundle, worth more than nothing.
-    That last step needs a value for every nonempty bundle, so a payload
-    that gives one a zero value is refused.
+    column.  An agent holding the empty bundle, worth nothing, meets it
+    only when every reduction it faces is worth nothing.  But the other
+    two bundles then share all 8 goods, so one of them holds at least 4,
+    and each of its one-good reductions is a nonempty bundle, worth more
+    than nothing.  That last step needs a value for every nonempty
+    bundle, so a payload that gives one a zero value is refused.
+
+    The slack test is one lane comparison on the deficit column, ANDed
+    with the nonempty mask; the witnesses and the size breakdown are read
+    off the resulting bytes.
     """
     if profile.kind != "subadditive":
         raise ValueError(f"scaled verification needs a subadditive profile, got {profile.kind}")
     if any(None in table[1:] for table in profile.subadditive.exponent_tables):  # type: ignore[union-attr]
         raise ValueError("scaled verification needs a positive level value on every nonempty bundle")
-    slack = level_slack(alpha)
-    nonempty = nonempty_mask()
-    within_slack = map(le, compress(_deficits(profile_value_keys(profile)), nonempty), repeat(slack))
-    holds = list(compress(compress(range(N_ALLOCATIONS), nonempty), within_slack))
+    within_slack = _at_most(*_deficits(profile_value_keys(profile)), level_slack(alpha))
+    holds = (int.from_bytes(within_slack, "big") & int.from_bytes(nonempty_mask(), "big")).to_bytes(
+        N_ALLOCATIONS, "big"
+    )
+    count = holds.count(1)
     return _report(
         claim=f"no_alpha_efx({alpha})",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
-        passed=not holds,
-        witnesses=_allocation_witnesses(holds[: max(witness_limit, 0)]),
-        breakdown={
-            "alpha_efx_allocations": len(holds),
-            **_pattern_breakdown("alpha_efx", map(size_codes().__getitem__, holds)),
-        },
+        passed=not count,
+        witnesses=_allocation_witnesses(islice(compress(range(N_ALLOCATIONS), holds), max(witness_limit, 0))),
+        breakdown={"alpha_efx_allocations": count, **_pattern_breakdown("alpha_efx", holds)},
     )
 
 
@@ -579,21 +616,32 @@ class DeficitProfile(Record):
         return level_power_decimal(self.d_star, digits)
 
 
-def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> DeficitProfile:
-    """Rank deficit of every allocation, read from the deficit kernel on
-    the rank tables, with the global minimum and its attaining
-    allocations in counter order."""
-    deficits = _deficits(profile.ordinal.rank_tables)
-    d_star = min(deficits)
-    argmin = list(compress(range(N_ALLOCATIONS), map(eq, deficits, repeat(d_star))))
+@lru_cache(maxsize=1)
+def _deficit_profile(keys: tuple[tuple[int, ...], ...]) -> DeficitProfile:
+    """The deficit profile of a key set with every argmin counter, read
+    off the deficit column once per cached column: the tuple of deficits
+    from its lanes, the argmin by one lane comparison with d*."""
+    lanes, width = _deficits(keys)
+    deficits = lane_values(lanes, N_ALLOCATIONS, width)
+    histogram = Counter(deficits)
+    d_star = min(histogram)
+    argmin = tuple(compress(range(N_ALLOCATIONS), _at_most(lanes, width, d_star)))
     return DeficitProfile(
         d_star=d_star,
-        argmin_counters=tuple(argmin[: max(argmin_limit, 0)]),
+        argmin_counters=argmin,
         argmin_count=len(argmin),
         min_deficit_all_nonempty=min(compress(deficits, nonempty_mask())),
-        histogram=tuple(sorted(Counter(deficits).items())),
+        histogram=tuple(sorted(histogram.items())),
         deficits=deficits,
     )
+
+
+def compute_deficit_profile(profile: Profile, argmin_limit: int = 10) -> DeficitProfile:
+    """Rank deficit of every allocation, read from the deficit kernel on
+    the rank tables, with the global minimum and its first argmin_limit
+    attaining allocations in counter order."""
+    found = _deficit_profile(profile.ordinal.rank_tables)
+    return found.replace(argmin_counters=found.argmin_counters[: max(argmin_limit, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -661,27 +709,59 @@ def check_monotone(
     return _report(claim, N_MONOTONE_PAIRS, N_MONOTONE_PAIRS, passed, witnesses, {})
 
 
-# The built-in subadditive suite reads 7 exponent triples; a level
-# realization of a generated template reads at most 103 (200 seeds).
 @lru_cache(maxsize=128)
 def _pair_sum_sign(e_first: int | None, e_second: int | None, e_union: int | None) -> int:
-    values = [
-        LevelValue.zero() if e is None else LevelValue.power(e)
-        for e in (e_first, e_second)
-    ]
+    """Sign of q**e_first + q**e_second - q**e_union, None the value zero,
+    for exponents whose least is 0 (see _level_sum_sign)."""
+    values = [LevelValue.zero() if e is None else LevelValue.power(e) for e in (e_first, e_second)]
     target = LevelValue.zero() if e_union is None else LevelValue.power(e_union)
     return level_sum_compare(values, target)
 
 
-def _superset_maxima(table: Iterable[int]) -> list[int]:
-    """U[S] = the largest entry of table over the supersets of S."""
-    greatest = list(table)
-    for g in GOODS:
-        bit = 1 << g
-        for bundle in ALL_BUNDLES:
-            if not bundle & bit and greatest[bundle | bit] > greatest[bundle]:
-                greatest[bundle] = greatest[bundle | bit]
-    return greatest
+def _level_sum_sign(e_first: int | None, e_second: int | None, e_union: int | None) -> int:
+    """Sign of q**e_first + q**e_second - q**e_union, None the value zero.
+    Dividing every power by q**least, the least exponent's, leaves the
+    sign, so _pair_sum_sign is keyed by the exponent gaps over the least:
+    a suite at every top_rank reads the same entries."""
+    least = min((e for e in (e_first, e_second, e_union) if e is not None), default=0)
+    return _pair_sum_sign(*(None if e is None else e - least for e in (e_first, e_second, e_union)))
+
+
+def _gap_bounds(width: int, positive_least: bool) -> bytes:
+    """The row bound of check_subadditive as a lane table over the key
+    gap d = U - key(S), capped at 7: the least second gap U - m that
+    leaves room for a violation, where U is the largest key over the
+    supersets of S and m the least key of a nonempty bundle.  A gap of 0
+    leaves none; d from 1 to 6 leaves none up to PAIR_GAP_LIMIT[d] when
+    m is a positive value, and every gap from 7 on, or with m zero,
+    leaves room."""
+    none = (1 << 8 * width - 1) - 1
+    bounds = [PAIR_GAP_LIMIT[d] + 1 if positive_least else 0 for d in range(1, 7)]
+    return lane_table([none, *bounds, 0], width)
+
+
+def _unbounded_rows(keys: tuple[int, ...]) -> bytes:
+    """1 for each bundle S whose row of pairs the exact bound of
+    check_subadditive cannot skip, else 0, from level keys.  With
+    a = key(S), U the largest key over the supersets of S and m the least
+    key of a nonempty bundle, the bound is the sign of v(a) + v(m) - v(U),
+    v(k) the value keyed k, read off the gaps d = U - a and e = U - m: a
+    key step is one power of the base, and m <= a <= U.  So
+    a row is skipped exactly when e lies below _gap_bounds at d.  Every
+    step runs in lanes of sum_lane_width(max key): the superset maxima
+    are core's superset_max, d is capped at 7 with one lane_max, and the
+    bound is one lane comparison."""
+    least = min(keys[1:])
+    width = sum_lane_width(max(keys))
+    flags = lane_flags(len(ALL_BUNDLES), width)
+    ones = flags >> 8 * width - 1
+    own = int.from_bytes(lane_table(keys, width), "big")
+    greatest = superset_max(own, width)
+    gap = greatest - own
+    capped = gap + 7 * ones - lane_max(gap, 7 * ones, flags, width)
+    capped_gap = capped.to_bytes(len(ALL_BUNDLES) * width, "big")[width - 1 :: width]
+    bound = lane_translate(capped_gap, _gap_bounds(width, least > 0), width)
+    return lane_tops((bound + flags - (greatest - least * ones) - ones) ^ flags, len(ALL_BUNDLES), width)
 
 
 def check_subadditive(
@@ -696,22 +776,19 @@ def check_subadditive(
     negative.  Row S is scanned only when value(S) + m < U(S), where m is
     the least value of a nonempty bundle and U(S) the greatest value of a
     superset of S: otherwise every T gives value(S) + value(T) >=
-    value(S) + m >= U(S) >= value(S union T).  That bound is one exact
-    sum per row.  checked counts all 65536 pairs.
+    value(S) + m >= U(S) >= value(S union T).  That bound is decided for
+    every row at once, in lanes (_unbounded_rows), so a table whose every
+    row it skips passes with no pair visited.  checked counts all 65536
+    pairs.
     """
-    keys = level_keys(exponent_table)
-    exponent = dict(zip(keys, exponent_table)).__getitem__
-    least = exponent(min(keys[1:]))
-    greatest = _superset_maxima(keys)
+    rows = _unbounded_rows(level_keys(exponent_table))
 
     def violations() -> Iterator[Witness]:
-        for first in ALL_BUNDLES[1:]:
+        for first in compress(ALL_BUNDLES[1:], rows[1:]):
             e_first = exponent_table[first]
-            if _pair_sum_sign(e_first, least, exponent(greatest[first])) >= 0:
-                continue
             for second in ALL_BUNDLES[1:]:
                 e_second, e_union = exponent_table[second], exponent_table[first | second]
-                if _pair_sum_sign(e_first, e_second, e_union) < 0:
+                if _level_sum_sign(e_first, e_second, e_union) < 0:
                     yield Witness(
                         bundle_s=members(first),
                         bundle_t=members(second),
@@ -723,18 +800,21 @@ def check_subadditive(
     return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {})
 
 
-def _locally_submodular(value_table: tuple[int, ...]) -> bool:
-    """f(S+g) - f(S) >= f(S+g+h) - f(S+h) for every S and goods g < h
-    outside S.  Chaining the goods of T - S one at a time turns this into
-    diminishing returns for every nested S within T, so the two agree on
-    any set function."""
-    for bundle in ALL_BUNDLES:
-        base = value_table[bundle]
-        outside = [bundle | (1 << g) for g in GOODS if not bundle >> g & 1]
-        for with_g, with_h in combinations(outside, 2):
-            if value_table[with_g] + value_table[with_h] < value_table[with_g | with_h] + base:
-                return False
-    return True
+def _submodular(value_table: tuple[int, ...]) -> bool:
+    """Whether f(S+g) + f(S+h) >= f(S+g+h) + f(S) for every S and goods
+    g < h outside S, the local test: chaining the goods of T - S one at a
+    time turns it into diminishing returns for every nested S within T,
+    so the two agree on any set function.  One lane comparison over
+    core's four submodular_index columns, each translated through the
+    table shifted into [0, R], in lanes of sum_lane_width(R): each side
+    lies in [0, 2R], so lhs + flags - rhs has every top bit set exactly
+    when every lhs >= rhs."""
+    low = min(value_table)
+    width = sum_lane_width(max(value_table) - low)
+    table = lane_table([value - low for value in value_table], width)
+    with_g, with_h, with_both, base = (lane_translate(column, table, width) for column in submodular_index())
+    flags = lane_flags(len(submodular_index()[0]), width)
+    return (with_g + with_h + flags - with_both - base) & flags == flags
 
 
 def check_submodular(
@@ -745,10 +825,10 @@ def check_submodular(
     """Diminishing returns: for every good g and nested S within T avoiding
     g, the marginal of g on S is at least its marginal on T.
 
-    The local test of _locally_submodular (1792 sums) decides a passing
-    table.  A failing one is enumerated by submask iteration over the
-    nested pairs, for its witnesses in scan order.  checked counts all
-    8 * 3^7 ordered nested pairs.
+    The local test of _submodular (1792 sums in one lane comparison)
+    decides a passing table.  A failing one is enumerated by submask
+    iteration over the nested pairs, for its witnesses in scan order.
+    checked counts all 8 * 3^7 ordered nested pairs.
     """
 
     def violations() -> Iterator[Witness]:
@@ -772,7 +852,7 @@ def check_submodular(
                     break
                 t = (t - 1) & rest
 
-    if _locally_submodular(value_table):
+    if _submodular(value_table):
         passed, witnesses = True, ()
     else:
         passed, witnesses = _first_violations(violations(), witness_limit)
@@ -792,6 +872,15 @@ def _lower_rank_maxima(rank_table: tuple[int, ...], key_table: tuple[int, ...]) 
     return dict(zip(ranks, accumulate(map(top_key.__getitem__, ranks), max, initial=min(key_table) - 1)))
 
 
+def _keeps_strict_order(rank_table: tuple[int, ...], key_table: tuple[int, ...]) -> bool:
+    """Whether every bundle ranked strictly above another has a strictly
+    higher key: one whole-table comparison.  It holds exactly when each
+    rank's largest key lies below the next rank's smallest, that is when
+    the keys of the distinct (rank, key) pairs, sorted, strictly ascend,
+    so that they are the table's distinct keys in order."""
+    return list(map(itemgetter(1), sorted(set(zip(rank_table, key_table))))) == sorted(set(key_table))
+
+
 def check_strict_consistency(
     rank_table: tuple[int, ...],
     key_table: tuple[int, ...],
@@ -802,15 +891,16 @@ def check_strict_consistency(
     """A strictly higher rank forces a strictly higher value, over all
     65536 ordered bundle pairs.
 
-    Row S holds a violation exactly when key(S) is at most the largest
-    key of a strictly lower rank, a running maximum over the distinct
-    ranks; only such rows are scanned.  display is as for check_monotone.
-    checked counts all 65536 pairs.
+    _keeps_strict_order decides a passing table.  In a failing one, row S
+    holds a violation exactly when key(S) is at most the largest key of a
+    strictly lower rank, a running maximum over the distinct ranks; only
+    such rows are scanned, for the witnesses in scan order.  display is
+    as for check_monotone.  checked counts all 65536 pairs.
     """
     show = display or key_table.__getitem__
-    below = _lower_rank_maxima(rank_table, key_table)
 
     def violations() -> Iterator[Witness]:
+        below = _lower_rank_maxima(rank_table, key_table)
         for first in ALL_BUNDLES:
             rank_first, key_first = rank_table[first], key_table[first]
             if key_first > below[rank_first]:
@@ -821,7 +911,10 @@ def check_strict_consistency(
                         bundle_s=members(first), bundle_t=members(second), lhs=show(first), rhs=show(second)
                     )
 
-    passed, witnesses = _first_violations(violations(), witness_limit)
+    if _keeps_strict_order(rank_table, key_table):
+        passed, witnesses = True, ()
+    else:
+        passed, witnesses = _first_violations(violations(), witness_limit)
     return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, passed, witnesses, {})
 
 
@@ -1035,13 +1128,6 @@ def verify_cyclic_symmetry(profile: Profile, witness_limit: int = 10) -> Verdict
     )
 
 
-def _strict_order_breaks(rank_table: tuple[int, ...], key_table: tuple[int, ...]) -> bool:
-    """Whether some bundle ranks strictly above another without a
-    strictly higher key."""
-    below = _lower_rank_maxima(rank_table, key_table)
-    return any(map(le, key_table, map(below.__getitem__, rank_table)))
-
-
 @lru_cache(maxsize=1)
 def _ordinal_triples(rank_tables: tuple[tuple[int, ...], ...]) -> int:
     """Ordinal strong-envy triples (allocation, i, j != i, g in X_j) with
@@ -1082,7 +1168,7 @@ def verify_transfer(
     ranks = ordinal_profile.ordinal.rank_tables
     keys = profile_value_keys(cardinal_profile)
     triples = _ordinal_triples(ranks)
-    breaking = [i for i in range(N_AGENTS) if _strict_order_breaks(ranks[i], keys[i])]
+    breaking = [i for i in range(N_AGENTS) if not _keeps_strict_order(ranks[i], keys[i])]
 
     def violations() -> Iterator[Witness]:
         for counter, allocation in enumerate(zip(*bundle_columns())):

@@ -20,9 +20,9 @@ from oracles import (
 )
 
 from efxcheck.cardinal import (
-    _PAIR_GAP_LIMIT,
-    ApproxFactor,
     BASE_COVERAGE_ATOMS,
+    PAIR_GAP_LIMIT,
+    ApproxFactor,
     LevelValue,
     SupportCollapseError,
     build_coverage,
@@ -183,7 +183,7 @@ def test_pair_gap_table_is_the_exact_ring_threshold():
         assert reaching == list(range(d, d + len(reaching)))
         if reaching:
             derived[d] = reaching[-1]
-    assert derived == _PAIR_GAP_LIMIT
+    assert derived == PAIR_GAP_LIMIT
 
 
 def test_level_sum_compare_matches_exact_ring_sign_on_every_gap():

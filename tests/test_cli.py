@@ -411,7 +411,8 @@ def test_cli_import_builds_no_universe_column():
         "print([f.__name__ for f in (core.bundle_columns, core.size_codes, core.nonempty_mask, "
         "core.rotation_column, core.holds_columns, core.reduction_index, verify._reduction_columns, "
         "verify._key_reduction, verify._bundle_members, verify._pattern_keys, "
-        "verify._first_pair_candidates) if f.cache_info().currsize])"
+        "verify._first_pair_candidates, core.submodular_index, core._lacks_masks) "
+        "if f.cache_info().currsize])"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -28,10 +28,10 @@ from oracles import (
     universe,
 )
 
-from efxcheck import verify
+from efxcheck import core, verify
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled
 from efxcheck.core import N_ALLOCATIONS
-from efxcheck.ordinal import load_template
+from efxcheck.ordinal import bundled_instance_text, load_template
 from efxcheck.verify import (
     Profile,
     builtin,
@@ -182,8 +182,11 @@ def test_serving_the_builtin_commands_again_misses_no_cache():
         verify._key_reduction,
         verify._status_column,
         verify._deficits,
+        verify._deficit_profile,
         verify._reduction_columns,
         verify._pair_sum_sign,
+        core.submodular_index,
+        core._lacks_masks,
     )
     passes = []
     for _ in range(2):
@@ -195,11 +198,22 @@ def test_serving_the_builtin_commands_again_misses_no_cache():
 
 def test_pair_sum_cache_stays_bounded_across_top_ranks():
     # Each top_rank shifts every exponent, so each suite reads exponent
-    # triples that no earlier one did.
-    table = builtin("subadditive").subadditive.exponent_tables[0]
-    before = check_subadditive(table, "subadditive")
-    for shift in range(1, 41):
-        check_subadditive(tuple(None if e is None else e + shift for e in table), "subadditive")
-    info = verify._pair_sum_sign.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert check_subadditive(table, "subadditive") == before
+    # triples that no earlier one did.  The cache is keyed by exponent
+    # gaps, so after the first shift the shifted suites add no miss.  The
+    # built-in table leaves no row to the walk; at top_rank 30 the walk
+    # signs pairs.
+    doc = json.loads(bundled_instance_text())
+    doc["top_rank"] = 30
+    walked = build_subadditive(load_template(json.dumps(doc))[1]).exponent_tables[0]
+    verify._pair_sum_sign.cache_clear()
+    for table in (builtin("subadditive").subadditive.exponent_tables[0], walked):
+        before = check_subadditive(table, "subadditive")
+        misses = []
+        for shift in range(1, 41):
+            check_subadditive(tuple(None if e is None else e + shift for e in table), "subadditive")
+            misses.append(verify._pair_sum_sign.cache_info().misses)
+        info = verify._pair_sum_sign.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert misses == misses[:1] * 40
+        assert check_subadditive(table, "subadditive") == before
+    assert misses[0] > 0

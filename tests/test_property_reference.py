@@ -18,6 +18,14 @@ bundle, rank ties and perturbed coverage tables), doctored monotone and
 support tables (a single violation in the last lane, more than 128
 distinct keys), and tables generated by Hypothesis with a fixed seed and
 no example database.
+
+Submodularity, strict consistency and the subadditive row bound are each
+decided by one whole-table comparison in lanes.  Their gates: doctored
+tables with a single violation in the last triple or bundle, passing
+tables other than the built-ins (coverage from random atoms is always
+submodular), tables whose spread forces wider lanes (negative values, a
+spread of at least 64), and the subadditive rows that the lanes leave to
+the walk against each row's bound signed by the exact ring arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from helpers import random_template_doc
 from oracles import exact_level_sign
 
 from efxcheck.cardinal import build_coverage, build_subadditive
-from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, GOODS, members
+from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, GOODS, members, submodular_index, sum_lane_width
 from efxcheck.ordinal import bundled_instance_text, load_template
 from efxcheck.verify import (
     Profile,
@@ -48,7 +56,9 @@ from efxcheck.verify import (
     check_subadditive,
     check_submodular,
     check_support_collapse,
+    _unbounded_rows,
     display_value,
+    level_keys,
     profile_value_keys,
     property_reports,
 )
@@ -448,6 +458,118 @@ def test_doctored_support_collapse_matches_reference(limit):
         assert check_support_collapse(table, labels, "claim", witness_limit=limit) == expected
 
 
+# --- whole-table decisions -----------------------------------------------------
+
+# (scale, offset) of a doctored table's values: one-byte lanes, a spread
+# of at least 64, negative values, and both.
+LANE_SCALES = ((1, 0), (100, 0), (1, -10**6), (10**9, -(10**12)))
+DOCTORED_LIMITS = (0, 1, 10)
+
+
+def assert_cut_matches(check, reference, *tables, limit):
+    full = reference(*tables, "claim", witness_limit=max(DOCTORED_LIMITS))
+    assert check(*tables, "claim", witness_limit=limit) == full.replace(witnesses=full.witnesses[:limit])
+    return full
+
+
+def _last_triple_coverage(scale: int, offset: int) -> tuple[int, ...]:
+    """offset + scale * a coverage function whose local test has slack in
+    every triple but the last one, S = goods 2..7 with g = 0 and h = 1:
+    a weight-one atom on each pair of goods 2..7, and atoms {0, 7},
+    {1, 6} and {0, 1, 5}, each of which meets S.  Raising the value of S
+    by one then breaks that triple alone."""
+    atoms = [(1 << a | 1 << b, 1) for a in range(2, 8) for b in range(a + 1, 8)]
+    atoms += [(0b10000001, 1), (0b1000010, 1), (0b100011, 1)]
+    return tuple(offset + scale * sum(w for covered, w in atoms if bundle & covered) for bundle in ALL_BUNDLES)
+
+
+@pytest.mark.parametrize("limit", DOCTORED_LIMITS)
+@pytest.mark.parametrize("scale, offset", LANE_SCALES)
+def test_submodular_single_violation_in_the_last_triple(scale, offset, limit):
+    last = 0b11111100
+    assert [column[-1] for column in submodular_index()] == [last | 1, last | 2, FULL_BUNDLE, last]
+    passing = _last_triple_coverage(scale, offset)
+    failing = tuple(value + (bundle == last) for bundle, value in enumerate(passing))
+    assert (sum_lane_width(max(passing) - min(passing)) == 1) == (scale == 1)
+    assert assert_cut_matches(check_submodular, reference_submodular, passing, limit=limit).passed
+    assert not assert_cut_matches(check_submodular, reference_submodular, failing, limit=limit).passed
+
+
+@pytest.mark.parametrize("scale, offset", LANE_SCALES)
+@pytest.mark.parametrize("seed", range(8))
+def test_coverage_from_random_atoms_passes_submodularity(seed, scale, offset):
+    rng = random.Random(seed)
+    atoms = [(rng.randint(1, FULL_BUNDLE), rng.randint(1, 9)) for _ in range(rng.randint(1, 11))]
+    table = tuple(offset + scale * sum(w for covered, w in atoms if bundle & covered) for bundle in ALL_BUNDLES)
+    assert assert_cut_matches(check_submodular, reference_submodular, table, limit=10).passed
+
+
+@pytest.mark.parametrize("limit", DOCTORED_LIMITS)
+@pytest.mark.parametrize("scale, offset", LANE_SCALES)
+def test_strict_consistency_single_violation_in_the_last_bundle(scale, offset, limit):
+    ranks = builtin("ordinal").ordinal.rank_tables[0]
+    assert ranks[FULL_BUNDLE] == max(ranks) and max(ranks) - 1 in ranks
+    passing = tuple(offset + scale * rank for rank in ranks)
+    # The full bundle's key drops to the next rank's: it ties every bundle
+    # of that rank, and no other pair breaks.
+    failing = passing[:FULL_BUNDLE] + (offset + scale * (max(ranks) - 1),)
+    check, reference = check_strict_consistency, reference_strict_consistency
+    assert assert_cut_matches(check, reference, ranks, passing, limit=limit).passed
+    full = assert_cut_matches(check, reference, ranks, failing, limit=limit)
+    assert not full.passed and {w.bundle_s for w in full.witnesses} == {members(FULL_BUNDLE)}
+
+
+@lru_cache(maxsize=1)
+def _supersets() -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(s for s in ALL_BUNDLES if s & bundle == bundle) for bundle in ALL_BUNDLES)
+
+
+def reference_unbounded_rows(exponent_table) -> list[int]:
+    """1 for each nonempty S whose row the subadditive bound cannot skip:
+    value(S) + m < U(S), with m the least value of a nonempty bundle and
+    U(S) the greatest over the supersets of S, signed in the exact ring."""
+    nonempty = exponent_table[1:]
+    least = None if None in nonempty else max(nonempty)
+    rows = []
+    for first in ALL_BUNDLES[1:]:
+        # The greatest value is the least exponent; zero only if all are.
+        present = [exponent_table[s] for s in _supersets()[first] if exponent_table[s] is not None]
+        rows.append(int(_sum_sign(exponent_table[first], least, min(present, default=None)) < 0))
+    return rows
+
+
+def _doctored_exponent_tables() -> dict[str, tuple[int | None, ...]]:
+    builtin_table = builtin("subadditive").subadditive.exponent_tables[0]
+    top_rank_30 = json.loads(bundled_instance_text())
+    top_rank_30["top_rank"] = 30
+    return {
+        "builtin": builtin_table,
+        # Every bundle worth 1 but bundle 254, worth q**7: only its row,
+        # the last row that can be left to the walk, is, and it passes.
+        "last-row-only": tuple(7 if bundle == 254 else 0 for bundle in ALL_BUNDLES),
+        "top-rank-30": build_subadditive(load_template(json.dumps(top_rank_30))[1]).exponent_tables[0],
+        "scaled-1000": tuple(None if e is None else 1000 * e for e in builtin_table),
+        "shifted-up": tuple(None if e is None else e + 30 for e in builtin_table),
+        "zero-nonempty": builtin_table[:5] + (None,) + builtin_table[6:],
+        "doubled": tuple(None if b == 0 else 2 * (8 - b.bit_count()) for b in ALL_BUNDLES),
+    }
+
+
+@pytest.mark.parametrize("limit", DOCTORED_LIMITS)
+@pytest.mark.parametrize("name", _doctored_exponent_tables())
+def test_subadditive_rows_left_to_the_walk_match_exact_bound(name, limit):
+    table = _doctored_exponent_tables()[name]
+    expected_rows = reference_unbounded_rows(table)
+    assert list(_unbounded_rows(level_keys(table))[1:]) == expected_rows
+    full = assert_cut_matches(check_subadditive, reference_subadditive, table, limit=limit)
+    if name in ("builtin", "shifted-up"):
+        assert full.passed and not any(expected_rows)
+    if name == "last-row-only":
+        assert full.passed and expected_rows == [0] * 253 + [1, 0]
+    if name == "scaled-1000":
+        assert not full.passed and sum_lane_width(max(level_keys(table))) == 2
+
+
 # --- generated tables ------------------------------------------------------------
 
 exponents = st.one_of(st.none(), st.integers(0, 9))
@@ -503,3 +625,9 @@ def test_generated_submodular_matches_reference(table):
 @given(rank_key_tables())
 def test_generated_strict_consistency_matches_reference(tables):
     assert_strict_matches(*tables)
+
+
+@HYPOTHESIS
+@given(st.one_of(level_tables(), st.lists(exponents, min_size=256, max_size=256)))
+def test_generated_subadditive_rows_match_exact_bound(table):
+    assert list(_unbounded_rows(level_keys(tuple(table)))[1:]) == reference_unbounded_rows(table)
