@@ -10,12 +10,12 @@ once, as three byte columns holding X0, X1 and X2 of every allocation in
 counter order, and a counter's allocation is the three bytes at its
 index.  Every other universe column is derived from those three, and
 depends on the universe and a relabeling alone, never on a valuation:
-each allocation's bundle sizes as one size code, the mask of
-allocations with no empty bundle, and, per relabeling, each
-allocation's rotated counter.  Each
-is built on first use, never at import, and claims read them with
-bytes.translate, compress, Counter and whole-column integer arithmetic
-instead of recounting per allocation.
+each allocation's bundle sizes as one size code, each size code's
+allocations as bits, the mask of allocations with no empty bundle, and,
+per relabeling, each allocation's rotated counter.  Each is built on
+first use, never at import, and claims read them with bytes.translate,
+bytes.find, popcounts and whole-column integer arithmetic instead of
+recounting per allocation.
 
 A lane column holds one byte per allocation (or per bundle) in the low
 byte of a big-endian lane of one or two bytes, over zero pad bytes.  Read
@@ -229,6 +229,39 @@ def size_codes() -> bytes:
     nine_sizes = bytes(map((N_GOODS + 1).__mul__, BUNDLE_SIZES))
     codes = int.from_bytes(x0.translate(nine_sizes), "big") + int.from_bytes(x1.translate(BUNDLE_SIZES), "big")
     return codes.to_bytes(N_ALLOCATIONS, "big")
+
+
+# A bytes.translate table from a byte to the character "1" when it is not
+# 0, else "0": int(column.translate(_BIT_CHARS), 2) packs a column into one
+# bit per allocation, counter 0 the most significant.
+_BIT_CHARS = b"0" + b"1" * 255
+
+
+@lru_cache(maxsize=1)
+def size_code_masks() -> tuple[tuple[int, int], ...]:
+    """Each of the 45 size codes, ascending, with the bits of the
+    allocations that have it, packed as _BIT_CHARS packs a column.  A size
+    code is below 2^7, so each mask is an AND of the 7 bit planes of
+    size_codes(), each packed once, or of their complements."""
+    codes = size_codes()
+    full = (1 << N_ALLOCATIONS) - 1
+    planes = [int(codes.translate(bytes(b"01"[byte >> k & 1] for byte in range(256))), 2) for k in range(7)]
+    masks = []
+    for code in (9 * first + second for first in range(N_GOODS + 1) for second in range(N_GOODS + 1 - first)):
+        mask = full
+        for k, plane in enumerate(planes):
+            mask &= plane if code >> k & 1 else full ^ plane
+        masks.append((code, mask))
+    return tuple(masks)
+
+
+def size_tally(kept: bytes) -> dict[int, int]:
+    """The allocations whose byte in kept is not 0, counted by size code:
+    kept packed into one bit per allocation, ANDed with each of the size
+    code masks and popcounted.  Codes with no such allocation are left
+    out."""
+    bits = int(kept.translate(_BIT_CHARS), 2)
+    return {code: count for code, mask in size_code_masks() if (count := (bits & mask).bit_count())}
 
 
 @lru_cache(maxsize=1)

@@ -10,10 +10,11 @@ construction pipeline.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .cardinal import support_value_table
-from .core import GOODS, Record, bundle_of, members
+from .core import GOODS, Bundle, Record, bundle_of
 from .ordinal import InstanceTemplate, OrdinalProfile, builtin_profile
 from .verify import builtin
 
@@ -82,24 +83,39 @@ class TableArtifact(Record):
         }
 
 
-def _triple_word(bundle: int) -> str:
-    return "".join(str(g) for g in members(bundle))
+@lru_cache(maxsize=2)
+def _sized_bundles(size: int) -> tuple[tuple[Bundle, tuple[int, ...], str], ...]:
+    """The bundles of size goods (28 pairs, 56 triples) in combinations
+    order, each with its goods and its word, the goods' digits."""
+    return tuple((bundle_of(goods), goods, "".join(map(str, goods))) for goods in combinations(GOODS, size))
 
 
-def _type_multiset_label(goods: tuple[int, ...], template: InstanceTemplate) -> str:
+@lru_cache(maxsize=2)
+def _pair_keys(template: InstanceTemplate) -> tuple[tuple[str, str], ...]:
+    """The sorted type pair of every two-good bundle, in _sized_bundles
+    order."""
     type_of_good = template.type_of_good()
-    return "".join(sorted((type_of_good[g] for g in goods), key=template.type_names().index))
+    return tuple(tuple(sorted(map(type_of_good.__getitem__, goods))) for _, goods, _ in _sized_bundles(2))
+
+
+@lru_cache(maxsize=2)
+def _triple_labels(template: InstanceTemplate) -> tuple[str, ...]:
+    """The type multiset label of every three-good bundle, its types in
+    declaration order, in _sized_bundles order."""
+    type_of_good = template.type_of_good()
+    order = {name: position for position, name in enumerate(template.type_names())}.__getitem__
+    return tuple(
+        "".join(sorted(map(type_of_good.__getitem__, goods), key=order)) for _, goods, _ in _sized_bundles(3)
+    )
 
 
 def computed_pair_ranks(profile: OrdinalProfile, agent: int) -> tuple[dict[tuple[str, str], int], list[str]]:
     """Pair-rank cells recomputed from rank evaluation on every
     representative two-good bundle; inconsistent cells go to the diff."""
-    type_of_good = profile.template.type_of_good()
+    ranks = profile.rank_tables[agent]
     cells: dict[tuple[str, str], set[int]] = {}
-    for g1, g2 in combinations(GOODS, 2):
-        key = tuple(sorted((type_of_good[g1], type_of_good[g2])))
-        rank = profile.rank_tables[agent][bundle_of((g1, g2))]
-        cells.setdefault(key, set()).add(rank)
+    for key, (bundle, _, _) in zip(_pair_keys(profile.template), _sized_bundles(2)):
+        cells.setdefault(key, set()).add(ranks[bundle])
     diff = [
         f"cell {key}: representatives disagree: {sorted(values)}"
         for key, values in sorted(cells.items())
@@ -113,7 +129,7 @@ def _matrix_rows(cells: dict[tuple[str, str], int], names: tuple[str, ...]) -> t
     for first in names:
         row = [first]
         for second in names:
-            key = tuple(sorted((first, second)))
+            key = (first, second) if first <= second else (second, first)
             row.append(cells.get(key, "--"))
         rows.append(tuple(row))
     return tuple(rows)
@@ -137,12 +153,11 @@ def table1_artifact() -> TableArtifact:
 
 def computed_top_triples(profile: OrdinalProfile, agent: int) -> dict[str, tuple[str, ...]]:
     """Triples holding the top rank for an agent, grouped by type label."""
+    ranks, top = profile.rank_tables[agent], profile.top_rank
     grouped: dict[str, list[str]] = {}
-    for triple in combinations(GOODS, 3):
-        if profile.rank_tables[agent][bundle_of(triple)] == profile.top_rank:
-            grouped.setdefault(_type_multiset_label(triple, profile.template), []).append(
-                _triple_word(bundle_of(triple))
-            )
+    for label, (bundle, _, word) in zip(_triple_labels(profile.template), _sized_bundles(3)):
+        if ranks[bundle] == top:
+            grouped.setdefault(label, []).append(word)
     return {label: tuple(sorted(words)) for label, words in sorted(grouped.items())}
 
 

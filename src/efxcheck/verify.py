@@ -29,18 +29,20 @@ differences, so it runs in lanes as wide as the key spread needs
 Its tuple, histogram, d*, argmin and nonempty minimum are read off it
 once per cached column, and the scaled scan's slack test is one lane
 comparison.  Level keys are anchored at zero, so a derived subadditive
-profile reads the ordinal kind's columns.  The others are core's universe columns,
-which no valuation changes: size codes, the nonempty mask and the
-rotation column.  Claims read them with C-level operations: no-EFX
-counts status bytes and the size codes left once those of agent-0
-infeasible allocations are deleted, size patterns count a class column
-translated from the size codes, the first pair reads a cached candidate
-list, cyclic symmetry checks that the rotation column sends every EFX
-counter to an EFX counter, and alpha-star and the scaled scan read the
-deficit kernel under the nonempty mask.  A 6561-allocation universe
-gains nothing from a process pool.  This module owns every EFX read: the
-scans, and is_efx and strong_envy_witness, which walk one allocation's
-triples on the rank tables.
+profile reads the ordinal kind's columns.  The others are core's
+universe columns, which no valuation changes: size codes, size code
+masks, the nonempty mask and the rotation column.  Claims read them with
+C-level operations and never iterate over the allocations they skip:
+witnesses are found by bytes.find, counts by bytes.count, and size
+breakdowns by popcounts of a column packed into one bit per allocation
+and ANDed with each size code's mask.  The first pair ANDs the status
+column with a cached column of candidate first pairs, cyclic symmetry
+checks that the rotation column sends every EFX counter to an EFX
+counter, and alpha-star and the scaled scan read the deficit kernel
+under the nonempty mask.  A 6561-allocation universe gains nothing from
+a process pool.  This module owns every EFX read: the scans, and is_efx
+and strong_envy_witness, which walk one allocation's triples on the rank
+tables.
 
 Every property check decides a passing table by one whole-table
 comparison, and walks only a failing table, for its witnesses in scan
@@ -119,6 +121,7 @@ from .core import (
     rotation_column,
     size_code_table,
     size_codes,
+    size_tally,
     submodular_index,
     sum_lane_width,
     superset_max,
@@ -185,19 +188,29 @@ def level_keys(exponent_table: tuple[int | None, ...]) -> tuple[int, ...]:
     return tuple(map(key.__getitem__, exponent_table))
 
 
+@lru_cache(maxsize=2)
+def _level_key_tables(exponent_tables: tuple[tuple[int | None, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The level keys of every agent's exponent table, built once per set
+    of tables.  A warm process serving the built-in commands reads one
+    set; the cache also keeps one other, so a payload read between them
+    does not evict the built-in's."""
+    return tuple(map(level_keys, exponent_tables))
+
+
 def profile_value_keys(profile: Profile) -> tuple[tuple[int, ...], ...]:
     """Per-agent 256-entry tables of exact order keys for the profile's kind.
 
     Keys preserve the exact value order: ranks for ordinal profiles,
     level_keys for level values, and the integer coverage values
     themselves.  A derived subadditive profile's keys equal its rank
-    tables, so every column cached per key table serves both kinds.
+    tables, so every column cached per key table serves both kinds; they
+    are built once per set of exponent tables (_level_key_tables).
     """
     if profile.kind == "ordinal":
         return profile.ordinal.rank_tables
     if profile.kind == "coverage":
         return profile.coverage.value_tables  # type: ignore[union-attr]
-    return tuple(map(level_keys, profile.subadditive.exponent_tables))  # type: ignore[union-attr]
+    return _level_key_tables(profile.subadditive.exponent_tables)  # type: ignore[union-attr]
 
 
 def display_value(profile: Profile, agent: int, bundle: Bundle) -> int | str:
@@ -339,12 +352,27 @@ def _pattern_keys(prefix: str) -> tuple[str, ...]:
 
 def _pattern_breakdown(prefix: str, kept: bytes) -> dict[str, int]:
     """The allocations whose byte in kept is not 0, counted by their
-    bundle sizes, as breakdown entries: the size codes of the others are
-    flagged with 0x80, which no size code reaches, and deleted in one
-    translate, and Counter tallies the rest."""
-    flagged = int.from_bytes(size_codes(), "big") | int.from_bytes(kept.translate(_FLAG_ZERO), "big")
-    counts = Counter(flagged.to_bytes(N_ALLOCATIONS, "big").translate(None, _FLAGGED))
-    return dict(zip(map(_pattern_keys(prefix).__getitem__, counts), counts.values()))
+    bundle sizes (core's size_tally), as breakdown entries."""
+    keys = _pattern_keys(prefix)
+    return {keys[code]: count for code, count in size_tally(kept).items()}
+
+
+def _first_counters(column: bytes, byte: int, limit: int) -> list[int]:
+    """The first limit counters whose byte in column is byte, in counter
+    order: each found by one bytes.find from the counter after the last,
+    so the allocations in between are skipped in C."""
+    found: list[int] = []
+    at = -1
+    while len(found) < limit and (at := column.find(byte, at + 1)) >= 0:
+        found.append(at)
+    return found
+
+
+def _where(kept: bytes, column: bytes) -> bytes:
+    """column's bytes at the allocations whose byte in kept is not 0, and 0
+    at the others: one AND of the two read as integers."""
+    mask = int.from_bytes(kept.translate(_NONZERO), "big")
+    return (int.from_bytes(column, "big") & mask).to_bytes(N_ALLOCATIONS, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +394,9 @@ _EFX = bytes(status == 2 for status in range(256))
 # plus 1 when agent 1 or 2 does) to the status byte.
 _STATUS = bytes((2, 1, 0, 0)) + bytes(252)
 
-# Byte 0 to the flag 0x80, which no size code reaches, and the flagged
-# bytes, for deleting the allocations that agent 0 finds infeasible
-# (status 0) or that a mask drops.
-_FLAG_ZERO = b"\x80" + bytes(255)
-_FLAGGED = bytes(range(0x80, 0x100))
+# A bytes.translate table from a byte to 0xFF when it is not 0, else 0: a
+# column as a byte mask.
+_NONZERO = b"\0" + b"\xff" * 255
 
 
 def _lane_width(dense: bytes) -> int:
@@ -521,19 +547,18 @@ def verify_no_efx(profile: Profile, witness_limit: int = 10) -> VerdictReport:
 
     A witness is an EFX allocation (a counterexample to the claim).  The
     breakdown counts allocations feasible for agent 0 by size pattern and
-    records the total EFX count.  Both are read off the status column:
-    the size codes of the infeasible allocations are flagged and deleted
-    in one translate, and Counter tallies the rest.
+    records the total EFX count.  All three are read off the status
+    column: the witnesses by bytes.find, the count by bytes.count, and
+    the breakdown by popcounts of its nonzero bytes (core's size_tally).
     """
     column = _status_column(profile_value_keys(profile))
     efx_count = column.count(2)
-    efx = compress(range(N_ALLOCATIONS), column.translate(_EFX))
     return _report(
         claim=f"no_efx_{profile.kind}",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
         passed=not efx_count,
-        witnesses=_allocation_witnesses(islice(efx, max(witness_limit, 0))),
+        witnesses=_allocation_witnesses(_first_counters(column, 2, witness_limit)),
         breakdown={"efx_allocations": efx_count, **_pattern_breakdown("feasible0", column)},
     )
 
@@ -571,16 +596,14 @@ def verify_no_alpha_efx(
     if any(None in table[1:] for table in profile.subadditive.exponent_tables):  # type: ignore[union-attr]
         raise ValueError("scaled verification needs a positive level value on every nonempty bundle")
     within_slack = _at_most(*_deficits(profile_value_keys(profile)), level_slack(alpha))
-    holds = (int.from_bytes(within_slack, "big") & int.from_bytes(nonempty_mask(), "big")).to_bytes(
-        N_ALLOCATIONS, "big"
-    )
+    holds = _where(nonempty_mask(), within_slack)
     count = holds.count(1)
     return _report(
         claim=f"no_alpha_efx({alpha})",
         universe=N_ALLOCATIONS,
         checked=N_ALLOCATIONS,
         passed=not count,
-        witnesses=_allocation_witnesses(islice(compress(range(N_ALLOCATIONS), holds), max(witness_limit, 0))),
+        witnesses=_allocation_witnesses(_first_counters(holds, 1, witness_limit)),
         breakdown={"alpha_efx_allocations": count, **_pattern_breakdown("alpha_efx", holds)},
     )
 
@@ -923,12 +946,16 @@ def check_support_collapse(
     support_labels: tuple[str, ...],
     claim: str,
     witness_limit: int = 10,
+    representatives: tuple[Bundle, ...] | None = None,
 ) -> VerdictReport:
     """The value of a bundle depends only on its type support: each
     bundle is compared with its support class's representative.  The
     table read at the representatives decides a passing table; a failing
-    one is walked bundle by bundle for its witnesses in scan order."""
-    representatives = support_representatives(support_labels)
+    one is walked bundle by bundle for its witnesses in scan order.  A
+    suite that checks several tables on the same labels passes their
+    support_representatives in, computed once."""
+    if representatives is None:
+        representatives = support_representatives(support_labels)
 
     def violations() -> Iterator[Witness]:
         for bundle, representative in zip(ALL_BUNDLES, representatives):
@@ -994,35 +1021,44 @@ def check_normalized_ints(value_table: tuple[int, ...], claim: str) -> VerdictRe
 
 
 @lru_cache(maxsize=1)
-def _first_pair_candidates() -> tuple[tuple[int, ...], tuple[Bundle, ...]]:
-    """Counters, and first bundles, of the allocations whose first bundle
-    is a pair and whose other two bundles hold at least two goods each."""
+def _first_pair_candidates() -> tuple[int, bytes, bytes]:
+    """The candidates are the allocations whose first bundle is a pair and
+    whose other two bundles hold at least two goods each.  Returns (their
+    number; a column holding each candidate's first bundle as its index
+    among the 28 pair bundles plus one, and 0 at every other allocation;
+    the 28 pair bundles, ascending)."""
     shape = size_code_table(lambda first, second, third: first == 2 and second >= 2 and third >= 2)
     candidates = size_codes().translate(shape)
-    return tuple(compress(range(N_ALLOCATIONS), candidates)), tuple(compress(bundle_columns()[0], candidates))
+    pairs = bytes(bundle for bundle in ALL_BUNDLES if BUNDLE_SIZES[bundle] == 2)
+    pair_index = bytes(pairs.find(bundle) + 1 for bundle in ALL_BUNDLES)
+    return candidates.count(1), _where(candidates, bundle_columns()[0].translate(pair_index)), pairs
 
 
 def verify_lemma_first_pair(profile: Profile, witness_limit: int = 10) -> VerdictReport:
     """When the first bundle is a pair and no other bundle is smaller than
     a pair, agent-0 feasibility confines the pair's type support to
-    Ax, Ay, BC, By, Cy."""
-    column = _status_column(profile_value_keys(profile))
-    counters, firsts = _first_pair_candidates()
-    statuses = list(map(column.__getitem__, counters))
-    labels = list(map(profile.ordinal.support_labels.__getitem__, compress(firsts, statuses)))
-    violations = [
-        counter
-        for counter, label in zip(compress(counters, statuses), labels)
-        if label not in ALLOWED_FIRST_PAIR_LABELS
-    ]
-    label_counts = Counter(labels)
+    Ax, Ay, BC, By, Cy.
+
+    The status column's nonzero bytes keep the feasible candidates'
+    first-pair indices, in one AND.  One translate that deletes the rest
+    turns those into label codes, counted per label, and another marks
+    the disallowed labels, whose first allocations bytes.find gives."""
+    candidates, first_pairs, pairs = _first_pair_candidates()
+    feasible = _where(_status_column(profile_value_keys(profile)), first_pairs)
+    labels = list(map(profile.ordinal.support_labels.__getitem__, pairs))
+    names = list(dict.fromkeys(labels))
+    codes = bytes([0, *(names.index(label) + 1 for label in labels)]).ljust(256, b"\0")
+    found = feasible.translate(codes, b"\0")
+    disallowed = bytes([0, *(label not in ALLOWED_FIRST_PAIR_LABELS for label in labels)]).ljust(256, b"\0")
+    violating = feasible.translate(disallowed)
+    label_counts = zip(names, map(found.count, range(1, len(names) + 1)))
     return _report(
         claim="first_pair_restriction",
-        universe=len(counters),
-        checked=len(counters),
-        passed=not violations,
-        witnesses=_allocation_witnesses(violations[: max(witness_limit, 0)]),
-        breakdown={f"feasible_first_pair[{label}]": n for label, n in label_counts.items()},
+        universe=candidates,
+        checked=candidates,
+        passed=1 not in violating,
+        witnesses=_allocation_witnesses(_first_counters(violating, 1, witness_limit)),
+        breakdown={f"feasible_first_pair[{label}]": n for label, n in label_counts if n},
     )
 
 
@@ -1050,14 +1086,17 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
     size at most one in first position, none has ordered sizes (2,2,4),
     and none has (2,3,3).
 
-    The class sizes are cross-checked against multinomial counts, and the
-    rotation argument's completeness (every size multiset of 8 into 3
-    parts is reachable from one of the three classes by rotation) is
-    verified by enumerating all ordered size triples.
+    The class column is kept at the EFX allocations, in one AND: each
+    class's EFX count is one bytes.count on it, and a failing class's
+    witnesses are found by bytes.find.  The class sizes are cross-checked
+    against multinomial counts, and the rotation argument's completeness
+    (every size multiset of 8 into 3 parts is reachable from one of the
+    three classes by rotation) is verified by enumerating all ordered
+    size triples.
     """
     efx = _status_column(profile_value_keys(profile)).translate(_EFX)
     classes = size_codes().translate(_SIZE_CLASS)
-    efx_per_class = Counter(compress(classes, efx))
+    efx_classes = _where(efx, classes)
 
     factorial = math.factorial
     expected_universe = {
@@ -1076,15 +1115,14 @@ def verify_size_pattern_props(profile: Profile, witness_limit: int = 10) -> Verd
     passed = covered
     total_universe = 0
     for index, name in enumerate(_SIZE_CLASSES, 1):
-        universe, efx_count = classes.count(index), efx_per_class[index]
+        universe, efx_count = classes.count(index), efx_classes.count(index)
         total_universe += universe
         breakdown[f"universe[{name}]"] = universe
         breakdown[f"efx[{name}]"] = efx_count
         if universe != expected_universe[name] or efx_count:
             passed = False
         if efx_count:
-            in_class = [counter for counter in compress(range(N_ALLOCATIONS), efx) if classes[counter] == index]
-            witness_counters += in_class[: max(0, witness_limit - len(witness_counters))]
+            witness_counters += _first_counters(efx_classes, index, witness_limit - len(witness_counters))
     return _report(
         claim="size_pattern_propositions",
         universe=total_universe,
@@ -1217,6 +1255,7 @@ def property_reports(profile: Profile, witness_limit: int = 10) -> list[VerdictR
                     witness_limit=witness_limit,
                 )
             )
+        representatives = support_representatives(ordinal.support_labels)
         for agent in range(N_AGENTS):
             reports.append(
                 check_support_collapse(
@@ -1224,6 +1263,7 @@ def property_reports(profile: Profile, witness_limit: int = 10) -> list[VerdictR
                     ordinal.support_labels,
                     f"support_collapse(rank[{agent}])",
                     witness_limit=witness_limit,
+                    representatives=representatives,
                 )
             )
         return reports
@@ -1269,6 +1309,7 @@ def property_reports(profile: Profile, witness_limit: int = 10) -> list[VerdictR
 
     coverage = profile.coverage
     assert coverage is not None
+    representatives = support_representatives(ordinal.support_labels)
     for agent in range(N_AGENTS):
         table = coverage.value_tables[agent]
         reports.append(
@@ -1292,6 +1333,7 @@ def property_reports(profile: Profile, witness_limit: int = 10) -> list[VerdictR
                 ordinal.support_labels,
                 f"support_collapse(coverage[{agent}])",
                 witness_limit=witness_limit,
+                representatives=representatives,
             )
         )
     return reports

@@ -28,7 +28,7 @@ from oracles import (
     universe,
 )
 
-from efxcheck import core, verify
+from efxcheck import core, tables, verify
 from efxcheck.cardinal import ApproxFactor, LevelValue, build_subadditive, compare_scaled
 from efxcheck.core import N_ALLOCATIONS
 from efxcheck.ordinal import bundled_instance_text, load_template
@@ -185,8 +185,14 @@ def test_serving_the_builtin_commands_again_misses_no_cache():
         verify._deficit_profile,
         verify._reduction_columns,
         verify._pair_sum_sign,
+        verify._level_key_tables,
+        verify._first_pair_candidates,
         core.submodular_index,
         core._lacks_masks,
+        core.size_code_masks,
+        tables._sized_bundles,
+        tables._pair_keys,
+        tables._triple_labels,
     )
     passes = []
     for _ in range(2):
