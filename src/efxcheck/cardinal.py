@@ -7,8 +7,10 @@ Two valuation families share the built-in ordinal instance:
   base q is irrational, so verdicts never touch floating point: single
   comparisons reduce to integer exponent arithmetic, comparisons against
   a rational factor are settled by raising both sides to the sixth power
-  in exact integers, and signed sums of q-powers are decided in the ring
-  generated by q (q has degree 6 over the rationals, with q**6 = 1/2).
+  in exact integers, and a sum of two q-powers against a third is decided
+  by the six-entry gap table PAIR_GAP_LIMIT (level_sum_compare), read off
+  the integer exponent gaps alone (q has degree 6 over the rationals, with
+  q**6 = 1/2).
 
 * weighted coverage: agent 0 values a bundle at the total weight of the
   atoms it intersects, for a fixed eleven-atom list with integer weights

@@ -17,37 +17,36 @@ first use, never at import, and claims read them with bytes.translate,
 bytes.find, popcounts and whole-column integer arithmetic instead of
 recounting per allocation.
 
-A lane column holds one byte per allocation (or per bundle) in the low
-byte of a big-endian lane of one or two bytes, over zero pad bytes.  Read
-by int.from_bytes, it becomes one integer whose lanes a single addition or
-subtraction updates at once: as long as every lane's result stays in
-[0, 2^(8·width) − 1], no carry or borrow crosses into the next lane.
-Keys are compared as dense indices (each key's position among its
-table's distinct keys), which keep the order and are below 0x80 for every
-table of at most 128 distinct keys.  Those take one-byte lanes: for lane
-values a and b below 0x80, a + 0x80 − b lies in [1, 255], so bit 7 of
-the lane is exactly a >= b, and b + 0x7F − a lies in [0, 254], so bit 7
-is exactly b > a.  Wider tables, up to 256 distinct keys, take two-byte
-lanes, where the top bit is bit 15 and the same bounds hold with 0x8000
-and 0x7FFF.  lane_max keeps the larger lane of two lane integers that
-way; efxcheck.ordinal folds its rank recipe with it and efxcheck.verify
-its reduction maxima, and verify's EFX status column compares lanes the
-same way.  reduction_index() lists the one-good reductions of every
-bundle as a byte column, which one translate reads through a table of
-dense keys.
+A lane integer holds one value per allocation (or per bundle) in
+big-endian lanes of width bytes, first allocation first: lane_table
+writes values as lanes, padded to 256 entries, and lane_translate reads
+such a table through a byte column, one translate per byte plane, so one
+addition or subtraction updates every lane at once.  As long as every
+lane's result stays in [0, 2^(8·width) − 1], no carry or borrow crosses
+into the next lane.  sum_lane_width(R) is the one width rule: the least
+w with 2R < 2^(8w − 1), so that for values a, b in [0, R] and any low in
+[R, top − 1], top the lane's top bit, a + low − b lies in [0, 2·top − 2]
+and never borrows.  With low = top − 1, bit 8w − 1 of the lane is then
+exactly a > b; with a + top − b it is exactly a >= b, which is how
+lane_max keeps the larger lane of two lane integers.  Keys compared only
+by order are read as dense indices (each key's position among its
+table's distinct keys), so R is the number of distinct keys less one and
+a table of up to 64 distinct keys takes one-byte lanes; key gaps need
+real key differences, so those lanes are as wide as the spread of the
+values needs.  Python's big integers let one implementation serve every
+width.  lane_values reads the lanes back as ints and lane_tops reads
+their top bits as bytes.
 
-Key gaps need real key differences, not dense indices, so the lanes that
-hold them are as wide as the spread R of the values needs:
-sum_lane_width(R) is the least w with 2R < 2^(8w − 1), so a sum of two
-values in [0, R], or such a sum plus the top bit less another, stays
-inside its lane.  Python's big integers let one implementation serve
-every width.  lane_table writes values as lanes, lane_translate reads
-them through a byte column one byte plane at a time, lane_values reads
-the lanes back as ints and lane_tops reads their top bits as bytes.
-superset_max folds each bundle's supersets into its lane, and
-submodular_index() lists the 1792 (S, g, h) triples of the local
-submodularity test as four byte columns.  Which goods share a type, and
-which permutation relabels them, is a template's to say
+Three folds over the 256 bundle lanes share one per-good step, which
+shifts a good's neighbour lanes onto a bundle's lane, masks them to the
+bundles that lack (or hold) the good, and folds them in with lane_max:
+superset_max and subset_max chain the step over the goods, and
+reduction_max takes one unchained step per good, for the maxima over a
+bundle's one-good reductions.  efxcheck.ordinal folds its rank recipe
+with subset_max and efxcheck.verify its reduction maxima with
+reduction_max.  submodular_index() lists the 1792 (S, g, h) triples of
+the local submodularity test as four byte columns.  Which goods share a
+type, and which permutation relabels them, is a template's to say
 (efxcheck.ordinal).
 
 All values here are immutable, and Record is the base of every value
@@ -274,16 +273,6 @@ def nonempty_mask() -> bytes:
     return (x0 & x1 & x2).to_bytes(N_ALLOCATIONS, "big")
 
 
-def lane_column(column: bytes, width: int) -> bytes:
-    """A byte column widened to big-endian lanes of width bytes: each byte
-    in the low byte of its lane, zero pad bytes above it."""
-    if width == 1:
-        return column
-    lanes = bytearray(width * len(column))
-    lanes[width - 1 :: width] = column
-    return bytes(lanes)
-
-
 def lane_flags(count: int, width: int) -> int:
     """The lane integer of count lanes of width bytes, each holding only
     its top bit."""
@@ -353,34 +342,54 @@ def holds_columns() -> tuple[bytes, ...]:
     return tuple((bytes(1 << g) + b"\1" * (1 << g)) * (128 >> g) for g in GOODS)
 
 
-@lru_cache(maxsize=1)
-def reduction_index() -> bytes:
-    """The one-good reductions of the 256 bundles as 8 blocks of 256
-    bytes, good 0's first: byte B of good g's block is B − g, or B itself
-    when B does not hold g."""
-    return b"".join(bytes(bundle & ~(1 << g) for bundle in ALL_BUNDLES) for g in GOODS)
-
-
 @lru_cache(maxsize=4)
-def _lacks_masks(width: int) -> tuple[int, ...]:
-    """Per good g, the lane integer over the 256 bundles, lanes of width
-    bytes, with every bit set in the lanes whose bundle lacks g."""
+def _good_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """Per good g, (holds, lacks): lane integers over the 256 bundles,
+    lanes of width bytes, with every bit set in the lanes whose bundle
+    holds g, or lacks it, and 0 in the others."""
     full = (1 << 8 * width) - 1
+    holds, lacks = lane_table((0, full), width), lane_table((full, 0), width)
     return tuple(
-        int.from_bytes(lane_column(column.translate(b"\1\0" + bytes(254)), width), "big") * full
-        for column in holds_columns()
+        (lane_translate(column, holds, width), lane_translate(column, lacks, width)) for column in holds_columns()
     )
+
+
+def _good_fold(lanes: int, width: int, upward: bool, chained: bool) -> int:
+    """The per-good step that superset_max, subset_max and reduction_max
+    share, for lanes over the 256 bundles below their top bit.  Per good
+    g, the lane of B + g lies 2^g lanes below B's: shifted up onto B's
+    lane and masked to the bundles that lack g (upward), or B − g's lane
+    shifted down onto B's and masked to the bundles that hold g, it folds
+    in with lane_max.  Chained, each step reads the previous step's
+    result, so after the last a lane holds the largest lane of every
+    superset (or subset) of its bundle; unchained, each reads the input,
+    and the fold starts from 0."""
+    flags = lane_flags(len(ALL_BUNDLES), width)
+    folded = lanes if chained else 0
+    for g, (holds, lacks) in enumerate(_good_masks(width)):
+        source, shift = folded if chained else lanes, 8 * width << g
+        step = source << shift & lacks if upward else source >> shift & holds
+        folded = lane_max(folded, step, flags, width)
+    return folded
 
 
 def superset_max(lanes: int, width: int) -> int:
     """Lane by lane over the 256 bundles, the largest lane of a superset
-    of the bundle, for lanes below their top bit.  Per good g, the lane
-    of B + g lies 2^g lanes below B's; shifted up onto B's lane and
-    masked to the bundles that lack g, it folds in with lane_max."""
-    flags = lane_flags(len(ALL_BUNDLES), width)
-    for g, lacks in zip(GOODS, _lacks_masks(width)):
-        lanes = lane_max(lanes, lanes << (8 * width << g) & lacks, flags, width)
-    return lanes
+    of the bundle, for lanes below their top bit."""
+    return _good_fold(lanes, width, upward=True, chained=True)
+
+
+def subset_max(lanes: int, width: int) -> int:
+    """Lane by lane over the 256 bundles, the largest lane of a subset of
+    the bundle, for lanes below their top bit."""
+    return _good_fold(lanes, width, upward=False, chained=True)
+
+
+def reduction_max(lanes: int, width: int) -> int:
+    """Lane by lane over the 256 bundles, the largest lane of a one-good
+    reduction of the bundle, 0 for the empty bundle, for lanes below
+    their top bit."""
+    return _good_fold(lanes, width, upward=False, chained=False)
 
 
 @lru_cache(maxsize=1)

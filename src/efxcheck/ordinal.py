@@ -27,9 +27,10 @@ it.  By induction on the size: a bundle that a rule ranks has a seed at
 least every seed inside it, since pair ranks are at least 1, a
 singleton's rank, and top_rank is at least every pair rank; every other
 bundle has seed 0, so its largest seed inside is the largest over its
-one-good reductions, which are their ranks.  The fold runs on dense ranks
-(each rank's index among the template's distinct ranks), one byte a
-bundle, so a step over one good is one translate and one core.lane_max.
+one-good reductions, which are their ranks.  The fold is core.subset_max
+on dense ranks (each rank's index among the template's distinct ranks),
+one byte a bundle, so a step over one good is one shift, one mask and
+one core.lane_max.
 
 Agents 1 and 2 rank a bundle by applying the relabeling once or twice and
 asking agent 0.  A profile's bundle_images hold those images, and every
@@ -64,10 +65,8 @@ from .core import (
     Record,
     holds_columns,
     is_permutation,
-    lane_flags,
-    lane_max,
     permutation_power,
-    reduction_index,
+    subset_max,
 )
 
 # Longest template document read from a file, in characters.  The shipped
@@ -171,12 +170,13 @@ def build_profile(template: InstanceTemplate) -> OrdinalProfile:
     columns, one per good, scaled by the good's type bit or image bit.
     Agent 0's dense ranks are seeded (singletons 1, pairs their type
     pair's rank read off the type mask, exceptional triples top_rank) and
-    folded over the goods: after good g's step, a bundle holds the largest
-    seed of a bundle it gives by dropping some of the goods 0..g, so after
-    the last, the largest seed inside it, which is the recipe's largest
-    rank of its one-good reductions (see the module docstring).  Dense
-    ranks stay below 0x80 for every template: at most 28 type-pair ranks
-    (eight one-good types), 0, 1 and top_rank.
+    folded by core's subset_max: after good g's step, a bundle holds the
+    largest seed of a bundle it gives by dropping some of the goods 0..g,
+    so after the last, the largest seed inside it, which is the recipe's
+    largest rank of its one-good reductions (see the module docstring).
+    A template has at most 31 distinct ranks (at most 28 type-pair ranks,
+    for eight one-good types, and 0, 1 and top_rank), so dense ranks are
+    at most 30 and core's sum_lane_width(30) is one byte.
     """
     n_bundles = len(ALL_BUNDLES)
     names = template.type_names()
@@ -214,12 +214,7 @@ def build_profile(template: InstanceTemplate) -> OrdinalProfile:
             if bundle.bit_count() == 3:
                 seeds[bundle] = dense[top_rank]
 
-    ranks = bytes(seeds)
-    index, flags = reduction_index(), lane_flags(n_bundles, 1)
-    for start in range(0, len(index), n_bundles):
-        reduced = index[start : start + n_bundles].translate(ranks)
-        folded = lane_max(int.from_bytes(ranks, "big"), int.from_bytes(reduced, "big"), flags, 1)
-        ranks = folded.to_bytes(n_bundles, "big")
+    ranks = subset_max(int.from_bytes(seeds, "big"), 1).to_bytes(n_bundles, "big")
 
     labels = _type_set_labels(names)
     return OrdinalProfile(

@@ -10,39 +10,36 @@ set of key tables and are cached per set, both built from per-agent
 reduction maxima W_i[B], the largest key of a one-good reduction of B.
 Each 256-entry table is reduced once, into a cached record: its distinct
 keys, its dense keys (each key's index among the distinct keys, one byte
-that keeps their order) and its dense maxima.  The status column (each
-allocation's EFX status as one byte) is built on dense keys: core's byte
-columns X0, X1 and X2, translated through an agent's dense keys or
-maxima and read as integers, give the lane integers K_i[X_i] and
-W_i[X_j].  The lanes are one byte wide when every dense key is below
-0x80, that is for tables of at most 128 distinct keys, which every
-template gives; then with LOW holding 0x7F in every lane, each lane of
-W_i[X_j] + LOW - K_i[X_i] lies in [0, 254], so no borrow crosses a lane
-and bit 7 of the lane is exactly K_i[X_i] < W_i[X_j].  Wider tables take
-two-byte lanes, each byte column widened over a zero pad byte, with LOW
-0x7FFF and bit 15.  The maxima come the same way, core's reduction index
-translated once and its 8 blocks folded lane by lane with core's
-lane_max, so neither runs Python code per allocation or per bundle.  The
-deficit column (each allocation's largest envy gap) needs real key
-differences, so it runs in lanes as wide as the key spread needs
-(core's sum_lane_width): six translated terms folded with lane_max.
-Its tuple, histogram, d*, argmin and nonempty minimum are read off it
-once per cached column, and the scaled scan's slack test is one lane
-comparison.  Level keys are anchored at zero, so a derived subadditive
-profile reads the ordinal kind's columns.  The others are core's
-universe columns, which no valuation changes: size codes, size code
-masks, the nonempty mask and the rotation column.  Claims read them with
-C-level operations and never iterate over the allocations they skip:
-witnesses are found by bytes.find, counts by bytes.count, and size
-breakdowns by popcounts of a column packed into one bit per allocation
-and ANDed with each size code's mask.  The first pair ANDs the status
-column with a cached column of candidate first pairs, cyclic symmetry
-checks that the rotation column sends every EFX counter to an EFX
-counter, and alpha-star and the scaled scan read the deficit kernel
-under the nonempty mask.  A 6561-allocation universe gains nothing from
-a process pool.  This module owns every EFX read: the scans, and is_efx
-and strong_envy_witness, which walk one allocation's triples on the rank
-tables.
+that keeps their order) and its dense maxima, core's reduction_max over
+the dense keys.  One term builder (_envy_terms) is the only comparison
+of an agent's own bundle with the others' one-good reductions: per agent
+i, core's byte columns X0, X1 and X2 translated through lane tables of
+its keys and maxima give the two lane integers W_i[X_j] + low - K_i[X_i].
+Every lane is as wide as core's sum_lane_width asks of the values, the
+one width rule.  The status column (each allocation's EFX status as one
+byte) reads the terms on dense keys, one byte a lane for tables of up to
+64 distinct keys, with low the top bit less one, so a lane's top bit is
+exactly K_i[X_i] < W_i[X_j].  The deficit column (each allocation's
+largest envy gap) needs real key differences, so it reads them on keys
+shifted into [0, R], R the largest spread, with low R, and folds the six
+terms with core's lane_max.  Neither runs Python code per allocation or
+per bundle.  The deficits' tuple, histogram, d*, argmin and nonempty
+minimum are read off the column once per cached column, and the scaled
+scan's slack test is one lane comparison.  Level keys are anchored at
+zero, so a derived subadditive profile reads the ordinal kind's columns.
+The others are core's universe columns, which no valuation changes: size
+codes, size code masks, the nonempty mask and the rotation column.
+Claims read them with C-level operations and never iterate over the
+allocations they skip: witnesses are found by bytes.find, counts by
+bytes.count, and size breakdowns by popcounts of a column packed into
+one bit per allocation and ANDed with each size code's mask.  The first
+pair ANDs the status column with a cached column of candidate first
+pairs, cyclic symmetry checks that the rotation column sends every EFX
+counter to an EFX counter, and alpha-star and the scaled scan read the
+deficit kernel under the nonempty mask.  A 6561-allocation universe
+gains nothing from a process pool.  This module owns every EFX read: the
+scans, and is_efx and strong_envy_witness, which walk one allocation's
+triples on the rank tables.
 
 Every property check decides a passing table by one whole-table
 comparison, and walks only a failing table, for its witnesses in scan
@@ -107,8 +104,6 @@ from .core import (
     allocation_from_counter,
     bundle_columns,
     code_sizes,
-    holds_columns,
-    lane_column,
     lane_flags,
     lane_max,
     lane_table,
@@ -117,7 +112,7 @@ from .core import (
     lane_values,
     members,
     nonempty_mask,
-    reduction_index,
+    reduction_max,
     rotation_column,
     size_code_table,
     size_codes,
@@ -380,8 +375,8 @@ def _where(kept: bytes, column: bytes) -> bytes:
 #
 # Agent i is content toward another bundle B, up to any one good, exactly
 # when key_i[X_i] >= W_i[B], where W_i[B] is the largest key of a one-good
-# reduction of B.  The status column and the maxima are computed on
-# dense keys in lane columns, as the module docstring sets out.
+# reduction of B.  The status column and the deficits read the same envy
+# terms in lanes, as the module docstring sets out.
 
 # The other agents of agent 0, 1 and 2, in ascending order.
 _OTHER_AGENTS = ((1, 2), (0, 2), (0, 1))
@@ -399,44 +394,37 @@ _STATUS = bytes((2, 1, 0, 0)) + bytes(252)
 _NONZERO = b"\0" + b"\xff" * 255
 
 
-def _lane_width(dense: bytes) -> int:
-    """The lane width of a dense key table: one byte when every key is
-    below 0x80, the top bit of a byte lane, else two bytes."""
-    return 1 if max(dense) < 0x80 else 2
-
-
-@lru_cache(maxsize=2)
-def _reduction_columns(width: int) -> tuple[bytes, int]:
-    """core's reduction index, 8 blocks of 256 bundles; and a lane integer
-    over the same lanes, each lane of width bytes, with every bit set in
-    the lanes whose bundle holds the block's good and 0 in the others."""
-    holds = int.from_bytes(lane_column(b"".join(holds_columns()), width), "big")
-    return reduction_index(), holds * ((1 << 8 * width) - 1)
-
-
 @lru_cache(maxsize=6)
 def _key_reduction(table: tuple[int, ...]) -> tuple[tuple[int, ...], bytes, bytes]:
     """(the table's distinct keys in ascending order, each bundle's key as
     its index there, each bundle's largest dense key over its one-good
-    reductions, 0 for the empty bundle).  One translate reads every
-    reduction's key; the mask clears each block's lanes whose bundle lacks
-    the good; three halvings then fold the 8 blocks with core's lane_max,
-    at the table's own lane width.  A dense key is below 256, so the
-    maxima bytes are the same at any width.  The cache holds the six
-    tables of the built-in kinds: the ranks, which level keys equal, and
-    the coverage values."""
+    reductions, 0 for the empty bundle).  The maxima are core's
+    reduction_max over the dense keys, in lanes of sum_lane_width of the
+    largest dense key; a dense key is below 256, so each lane's low byte
+    holds it.  The cache holds the six tables of the built-in kinds: the
+    ranks, which level keys equal, and the coverage values."""
     values = tuple(sorted(set(table)))
     dense = bytes(map(dict(zip(values, range(len(values)))).__getitem__, table))
-    width = _lane_width(dense)
-    index, holds = _reduction_columns(width)
-    lanes = int.from_bytes(lane_column(index.translate(dense), width), "big") & holds
-    # Lanes past the narrower operands of the later halvings are 0 in both
-    # halves, and stay 0.
-    flags = lane_flags(4 * len(ALL_BUNDLES), width)
-    for blocks in (4, 2, 1):
-        shift = blocks * len(ALL_BUNDLES) * 8 * width
-        lanes = lane_max(lanes >> shift, lanes & ((1 << shift) - 1), flags, width)
-    return values, dense, lanes.to_bytes(len(ALL_BUNDLES) * width, "big")[width - 1 :: width]
+    width = sum_lane_width(len(values) - 1)
+    maxima = reduction_max(int.from_bytes(lane_table(dense, width), "big"), width)
+    return values, dense, maxima.to_bytes(len(ALL_BUNDLES) * width, "big")[width - 1 :: width]
+
+
+def _envy_terms(tables: Iterable[tuple[Iterable[int], Iterable[int]]], width: int, low: int) -> list[tuple[int, int]]:
+    """Per agent i, from its bundles' keys K_i and reduction maxima W_i,
+    the two lane integers W_i[X_j] + low - K_i[X_i] over the allocations
+    in counter order, j the other agents in ascending order: each a
+    translate of core's bundle columns through a lane table.  The only
+    comparison of an agent's own bundle with the others' one-good
+    reductions."""
+    columns = bundle_columns()
+    lows = low * (lane_flags(N_ALLOCATIONS, width) >> 8 * width - 1)
+    terms = []
+    for agent, (keys, maxima) in enumerate(tables):
+        slack = lows - lane_translate(columns[agent], lane_table(keys, width), width)
+        reduced = lane_table(maxima, width)
+        terms.append(tuple(lane_translate(columns[other], reduced, width) + slack for other in _OTHER_AGENTS[agent]))
+    return terms
 
 
 @lru_cache(maxsize=2)
@@ -447,23 +435,16 @@ def _status_column(keys: tuple[tuple[int, ...], ...]) -> bytes:
     the two columns of the built-in kinds: the ranks, which the ordinal
     and subadditive kinds share, and the coverage values.
 
-    The three agents share one lane width, the widest their dense keys
-    need.  Per agent i, the lane integer LOW - key_i[X_i] plus W_i[X_j],
-    LOW holding the top bit less one in every lane, has the top bit set
-    in a lane exactly when key_i[X_i] < W_i[X_j], all on dense keys."""
-    columns = bundle_columns()
+    The envy terms run on dense keys and dense maxima, in the lanes of
+    the widest table's sum_lane_width, with low the top bit less one:
+    each term lies in [0, 2 * top - 2], and its top bit is set exactly
+    when key_i[X_i] < W_i[X_j]."""
     reductions = list(map(_key_reduction, keys))
-    width = max(_lane_width(dense) for _, dense, _ in reductions)
+    width = max(sum_lane_width(len(values) - 1) for values, _, _ in reductions)
     top = 8 * width - 1
     flags = lane_flags(N_ALLOCATIONS, width)
-    low = flags - (flags >> top)
-    envy = []
-    for agent, (_, dense, maxima) in enumerate(reductions):
-        slack = low - int.from_bytes(lane_column(columns[agent].translate(dense), width), "big")
-        bits = 0
-        for other in _OTHER_AGENTS[agent]:
-            bits |= int.from_bytes(lane_column(columns[other].translate(maxima), width), "big") + slack
-        envy.append(bits & flags)
+    terms = _envy_terms([(dense, maxima) for _, dense, maxima in reductions], width, (1 << top) - 1)
+    envy = [(first | second) & flags for first, second in terms]
     code = envy[0] >> top - 1 | (envy[1] | envy[2]) >> top
     return code.to_bytes(width * N_ALLOCATIONS, "big")[width - 1 :: width].translate(_STATUS)
 
@@ -479,26 +460,22 @@ def _deficits(keys: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
 
     Each agent's keys and reduction maxima are shifted by the agent's
     least key into [0, R], R the largest spread of the three tables, and
-    the lanes are sum_lane_width(R) bytes wide.  The lane integer of
-    W_i[X_j] + (R - key_i[X_i]), a translate of core's bundle columns per
-    term, lies in [0, 2R]; core's lane_max folds the six terms, and the
-    deficit is the fold's max(0, v - R), one more lane_max.  The same code
-    serves every width, from the ranks' one byte to the 13-byte lanes of
-    top_rank 10**30."""
-    columns = bundle_columns()
+    the lanes are sum_lane_width(R) bytes wide.  With low R, each envy
+    term lies in [0, 2R]; core's lane_max folds the six from R, and the
+    deficit is the fold less R.  The same code serves every width, from
+    the ranks' one byte to the 13-byte lanes of top_rank 10**30."""
     reductions = list(map(_key_reduction, keys))
     spread = max(values[-1] - values[0] for values, _, _ in reductions)
     width = sum_lane_width(spread)
+    tables = [
+        ([key - values[0] for key in table], [values[m] - values[0] for m in maxima])
+        for table, (values, _, maxima) in zip(keys, reductions)
+    ]
     flags = lane_flags(N_ALLOCATIONS, width)
-    worst = 0
-    for agent, (table, (values, _, maxima)) in enumerate(zip(keys, reductions)):
-        low = values[0]
-        slack = lane_translate(columns[agent], lane_table([spread + low - key for key in table], width), width)
-        reduced = lane_table([values[m] - low for m in maxima], width)
-        for other in _OTHER_AGENTS[agent]:
-            worst = lane_max(worst, lane_translate(columns[other], reduced, width) + slack, flags, width)
-    floor = spread * (flags >> 8 * width - 1)
-    return lane_max(worst, floor, flags, width) - floor, width
+    floor = worst = spread * (flags >> 8 * width - 1)
+    for term in chain.from_iterable(_envy_terms(tables, width, spread)):
+        worst = lane_max(worst, term, flags, width)
+    return worst - floor, width
 
 
 def _at_most(lanes: int, width: int, bound: int) -> bytes:
@@ -694,10 +671,10 @@ def _monotone(key_table: tuple[int, ...]) -> bool:
     every bundle's dense key is at least its dense reduction maximum: one
     lane comparison, as core sets out (own + flags - maximum has every
     top bit set exactly when every own >= maximum)."""
-    _, dense, dense_maxima = _key_reduction(key_table)
-    width = _lane_width(dense)
-    own = int.from_bytes(lane_column(dense, width), "big")
-    maxima = int.from_bytes(lane_column(dense_maxima, width), "big")
+    values, dense, dense_maxima = _key_reduction(key_table)
+    width = sum_lane_width(len(values) - 1)
+    own = int.from_bytes(lane_table(dense, width), "big")
+    maxima = int.from_bytes(lane_table(dense_maxima, width), "big")
     flags = lane_flags(len(ALL_BUNDLES), width)
     return (own + flags - maxima) & flags == flags
 
@@ -895,12 +872,14 @@ def _lower_rank_maxima(rank_table: tuple[int, ...], key_table: tuple[int, ...]) 
     return dict(zip(ranks, accumulate(map(top_key.__getitem__, ranks), max, initial=min(key_table) - 1)))
 
 
+@lru_cache(maxsize=6)
 def _keeps_strict_order(rank_table: tuple[int, ...], key_table: tuple[int, ...]) -> bool:
     """Whether every bundle ranked strictly above another has a strictly
     higher key: one whole-table comparison.  It holds exactly when each
     rank's largest key lies below the next rank's smallest, that is when
     the keys of the distinct (rank, key) pairs, sorted, strictly ascend,
-    so that they are the table's distinct keys in order."""
+    so that they are the table's distinct keys in order.  The cache holds
+    the six (rank, key) table pairs of the built-in kinds."""
     return list(map(itemgetter(1), sorted(set(zip(rank_table, key_table))))) == sorted(set(key_table))
 
 

@@ -409,9 +409,9 @@ def test_cli_import_builds_no_universe_column():
     probe = (
         "import efxcheck.cli; from efxcheck import core, tables, verify; "
         "print([f.__name__ for f in (core.bundle_columns, core.size_codes, core.nonempty_mask, "
-        "core.rotation_column, core.holds_columns, core.reduction_index, verify._reduction_columns, "
+        "core.rotation_column, core.holds_columns, core._good_masks, verify._keeps_strict_order, "
         "verify._key_reduction, verify._bundle_members, verify._pattern_keys, "
-        "verify._first_pair_candidates, core.submodular_index, core._lacks_masks, "
+        "verify._first_pair_candidates, core.submodular_index, "
         "core.size_code_masks, tables._sized_bundles, tables._pair_keys, tables._triple_labels, "
         "verify._level_key_tables) "
         "if f.cache_info().currsize])"

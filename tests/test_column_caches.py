@@ -183,12 +183,12 @@ def test_serving_the_builtin_commands_again_misses_no_cache():
         verify._status_column,
         verify._deficits,
         verify._deficit_profile,
-        verify._reduction_columns,
+        verify._keeps_strict_order,
         verify._pair_sum_sign,
         verify._level_key_tables,
         verify._first_pair_candidates,
         core.submodular_index,
-        core._lacks_masks,
+        core._good_masks,
         core.size_code_masks,
         tables._sized_bundles,
         tables._pair_keys,

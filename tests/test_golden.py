@@ -8,18 +8,26 @@ shows up here.
 
 To re-record after an intended output change, from the repository root:
     PYTHONPATH=src python tests/test_golden.py
+
+Every other interpreter of Python 3.10 or later that is found (python3.N
+on PATH, or a pyenv version) replays all the cases in one subprocess
+that imports only the standard library and efxcheck, and must print the
+same digests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from glob import glob
 from pathlib import Path
 
 import pytest
 
-from helpers import identical_agents_doc, mutated_pair_doc, run_cli
+from helpers import identical_agents_doc, mutated_pair_doc, run_cli, source_env
 
 GOLDEN_PATH = Path(__file__).with_name("golden_stdout.json")
 
@@ -103,6 +111,60 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("case", golden_cases(), ids=" ".join)
 def test_stdout_matches_golden(case, golden, document_paths):
     assert stdout_digest(case, document_paths) == golden[" ".join(case)]
+
+
+# Run by another interpreter: reads a JSON list of argv on stdin and
+# prints each command's exit code and stdout digest, one line each.
+REPLAY = """
+import hashlib, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from efxcheck.cli import main
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+"""
+
+
+def other_interpreters() -> dict[str, str]:
+    """Version string to path of each interpreter of Python 3.10 or later
+    that starts and is not this one: python3.N on PATH, then pyenv's
+    versions; the first path of each version."""
+    directories = os.environ.get("PATH", "").split(os.pathsep)
+    candidates = [os.path.join(directory, f"python3.{minor}") for minor in range(10, 20) for directory in directories]
+    candidates += sorted(glob(os.path.expanduser("~/.pyenv/versions/3.*/bin/python")))
+    found: dict[str, str] = {}
+    for path in filter(lambda path: os.access(path, os.X_OK), candidates):
+        try:
+            done = subprocess.run(
+                [path, "-S", "-c", "import sys; print(sys.version_info >= (3, 10)); print(sys.version)"],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        supported, _, version = done.stdout.partition("\n")
+        version = version.strip()
+        if done.returncode == 0 and supported == "True" and version != sys.version:
+            found.setdefault(version, path)
+    return found
+
+
+def test_stdout_matches_golden_on_other_interpreters(golden, document_paths):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other interpreter of Python 3.10 or later found")
+    cases = golden_cases()
+    argvs = json.dumps([[document_paths.get(arg, arg) for arg in case] for case in cases])
+    expected = [f"0 {golden[' '.join(case)]}" for case in cases]
+    for version, path in interpreters.items():
+        done = subprocess.run(
+            [path, "-S", "-c", REPLAY], input=argvs, env=source_env(), capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == 0, (version, done.stderr[-2000:])
+        assert done.stdout.splitlines() == expected, version
 
 
 if __name__ == "__main__":

@@ -1,22 +1,28 @@
 """The lane kernels against the set-based oracle on doctored key tables.
 
-The status column and the reduction maxima compare keys as dense indices
-in the lanes of big integers: one-byte lanes when every table has at
-most 128 distinct keys, two-byte lanes otherwise.  These tables press on
-that: 256 distinct keys spread over ±10^12, exactly 128 and exactly 129
-distinct keys on either side of the width switch, a constant table, an
-empty bundle keyed above nonempty bundles, and negative keys.  The status
-column must read EFX exactly where tests/oracles.py finds no envious
-triple and agent 0 feasible exactly where it finds none of agent 0's;
-each reduction maximum must be the plain maximum over the bundle's
-one-good reductions.
+Every lane kernel reads lane_translate of a lane_table, with lanes as
+wide as core's sum_lane_width asks: the least w with 2R < 2^(8w - 1) for
+a spread R.  The status column and the reduction maxima compare keys as
+dense indices (R the number of distinct keys less one), so a table takes
+one-byte lanes up to 64 distinct keys and two-byte lanes up to 256.
+These tables press on that: 256 distinct keys spread over ±10^12,
+exactly 64 and 65, and exactly 128 and 129, distinct keys, on either
+side of the dense width switch and of the old 0x80 one, tables of mixed
+widths, a constant table, an empty bundle keyed above nonempty bundles,
+and negative keys.  The status column must read EFX exactly where
+tests/oracles.py finds no envious triple and agent 0 feasible exactly
+where it finds none of agent 0's; each reduction maximum must be the
+plain maximum over the bundle's one-good reductions.
 
 The deficit kernel needs real key gaps, so its lanes are as wide as the
-largest key spread R needs: the least w with 2R < 2^(8w - 1).  Its cases
-sit on both sides of every width switch from one byte to thirteen, and at
-top_rank 10**30; each must give the oracle's deficits, d*, argmin,
-histogram and nonempty minimum, and the slack test the oracle's
-allocations at every bound.
+largest key spread R needs.  Its cases sit on both sides of every width
+switch from one byte to thirteen, and at top_rank 10**30; each must give
+the oracle's deficits, d*, argmin, histogram and nonempty minimum, and
+the slack test the oracle's allocations at every bound.
+
+core's three per-good folds (subset, superset and one-good reduction
+maxima) must give the naive set maxima on random lanes at widths 1, 2
+and 13.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ import random
 import pytest
 from oracles import AGENTS, N_ALLOCATIONS, agent_feasible, deficits, efx_counters, keyed, mask, universe, unmask
 
-from efxcheck.core import bundle_columns, lane_column, sum_lane_width
+from efxcheck.core import lane_table, lane_values, reduction_max, subset_max, sum_lane_width, superset_max
 from efxcheck.ordinal import builtin_profile, bundled_instance_text, load_template
-from efxcheck.verify import _at_most, _deficit_profile, _deficits, _key_reduction, _lane_width, _status_column
+from efxcheck.verify import _at_most, _deficit_profile, _deficits, _key_reduction, _status_column
 
 SEED = 21
 
@@ -49,10 +55,13 @@ def _doctored_tables() -> dict[str, tuple[tuple[int, ...], ...]]:
     sizes = [bundle.bit_count() for bundle in range(256)]
     return {
         "distinct-1e12": tuple(tuple(rng.sample(range(-10**12, 10**12 + 1), 256)) for _ in AGENTS),
-        "distinct-128": tuple(_distinct_keys(rng, 128) for _ in AGENTS),
-        "distinct-129": tuple(_distinct_keys(rng, 129) for _ in AGENTS),
+        "distinct-64": tuple(_distinct_keys(rng, 64) for _ in AGENTS),
+        "distinct-65": tuple(_distinct_keys(rng, 65) for _ in AGENTS),
         # Two agents fit one-byte lanes and one does not, so all three
         # share two-byte lanes.
+        "distinct-64-64-65": (_distinct_keys(rng, 64), _distinct_keys(rng, 64), _distinct_keys(rng, 65)),
+        "distinct-128": tuple(_distinct_keys(rng, 128) for _ in AGENTS),
+        "distinct-129": tuple(_distinct_keys(rng, 129) for _ in AGENTS),
         "distinct-128-128-129": (_distinct_keys(rng, 128), _distinct_keys(rng, 128), _distinct_keys(rng, 129)),
         "constant": ((7,) * 256,) * len(AGENTS),
         # Keys 0..3, with the empty bundle at 2 or 3, above some nonempty
@@ -102,21 +111,11 @@ def test_doctored_tables_reach_every_status():
     assert _status_column(TABLES["constant"]) == bytes([2]) * N_ALLOCATIONS
 
 
-def test_lane_width_switches_above_128_distinct_keys():
-    for name, widths in (("distinct-128", {1}), ("distinct-129", {2}), ("distinct-128-128-129", {1, 2})):
-        tables = TABLES[name]
-        assert {len(set(table)) for table in tables} <= {128, 129}
-        assert {_lane_width(_key_reduction(table)[1]) for table in tables} == widths, name
-
-
-@pytest.mark.parametrize("width", (1, 2))
-def test_bundle_lanes_match_oracle_decode(width):
-    for agent, column in enumerate(bundle_columns()):
-        lanes = lane_column(column, width)
-        assert len(lanes) == width * N_ALLOCATIONS
-        for pad in range(width - 1):
-            assert lanes[pad::width] == bytes(N_ALLOCATIONS)
-        assert list(lanes[width - 1 :: width]) == [mask(bundles[agent]) for bundles, _ in universe()]
+def test_distinct_tables_have_their_key_counts():
+    for name in ("distinct-64", "distinct-65", "distinct-128", "distinct-129"):
+        count = int(name.split("-")[1])
+        assert {len(set(table)) for table in TABLES[name]} == {count}, name
+    assert sum_lane_width(64 - 1) == 1 and sum_lane_width(65 - 1) == 2
 
 
 # --- the deficit kernel --------------------------------------------------------
@@ -182,3 +181,24 @@ def test_deficits_match_oracle_on_doctored_tables():
     for name in ("distinct-1e12", "constant", "empty-above-nonempty", "negative"):
         keys = TABLES[name]
         assert_deficits_match_oracle(keys, sum_lane_width(max(max(table) - min(table) for table in keys)))
+
+
+# --- the per-good folds ----------------------------------------------------------
+
+
+def _naive_maxima(values: list[int], related) -> list[int]:
+    return [max((values[other] for other in range(256) if related(bundle, other)), default=0) for bundle in range(256)]
+
+
+@pytest.mark.parametrize("width", (1, 2, 13))
+def test_folds_match_naive_set_maxima(width):
+    rng = random.Random(SEED + width)
+    values = [rng.randrange(1 << 8 * width - 1) for _ in range(256)]
+    lanes = int.from_bytes(lane_table(values, width), "big")
+    folds = (
+        (subset_max, lambda bundle, other: other & ~bundle == 0),
+        (superset_max, lambda bundle, other: bundle & ~other == 0),
+        (reduction_max, lambda bundle, other: (bundle ^ other).bit_count() == 1 and other & ~bundle == 0),
+    )
+    for fold, related in folds:
+        assert list(lane_values(fold(lanes, width), 256, width)) == _naive_maxima(values, related), fold.__name__

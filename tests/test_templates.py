@@ -1,6 +1,7 @@
 """Template documents: the bundled instance, validation errors, and mutations."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -188,3 +189,22 @@ def test_renamed_type_with_distinct_labels_still_passes(tmp_path):
     collapse = [r for r in reports if r["claim"].startswith("support_collapse")]
     assert len(collapse) == 3
     assert all(r["verdict"] == "pass" and r["breakdown"]["support_classes"] == 32 for r in collapse)
+
+
+@pytest.mark.parametrize("command", ("verify", "properties"))
+def test_huge_top_rank_runs_in_little_memory(command, tmp_path):
+    # The order-only claims compare dense keys, one byte a lane whatever
+    # the ranks; lanes of real keys at top_rank 10**4000 would take about
+    # 1.7 KB each, some 190 MB for a status column.
+    doc = _base_doc()
+    doc["top_rank"] = 10**4000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = run_cli(["template", str(path), command])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 << 20
