@@ -37,12 +37,12 @@ values needs.  Python's big integers let one implementation serve every
 width.  lane_values reads the lanes back as ints and lane_tops reads
 their top bits as bytes.
 
-Three folds over the 256 bundle lanes share one per-good step, which
-shifts a good's neighbour lanes onto a bundle's lane, masks them to the
-bundles that lack (or hold) the good, and folds them in with lane_max:
-superset_max and subset_max chain the step over the goods, and
-reduction_max takes one unchained step per good, for the maxima over a
-bundle's one-good reductions.  efxcheck.ordinal folds its rank recipe
+Two folds over the 256 bundle lanes share one per-good step, which
+shifts the lane of a bundle's one-good reduction onto the bundle's lane,
+masks it to the bundles that hold the good, and folds it in with
+lane_max: subset_max chains the step over the goods, and reduction_max
+takes one unchained step per good, for the maxima over a bundle's
+one-good reductions.  efxcheck.ordinal folds its rank recipe
 with subset_max and efxcheck.verify its reduction maxima with
 reduction_max.  submodular_index() lists the 1792 (S, g, h) triples of
 the local submodularity test as four byte columns.  Which goods share a
@@ -321,12 +321,11 @@ def lane_translate(column: bytes, table: bytes, width: int) -> int:
 
 def lane_values(lanes: int, count: int, width: int) -> tuple[int, ...]:
     """The count lanes of a lane integer as ints, first lane first: the
-    low bytes, plus each higher byte plane at its scale."""
+    bytes themselves in one-byte lanes, else one int.from_bytes a lane."""
     raw = lanes.to_bytes(count * width, "big")
-    values: Iterable[int] = raw[width - 1 :: width]
-    for k in range(width - 1):
-        values = map(add, values, map((1 << 8 * (width - 1 - k)).__mul__, raw[k::width]))
-    return tuple(values)
+    if width == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[k : k + width], "big") for k in range(0, len(raw), width))
 
 
 def lane_tops(lanes: int, count: int, width: int) -> bytes:
@@ -343,53 +342,41 @@ def holds_columns() -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=4)
-def _good_masks(width: int) -> tuple[tuple[int, int], ...]:
-    """Per good g, (holds, lacks): lane integers over the 256 bundles,
-    lanes of width bytes, with every bit set in the lanes whose bundle
-    holds g, or lacks it, and 0 in the others."""
-    full = (1 << 8 * width) - 1
-    holds, lacks = lane_table((0, full), width), lane_table((full, 0), width)
-    return tuple(
-        (lane_translate(column, holds, width), lane_translate(column, lacks, width)) for column in holds_columns()
-    )
+def _good_masks(width: int) -> tuple[int, ...]:
+    """Per good g, a lane integer over the 256 bundles, lanes of width
+    bytes, with every bit set in the lanes whose bundle holds g and 0 in
+    the others."""
+    holds = lane_table((0, (1 << 8 * width) - 1), width)
+    return tuple(lane_translate(column, holds, width) for column in holds_columns())
 
 
-def _good_fold(lanes: int, width: int, upward: bool, chained: bool) -> int:
-    """The per-good step that superset_max, subset_max and reduction_max
-    share, for lanes over the 256 bundles below their top bit.  Per good
-    g, the lane of B + g lies 2^g lanes below B's: shifted up onto B's
-    lane and masked to the bundles that lack g (upward), or B − g's lane
-    shifted down onto B's and masked to the bundles that hold g, it folds
-    in with lane_max.  Chained, each step reads the previous step's
-    result, so after the last a lane holds the largest lane of every
-    superset (or subset) of its bundle; unchained, each reads the input,
-    and the fold starts from 0."""
+def _good_fold(lanes: int, width: int, chained: bool) -> int:
+    """The per-good step that subset_max and reduction_max share, for
+    lanes over the 256 bundles below their top bit.  Per good g, the lane
+    of B − g lies 2^g lanes above B's: shifted down onto B's lane and
+    masked to the bundles that hold g, it folds in with lane_max.
+    Chained, each step reads the previous step's result, so after the
+    last a lane holds the largest lane of every subset of its bundle;
+    unchained, each reads the input, and the fold starts from 0."""
     flags = lane_flags(len(ALL_BUNDLES), width)
     folded = lanes if chained else 0
-    for g, (holds, lacks) in enumerate(_good_masks(width)):
-        source, shift = folded if chained else lanes, 8 * width << g
-        step = source << shift & lacks if upward else source >> shift & holds
-        folded = lane_max(folded, step, flags, width)
+    for g, holds in enumerate(_good_masks(width)):
+        source = folded if chained else lanes
+        folded = lane_max(folded, source >> (8 * width << g) & holds, flags, width)
     return folded
-
-
-def superset_max(lanes: int, width: int) -> int:
-    """Lane by lane over the 256 bundles, the largest lane of a superset
-    of the bundle, for lanes below their top bit."""
-    return _good_fold(lanes, width, upward=True, chained=True)
 
 
 def subset_max(lanes: int, width: int) -> int:
     """Lane by lane over the 256 bundles, the largest lane of a subset of
     the bundle, for lanes below their top bit."""
-    return _good_fold(lanes, width, upward=False, chained=True)
+    return _good_fold(lanes, width, chained=True)
 
 
 def reduction_max(lanes: int, width: int) -> int:
     """Lane by lane over the 256 bundles, the largest lane of a one-good
     reduction of the bundle, 0 for the empty bundle, for lanes below
     their top bit."""
-    return _good_fold(lanes, width, upward=False, chained=False)
+    return _good_fold(lanes, width, chained=False)
 
 
 @lru_cache(maxsize=1)

@@ -48,10 +48,11 @@ reduction maximum in lanes, support collapse compares the table with
 itself read at each support class's representative, submodularity
 compares both sides of the 1792 local sums in lanes, and strict
 consistency compares the keys of the sorted distinct (rank, key) pairs
-with the table's distinct keys.  Subadditivity decides its exact per-row
-bound for all 255 rows at once in lanes (superset maxima, then one gap
-comparison against the six-entry gap table), so a table whose every row
-the bound skips passes with no pair visited.  The walks stop once the
+with the table's distinct keys.  Subadditivity reads one sum of level
+values: twice the least nonempty value against the greatest value, so a
+table where that sum holds, as on every built-in table, passes with no
+pair visited, and otherwise only the rows whose value plus the least
+fall short of the greatest are walked.  The walks stop once the
 verdict is settled and the witness list is full, and a check's checked
 field counts the whole universe the verdict covers, not the pairs
 actually visited.  Strict-order transfer follows the same pattern: an
@@ -79,7 +80,6 @@ from itertools import accumulate, chain, compress, islice
 from operator import gt, itemgetter, ne
 
 from .cardinal import (
-    PAIR_GAP_LIMIT,
     ApproxFactor,
     CoverageProfile,
     LevelValue,
@@ -119,7 +119,6 @@ from .core import (
     size_tally,
     submodular_index,
     sum_lane_width,
-    superset_max,
 )
 from .ordinal import OrdinalProfile, builtin_profile, support_representatives
 
@@ -727,43 +726,6 @@ def _level_sum_sign(e_first: int | None, e_second: int | None, e_union: int | No
     return _pair_sum_sign(*(None if e is None else e - least for e in (e_first, e_second, e_union)))
 
 
-def _gap_bounds(width: int, positive_least: bool) -> bytes:
-    """The row bound of check_subadditive as a lane table over the key
-    gap d = U - key(S), capped at 7: the least second gap U - m that
-    leaves room for a violation, where U is the largest key over the
-    supersets of S and m the least key of a nonempty bundle.  A gap of 0
-    leaves none; d from 1 to 6 leaves none up to PAIR_GAP_LIMIT[d] when
-    m is a positive value, and every gap from 7 on, or with m zero,
-    leaves room."""
-    none = (1 << 8 * width - 1) - 1
-    bounds = [PAIR_GAP_LIMIT[d] + 1 if positive_least else 0 for d in range(1, 7)]
-    return lane_table([none, *bounds, 0], width)
-
-
-def _unbounded_rows(keys: tuple[int, ...]) -> bytes:
-    """1 for each bundle S whose row of pairs the exact bound of
-    check_subadditive cannot skip, else 0, from level keys.  With
-    a = key(S), U the largest key over the supersets of S and m the least
-    key of a nonempty bundle, the bound is the sign of v(a) + v(m) - v(U),
-    v(k) the value keyed k, read off the gaps d = U - a and e = U - m: a
-    key step is one power of the base, and m <= a <= U.  So
-    a row is skipped exactly when e lies below _gap_bounds at d.  Every
-    step runs in lanes of sum_lane_width(max key): the superset maxima
-    are core's superset_max, d is capped at 7 with one lane_max, and the
-    bound is one lane comparison."""
-    least = min(keys[1:])
-    width = sum_lane_width(max(keys))
-    flags = lane_flags(len(ALL_BUNDLES), width)
-    ones = flags >> 8 * width - 1
-    own = int.from_bytes(lane_table(keys, width), "big")
-    greatest = superset_max(own, width)
-    gap = greatest - own
-    capped = gap + 7 * ones - lane_max(gap, 7 * ones, flags, width)
-    capped_gap = capped.to_bytes(len(ALL_BUNDLES) * width, "big")[width - 1 :: width]
-    bound = lane_translate(capped_gap, _gap_bounds(width, least > 0), width)
-    return lane_tops((bound + flags - (greatest - least * ones) - ones) ^ flags, len(ALL_BUNDLES), width)
-
-
 def check_subadditive(
     exponent_table: tuple[int | None, ...],
     claim: str,
@@ -773,19 +735,28 @@ def check_subadditive(
     each decided exactly from the three exponents by level_sum_compare.
 
     A pair with an empty side never violates, since values are never
-    negative.  Row S is scanned only when value(S) + m < U(S), where m is
-    the least value of a nonempty bundle and U(S) the greatest value of a
-    superset of S: otherwise every T gives value(S) + value(T) >=
-    value(S) + m >= U(S) >= value(S union T).  That bound is decided for
-    every row at once, in lanes (_unbounded_rows), so a table whose every
-    row it skips passes with no pair visited.  checked counts all 65536
+    negative.  With m the least value of a nonempty bundle and M the
+    greatest value, every T gives value(S) + value(T) >= value(S) + m, and
+    value(S union T) <= M.  So a table with m + m >= M passes with no pair
+    visited, and otherwise the walk skips every row S with
+    value(S) + m >= M, decided once per distinct exponent.  On a monotone
+    table, as every table efxcheck builds is, M is the full bundle's value
+    and so the greatest over the supersets of each S: a bound read per row
+    from its supersets would skip the same rows.  checked counts all 65536
     pairs.
     """
-    rows = _unbounded_rows(level_keys(exponent_table))
+    row_exponents = set(exponent_table[1:])
+    greatest = min(set(exponent_table) - {None}, default=None)
+    least = None if None in row_exponents else max(row_exponents)
+    if _level_sum_sign(least, least, greatest) >= 0:
+        return _report(claim, N_BUNDLE_PAIRS, N_BUNDLE_PAIRS, True, (), {})
+    open_rows = {e for e in row_exponents if _level_sum_sign(e, least, greatest) < 0}
 
     def violations() -> Iterator[Witness]:
-        for first in compress(ALL_BUNDLES[1:], rows[1:]):
+        for first in ALL_BUNDLES[1:]:
             e_first = exponent_table[first]
+            if e_first not in open_rows:
+                continue
             for second in ALL_BUNDLES[1:]:
                 e_second, e_union = exponent_table[second], exponent_table[first | second]
                 if _level_sum_sign(e_first, e_second, e_union) < 0:

@@ -20,9 +20,10 @@ switch from one byte to thirteen, and at top_rank 10**30; each must give
 the oracle's deficits, d*, argmin, histogram and nonempty minimum, and
 the slack test the oracle's allocations at every bound.
 
-core's three per-good folds (subset, superset and one-good reduction
-maxima) must give the naive set maxima on random lanes at widths 1, 2
-and 13.
+core's two per-good folds (subset and one-good reduction maxima) must
+give the naive set maxima on random lanes at widths 1, 2 and 13, and
+lane_values must read back every lane a naive shift-and-mask decode
+reads, at widths 1, 2, 13 and 125.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import random
 import pytest
 from oracles import AGENTS, N_ALLOCATIONS, agent_feasible, deficits, efx_counters, keyed, mask, universe, unmask
 
-from efxcheck.core import lane_table, lane_values, reduction_max, subset_max, sum_lane_width, superset_max
+from efxcheck.core import lane_table, lane_values, reduction_max, subset_max, sum_lane_width
 from efxcheck.ordinal import builtin_profile, bundled_instance_text, load_template
 from efxcheck.verify import _at_most, _deficit_profile, _deficits, _key_reduction, _status_column
 
@@ -197,8 +198,21 @@ def test_folds_match_naive_set_maxima(width):
     lanes = int.from_bytes(lane_table(values, width), "big")
     folds = (
         (subset_max, lambda bundle, other: other & ~bundle == 0),
-        (superset_max, lambda bundle, other: bundle & ~other == 0),
         (reduction_max, lambda bundle, other: (bundle ^ other).bit_count() == 1 and other & ~bundle == 0),
     )
     for fold, related in folds:
         assert list(lane_values(fold(lanes, width), 256, width)) == _naive_maxima(values, related), fold.__name__
+
+
+@pytest.mark.parametrize("width", (1, 2, 13, 125))
+def test_lane_values_match_naive_decode(width):
+    rng = random.Random(SEED + width)
+    count = 300
+    values = [rng.randrange(1 << 8 * width) for _ in range(count)]
+    lanes = 0
+    for value in values:
+        lanes = lanes << 8 * width | value
+    full = (1 << 8 * width) - 1
+    naive = [lanes >> 8 * width * (count - 1 - lane) & full for lane in range(count)]
+    assert naive == values
+    assert lane_values(lanes, count, width) == tuple(naive)

@@ -19,13 +19,18 @@ support tables (a single violation in the last lane, more than 128
 distinct keys), and tables generated by Hypothesis with a fixed seed and
 no example database.
 
-Submodularity, strict consistency and the subadditive row bound are each
-decided by one whole-table comparison in lanes.  Their gates: doctored
-tables with a single violation in the last triple or bundle, passing
-tables other than the built-ins (coverage from random atoms is always
-submodular), tables whose spread forces wider lanes (negative values, a
-spread of at least 64), and the subadditive rows that the lanes leave to
-the walk against each row's bound signed by the exact ring arithmetic.
+Submodularity and strict consistency are each decided by one whole-table
+comparison in lanes.  Their gates: doctored tables with a single
+violation in the last triple or bundle, passing tables other than the
+built-ins (coverage from random atoms is always submodular), and tables
+whose spread forces wider lanes (negative values, a spread of at least
+64).  Subadditivity is decided by one sum, twice the least nonempty
+value against the greatest, and otherwise walks the rows S with
+value(S) + m < M.  Its gates: the built-in makes one sum per table and
+visits no pair, a doctored table walks its one open row, and on monotone
+level tables (built-in, seeded templates at top_rank 7, 8 and 30, and
+generated) those rows are exactly the rows a bound read from each row's
+supersets leaves, signed by the exact ring arithmetic.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_template_doc
+from helpers import random_template_doc, run_cli
 from oracles import exact_level_sign
 
+from efxcheck import verify
 from efxcheck.cardinal import build_coverage, build_subadditive
 from efxcheck.core import ALL_BUNDLES, FULL_BUNDLE, GOODS, members, submodular_index, sum_lane_width
 from efxcheck.ordinal import bundled_instance_text, load_template
@@ -56,7 +62,6 @@ from efxcheck.verify import (
     check_subadditive,
     check_submodular,
     check_support_collapse,
-    _unbounded_rows,
     display_value,
     level_keys,
     profile_value_keys,
@@ -538,6 +543,25 @@ def reference_unbounded_rows(exponent_table) -> list[int]:
     return rows
 
 
+def sum_rule_rows(exponent_table) -> list[int]:
+    """1 for each nonempty S with value(S) + m < M, m the least value of a
+    nonempty bundle and M the greatest value, signed in the exact ring:
+    the rows check_subadditive walks once m + m < M."""
+    nonempty = exponent_table[1:]
+    least = None if None in nonempty else max(nonempty)
+    greatest = min((e for e in exponent_table if e is not None), default=None)
+    return [int(_sum_sign(e, least, greatest) < 0) for e in nonempty]
+
+
+def assert_sum_rule_rows_match_superset_bound(exponent_table):
+    """On a monotone level table the greatest value is every superset
+    maximum's, so the sum rule leaves the walk the rows the per-row
+    superset bound left it."""
+    keys = level_keys(tuple(exponent_table))
+    assert all(keys[bundle | 1 << g] >= keys[bundle] for bundle in ALL_BUNDLES for g in GOODS)
+    assert sum_rule_rows(exponent_table) == reference_unbounded_rows(exponent_table)
+
+
 def _doctored_exponent_tables() -> dict[str, tuple[int | None, ...]]:
     builtin_table = builtin("subadditive").subadditive.exponent_tables[0]
     top_rank_30 = json.loads(bundled_instance_text())
@@ -560,7 +584,6 @@ def _doctored_exponent_tables() -> dict[str, tuple[int | None, ...]]:
 def test_subadditive_rows_left_to_the_walk_match_exact_bound(name, limit):
     table = _doctored_exponent_tables()[name]
     expected_rows = reference_unbounded_rows(table)
-    assert list(_unbounded_rows(level_keys(table))[1:]) == expected_rows
     full = assert_cut_matches(check_subadditive, reference_subadditive, table, limit=limit)
     if name in ("builtin", "shifted-up"):
         assert full.passed and not any(expected_rows)
@@ -570,6 +593,58 @@ def test_subadditive_rows_left_to_the_walk_match_exact_bound(name, limit):
         assert not full.passed and sum_lane_width(max(level_keys(table))) == 2
 
 
+@lru_cache(maxsize=1)
+def _monotone_level_tables() -> dict[str, tuple[int | None, ...]]:
+    """The built-in level tables, and each seeded template's at top_rank 7,
+    8 and 30 (pair ranks clamped to the top rank)."""
+    found = {f"builtin-{agent}": table for agent, table in enumerate(builtin("subadditive").subadditive.exponent_tables)}
+    for seed in TEMPLATE_SEEDS:
+        for top_rank in (7, 8, 30):
+            doc = json.loads(random_template_doc(seed))
+            doc["top_rank"] = top_rank
+            for row in doc["pair_ranks"].values():
+                for key in row:
+                    row[key] = min(row[key], top_rank)
+            tables = build_subadditive(load_template(json.dumps(doc))[1]).exponent_tables
+            found.update((f"seed{seed}-top{top_rank}-{agent}", table) for agent, table in enumerate(tables))
+    return found
+
+
+@pytest.mark.parametrize("name", _monotone_level_tables())
+def test_sum_rule_rows_match_superset_bound_on_built_tables(name):
+    assert_sum_rule_rows_match_superset_bound(_monotone_level_tables()[name])
+
+
+def _count_level_sum_signs(monkeypatch) -> list[tuple]:
+    calls: list[tuple] = []
+    sign = verify._level_sum_sign
+
+    def counted(*exponents):
+        calls.append(exponents)
+        return sign(*exponents)
+
+    monkeypatch.setattr(verify, "_level_sum_sign", counted)
+    return calls
+
+
+def test_builtin_subadditive_properties_visit_no_pair(monkeypatch):
+    """One sum per agent table decides the built-in: twice the least
+    nonempty value, q**6 + q**6, is the greatest, q**0."""
+    calls = _count_level_sum_signs(monkeypatch)
+    code, out, _ = run_cli(["properties", "subadditive"])
+    assert code == 0 and out
+    assert 0 < len(calls) <= len(builtin("subadditive").subadditive.exponent_tables)
+
+
+def test_last_row_only_walks_one_row(monkeypatch):
+    """The whole sum fails, so the distinct row exponents are signed, and
+    only bundle 254's row of 255 pairs is walked: fewer calls than two
+    rows of pairs."""
+    calls = _count_level_sum_signs(monkeypatch)
+    assert check_subadditive(_doctored_exponent_tables()["last-row-only"], "subadditive").passed
+    assert len(ALL_BUNDLES) - 1 <= len(calls) < 2 * (len(ALL_BUNDLES) - 1)
+
+
 # --- generated tables ------------------------------------------------------------
 
 exponents = st.one_of(st.none(), st.integers(0, 9))
@@ -577,16 +652,17 @@ bundles = st.integers(0, FULL_BUNDLE)
 
 
 @st.composite
-def level_tables(draw):
-    """Exponents of a rank table summed from per-good weights, with a few
-    cells overwritten (None or any exponent, the empty bundle included)."""
+def level_tables(draw, overwrites=4):
+    """Exponents of a rank table summed from per-good weights, with up to
+    overwrites cells overwritten (None or any exponent, the empty bundle
+    included).  With none overwritten the table is monotone."""
     weights = draw(st.lists(st.integers(0, 3), min_size=8, max_size=8))
     top = draw(st.integers(1, 12))
     table = [
         None if bundle == 0 else top - min(top, max(1, sum(weights[g] for g in members(bundle))))
         for bundle in ALL_BUNDLES
     ]
-    for bundle, exponent in draw(st.lists(st.tuples(bundles, exponents), max_size=4)):
+    for bundle, exponent in draw(st.lists(st.tuples(bundles, exponents), max_size=overwrites)):
         table[bundle] = exponent
     return table
 
@@ -616,6 +692,12 @@ def test_generated_subadditive_matches_reference(table):
 
 
 @HYPOTHESIS
+@given(level_tables(overwrites=0))
+def test_generated_sum_rule_rows_match_superset_bound(table):
+    assert_sum_rule_rows_match_superset_bound(table)
+
+
+@HYPOTHESIS
 @given(coverage_tables())
 def test_generated_submodular_matches_reference(table):
     assert_submodular_matches(table)
@@ -625,9 +707,3 @@ def test_generated_submodular_matches_reference(table):
 @given(rank_key_tables())
 def test_generated_strict_consistency_matches_reference(tables):
     assert_strict_matches(*tables)
-
-
-@HYPOTHESIS
-@given(st.one_of(level_tables(), st.lists(exponents, min_size=256, max_size=256)))
-def test_generated_subadditive_rows_match_exact_bound(table):
-    assert list(_unbounded_rows(level_keys(tuple(table)))[1:]) == reference_unbounded_rows(table)
